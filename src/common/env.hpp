@@ -1,10 +1,10 @@
 // Hardened environment-variable parsing.
 //
-// The ESCA_* runtime knobs (thread counts, trace capacity, stream rebuild
-// fraction, fault specs) used to be read with bare atoi/strtod, which turns
-// a typo like ESCA_GEOMETRY_THREADS=4x into a silent 4 and ESCA_COMPUTE_
-// THREADS=abc into a silent 0 — an operator cannot tell a misspelled knob
-// from an unset one. env_int/env_double parse strictly instead: the whole
+// The ESCA_* runtime knobs (ESCA_THREADS, trace capacity, stream rebuild
+// fraction, fault specs) must not be read with bare atoi/strtod, which turns
+// a typo like ESCA_THREADS=4x into a silent 4 and ESCA_THREADS=abc into a
+// silent 0 — an operator could not tell a misspelled knob from an unset
+// one. env_int/env_double parse strictly instead: the whole
 // value must be a number and it must lie inside the caller's [lo, hi]
 // bound, otherwise a warning naming the variable and the offending value is
 // logged and nullopt comes back, so the caller falls through to its

@@ -4,8 +4,8 @@
 // PRs before anything systematically exercised it. The Injector arms named
 // *injection sites* — fixed points threaded through the layers that can
 // realistically fail in production (runtime execution, stream diff/patch,
-// serve admission and pickup, scratch-arena growth) — with per-site
-// schedules parsed from a spec string:
+// serve admission and pickup, scratch-arena growth, executor partitions) —
+// with per-site schedules parsed from a spec string:
 //
 //   seed=42;runtime.run:p=0.05;stream.patch:nth=3;serve.pickup.delay:delay_ms=2
 //

@@ -42,8 +42,8 @@ class SubmanifoldConv3d {
 
   sparse::SparseTensor forward(const sparse::SparseTensor& input) const;
   /// Reuse precompiled geometry (shared across all layers at one scale).
-  /// Executes on `engine` (its arena + worker pool); nullptr = the calling
-  /// thread's default engine.
+  /// Executes on `engine` (its arena); nullptr = the calling thread's
+  /// default engine.
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::LayerGeometry& geometry,
                                sparse::ComputeEngine* engine = nullptr) const;

@@ -146,11 +146,12 @@ class Backend {
   /// simulator feeds it to core::PowerModel); nullptr otherwise.
   virtual const sim::EnergyMeter* energy_meter() const { return nullptr; }
 
-  /// This backend's gather-GEMM-scatter engine: one scratch arena + worker
-  /// pool per backend. Sessions execute through their backend, and each
-  /// serve worker replicates a private backend, so every Session / serve
-  /// worker runs the rulebook-apply hot path on a persistent arena —
-  /// steady-state frames perform no heap allocations there.
+  /// This backend's gather-GEMM-scatter engine: one scratch arena per
+  /// backend (the threads are the process-wide esca::Executor's). Sessions
+  /// execute through their backend, and each serve worker replicates a
+  /// private backend, so every Session / serve worker runs the
+  /// rulebook-apply hot path on a persistent arena — steady-state frames
+  /// perform no heap allocations there.
   sparse::ComputeEngine& compute_engine() { return compute_; }
 
  protected:

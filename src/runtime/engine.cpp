@@ -11,8 +11,8 @@ namespace esca::runtime {
 BackendKind parse_backend_kind(const std::string& name) {
   if (name == "esca") return BackendKind::kEsca;
   if (name == "dense") return BackendKind::kDense;
-  if (name == "cpu") return BackendKind::kCpu;
-  ESCA_REQUIRE(false, "unknown backend '" << name << "' (want esca|dense|cpu)");
+  ESCA_REQUIRE(name == "cpu", "unknown backend '" << name << "' (want esca|dense|cpu)");
+  return BackendKind::kCpu;
 }
 
 const char* to_string(BackendKind kind) {
@@ -28,9 +28,11 @@ std::unique_ptr<Backend> make_backend(const RuntimeConfig& config) {
   switch (config.backend) {
     case BackendKind::kEsca: return std::make_unique<EscaBackend>(config.arch);
     case BackendKind::kDense: return std::make_unique<DenseAccelBackend>(config.dense);
-    case BackendKind::kCpu: return std::make_unique<CpuBackend>(config.cpu_repeats);
+    case BackendKind::kCpu: break;
   }
-  ESCA_CHECK(false, "unhandled BackendKind " << static_cast<int>(config.backend));
+  ESCA_CHECK(config.backend == BackendKind::kCpu,
+             "unhandled BackendKind " << static_cast<int>(config.backend));
+  return std::make_unique<CpuBackend>(config.cpu_repeats);
 }
 
 Engine::Engine(RuntimeConfig config)

@@ -22,19 +22,9 @@ RunReport Session::submit(const FrameBatch& batch, const RunOptions& options) {
   span.arg("frames", batch.size());
   RunReport report;
   report.backend_name = backend_->name();
-  history_.backend_name = report.backend_name;
   for (const std::string& frame_id : batch.frame_ids) {
     report.frames.push_back(backend_->run_frame(*plan_, frame_id, options));
     ++frames_submitted_;
-    // Record history per frame (so a mid-batch verify failure still leaves
-    // the completed frames accounted for), keeping the cumulative stats but
-    // not the potentially large outputs.
-    const FrameReport& frame = report.frames.back();
-    FrameReport stats_only;
-    stats_only.frame_id = frame.frame_id;
-    stats_only.weights_resident = frame.weights_resident;
-    stats_only.stats = frame.stats;
-    history_.frames.push_back(std::move(stats_only));
   }
   return report;
 }

@@ -31,8 +31,7 @@ class Session {
   Backend& backend() { return *backend_; }
 
   /// Run every frame of the batch, carrying weight residency from any
-  /// previous submission. Returns the per-frame reports of this batch only;
-  /// history() keeps the cumulative view.
+  /// previous submission. Returns the per-frame reports of this batch only.
   RunReport submit(const FrameBatch& batch, const RunOptions& options = {});
 
   std::size_t frames_submitted() const { return frames_submitted_; }
@@ -43,16 +42,10 @@ class Session {
   /// Drop residency: the next frame pays the weight DRAM transfer again.
   void invalidate_weights();
 
-  /// Cumulative stats over every frame submitted through this session
-  /// (output tensors are not retained here — only the per-batch reports
-  /// returned by submit() carry them).
-  const RunReport& history() const { return history_; }
-
  private:
   Backend* backend_;
   PlanPtr plan_;
   std::size_t frames_submitted_{0};
-  RunReport history_;
 };
 
 }  // namespace esca::runtime

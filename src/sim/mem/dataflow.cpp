@@ -14,8 +14,9 @@ const char* to_string(Dataflow dataflow) {
 
 Dataflow parse_dataflow(const std::string& name) {
   if (name == "ws" || name == "weight_stationary") return Dataflow::kWeightStationary;
-  if (name == "os" || name == "output_stationary") return Dataflow::kOutputStationary;
-  ESCA_REQUIRE(false, "unknown dataflow '" << name << "' (want ws|os)");
+  ESCA_REQUIRE(name == "os" || name == "output_stationary",
+               "unknown dataflow '" << name << "' (want ws|os)");
+  return Dataflow::kOutputStationary;
 }
 
 }  // namespace esca::sim::mem

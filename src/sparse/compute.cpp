@@ -1,24 +1,12 @@
 #include "sparse/compute.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
+#include "common/executor.hpp"
 #include "fault/injector.hpp"
-
-// Compile-time default worker count: -1 = auto (environment override, then
-// hardware concurrency); 0 = hard-disable thread spawning (every apply runs
-// inline); N > 0 = default to N workers. Set via -DESCA_COMPUTE_THREADS=<n>.
-#ifndef ESCA_COMPUTE_THREADS
-#define ESCA_COMPUTE_THREADS -1
-#endif
 
 // Bit-identity contract: the engine reproduces the scalar reference's float
 // results exactly. Contracting mul+add into FMA single-rounds each step and
@@ -34,35 +22,14 @@ namespace esca::sparse {
 
 namespace {
 
-constexpr bool kThreadingEnabled = (ESCA_COMPUTE_THREADS != 0);
-constexpr int kMaxThreads = 64;
-
-/// Rules gathered per microkernel invocation. Bounds per-thread scratch to
+/// Rules gathered per microkernel invocation. Bounds per-partition scratch to
 /// kGatherRows x cin activations while keeping the gather loop long enough
 /// to amortize the call.
 constexpr std::size_t kGatherRows = 128;
 
-/// Work below which the default thread count is throttled: an extra worker
-/// must bring at least this many MACs to pay for its wakeup.
-constexpr std::int64_t kMinMacsPerThread = 1 << 21;
-
-
-int default_threads() {
-  static const int cached = [] {
-    // "0" means serial, like the compile-time knob; garbage and negative
-    // values warn and fall through (common/env strict parsing).
-    if (const auto env = env_int("ESCA_COMPUTE_THREADS", 0)) {
-      if (*env == 0) return 1;
-      return static_cast<int>(std::min<long long>(*env, kMaxThreads));
-    }
-    if constexpr (ESCA_COMPUTE_THREADS > 0) {
-      return std::min(static_cast<int>(ESCA_COMPUTE_THREADS), kMaxThreads);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<int>(std::clamp(hw, 1U, 8U));
-  }();
-  return cached;
-}
+/// Work below which the default partition count is throttled: an extra
+/// partition must bring at least this many MACs to pay for a helper wakeup.
+constexpr std::int64_t kMinMacsPerPart = 1 << 21;
 
 #define ESCA_ALWAYS_INLINE inline __attribute__((always_inline))
 
@@ -263,17 +230,16 @@ struct BlockJob {
   const BlockedRuleBook* rules;
   int cin;
   int cout;
-  const int* bounds;  ///< per-thread block ranges, size threads+1
-  // Per-thread scratch, strided by thread index.
+  const int* bounds;  ///< per-partition block ranges, size parts+1
+  // Per-partition scratch, strided by partition index.
   TIn* tiles;
   std::uint8_t* flags;
   std::int32_t* targets;
 };
 
-/// One worker: gather -> microkernel over its contiguous block range.
+/// One partition: gather -> microkernel over its contiguous block range.
 template <typename TIn, typename TW, typename TAcc>
-void block_worker(void* ctx, int t) {
-  const auto& job = *static_cast<const BlockJob<TIn, TW, TAcc>*>(ctx);
+void run_partition(const BlockJob<TIn, TW, TAcc>& job, int t) {
   const auto cin = static_cast<std::size_t>(job.cin);
   const auto cout = static_cast<std::size_t>(job.cout);
   const auto u = static_cast<std::size_t>(t);
@@ -350,13 +316,7 @@ void ScratchArena::reset() {
   high_water_ = 0;
 }
 
-// --- knobs and counters -------------------------------------------------------
-
-int resolve_compute_threads(int requested) {
-  if (!kThreadingEnabled) return 1;
-  if (requested > 0) return std::min(requested, kMaxThreads);
-  return default_threads();
-}
+// --- counters -----------------------------------------------------------------
 
 obs::Counter& compute_arena_grows_counter() {
   static obs::Counter& counter = obs::Registry::global().counter(
@@ -384,109 +344,16 @@ BlockedRuleBook bucket_on_the_fly(const RuleBook& rulebook, std::size_t num_out_
   return BlockedRuleBook(rulebook, num_out_rows);
 }
 
-// --- worker pool --------------------------------------------------------------
-
-/// Persistent workers parked on a condition variable. Dispatching a job
-/// allocates nothing: the job is a function pointer + context pointer, and
-/// completion is tracked by a counter under the same mutex.
-struct ComputeEngine::Pool {
-  explicit Pool(int workers) {
-    threads.reserve(static_cast<std::size_t>(workers - 1));
-    for (int i = 1; i < workers; ++i) {
-      threads.emplace_back([this, i] { worker_loop(i); });
-    }
-  }
-
-  ~Pool() {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      stop = true;
-    }
-    start_cv.notify_all();
-    for (std::thread& t : threads) t.join();
-  }
-
-  /// Run fn(ctx, t) for t in [0, participants); the caller is worker 0.
-  /// Rethrows the first worker exception.
-  void run(int participants, void (*fn)(void*, int), void* ctx) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      job_fn = fn;
-      job_ctx = ctx;
-      active = participants;
-      outstanding = participants - 1;
-      error = nullptr;
-      ++generation;
-    }
-    start_cv.notify_all();
-    try {
-      fn(ctx, 0);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(mu);
-      if (!error) error = std::current_exception();
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    done_cv.wait(lock, [&] { return outstanding == 0; });
-    if (error) {
-      const std::exception_ptr e = error;
-      error = nullptr;
-      lock.unlock();
-      std::rethrow_exception(e);
-    }
-  }
-
-  void worker_loop(int index) {
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mu);
-    for (;;) {
-      start_cv.wait(lock, [&] { return stop || generation != seen; });
-      if (stop) return;
-      seen = generation;
-      if (index >= active) continue;  // not part of this job
-      auto* fn = job_fn;
-      void* ctx = job_ctx;
-      lock.unlock();
-      try {
-        fn(ctx, index);
-      } catch (...) {
-        lock.lock();
-        if (!error) error = std::current_exception();
-        lock.unlock();
-      }
-      lock.lock();
-      if (--outstanding == 0) done_cv.notify_all();
-    }
-  }
-
-  std::mutex mu;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  std::vector<std::thread> threads;
-  void (*job_fn)(void*, int){nullptr};
-  void* job_ctx{nullptr};
-  std::uint64_t generation{0};
-  int active{0};
-  int outstanding{0};
-  std::exception_ptr error;
-  bool stop{false};
-};
-
 // --- ComputeEngine ------------------------------------------------------------
 
-ComputeEngine::ComputeEngine(ComputeOptions options)
-    : max_threads_(resolve_compute_threads(options.threads)),
-      explicit_threads_(options.threads > 0) {}
+ComputeEngine::ComputeEngine(ComputeOptions options) : threads_(options.threads) {}
 
-ComputeEngine::~ComputeEngine() = default;
-
-int ComputeEngine::pick_threads(std::int64_t total_macs, int blocks) const {
-  int threads = std::min(max_threads_, std::max(blocks, 1));
-  if (!explicit_threads_) {
-    const auto by_work = static_cast<int>(std::min<std::int64_t>(
-        total_macs / kMinMacsPerThread + 1, static_cast<std::int64_t>(kMaxThreads)));
-    threads = std::min(threads, by_work);
+int ComputeEngine::pick_parts(std::int64_t total_macs, int blocks) const {
+  std::int64_t parts = threads_;
+  if (parts <= 0) {
+    parts = std::min<std::int64_t>(Executor::global().size(), total_macs / kMinMacsPerPart + 1);
   }
-  return std::max(threads, 1);
+  return static_cast<int>(std::clamp<std::int64_t>(parts, 1, blocks));
 }
 
 template <typename TIn, typename TW, typename TAcc>
@@ -497,42 +364,37 @@ void ComputeEngine::run_blocks(std::span<const TIn> in_features, int cin,
   if (blocks == 0 || rules.total_rules() == 0) return;
   const std::int64_t total_macs =
       rules.total_rules() * static_cast<std::int64_t>(cin) * static_cast<std::int64_t>(cout);
-  const int threads = pick_threads(total_macs, blocks);
+  const int parts = pick_parts(total_macs, blocks);
 
   // Contiguous block ranges balanced by rule count (greedy cut at the
-  // per-thread target). Deterministic and thread-count independent in the
-  // results it produces — only wall clock depends on it.
-  const std::span<int> bounds = arena_.take<int>(static_cast<std::size_t>(threads) + 1);
+  // per-partition target). Every output row belongs to one partition, so
+  // results do not depend on the partition count — only wall clock does.
+  const std::span<int> bounds = arena_.take<int>(static_cast<std::size_t>(parts) + 1);
   const std::int64_t total_rules = rules.total_rules();
   bounds[0] = 0;
   std::int64_t seen = 0;
   int next_cut = 1;
-  for (int b = 0; b < blocks && next_cut < threads; ++b) {
+  for (int b = 0; b < blocks && next_cut < parts; ++b) {
     seen += static_cast<std::int64_t>(rules.block_rules(b).size());
-    while (next_cut < threads &&
-           seen * threads >= total_rules * static_cast<std::int64_t>(next_cut)) {
+    while (next_cut < parts &&
+           seen * parts >= total_rules * static_cast<std::int64_t>(next_cut)) {
       bounds[static_cast<std::size_t>(next_cut++)] = b + 1;
     }
   }
-  for (int t = next_cut; t <= threads; ++t) bounds[static_cast<std::size_t>(t)] = blocks;
+  for (int t = next_cut; t <= parts; ++t) bounds[static_cast<std::size_t>(t)] = blocks;
 
   const std::span<TIn> tiles =
-      arena_.take<TIn>(static_cast<std::size_t>(threads) * kGatherRows *
+      arena_.take<TIn>(static_cast<std::size_t>(parts) * kGatherRows *
                        static_cast<std::size_t>(cin));
   const std::span<std::uint8_t> flags =
-      arena_.take<std::uint8_t>(static_cast<std::size_t>(threads) * kGatherRows);
+      arena_.take<std::uint8_t>(static_cast<std::size_t>(parts) * kGatherRows);
   const std::span<std::int32_t> targets =
-      arena_.take<std::int32_t>(static_cast<std::size_t>(threads) * kGatherRows);
+      arena_.take<std::int32_t>(static_cast<std::size_t>(parts) * kGatherRows);
 
-  BlockJob<TIn, TW, TAcc> job{in_features.data(), weights.data(), out,     &rules,
-                              cin,                cout,           bounds.data(),
-                              tiles.data(),       flags.data(),   targets.data()};
-  if (threads == 1) {
-    block_worker<TIn, TW, TAcc>(&job, 0);
-    return;
-  }
-  if (pool_ == nullptr) pool_ = std::make_unique<Pool>(max_threads_);
-  pool_->run(threads, &block_worker<TIn, TW, TAcc>, &job);
+  const BlockJob<TIn, TW, TAcc> job{in_features.data(), weights.data(), out,     &rules,
+                                    cin,                cout,           bounds.data(),
+                                    tiles.data(),       flags.data(),   targets.data()};
+  Executor::global().parallel_for(parts, [&job](int t) { run_partition(job, t); });
 }
 
 void ComputeEngine::apply(const SparseTensor& input, const BlockedRuleBook& rules,

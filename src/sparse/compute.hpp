@@ -27,12 +27,9 @@
 // serve::Server worker — owns one engine, so serving traffic runs the
 // rulebook-apply hot path with zero heap allocations per frame.
 //
-// Thread count resolves like the geometry engine's knob: an explicit
-// ComputeOptions::threads wins, then the ESCA_COMPUTE_THREADS environment
-// variable, then the -DESCA_COMPUTE_THREADS compile default (0 compiles
-// thread spawning out entirely), then hardware concurrency. Worker threads
-// are spawned once (lazily) and parked on a condition variable between
-// applies — dispatching work to them does not allocate.
+// The block partitions run on the process-wide esca::Executor
+// (common/executor.hpp, sized by ESCA_THREADS), shared by every engine;
+// dispatching them does not allocate.
 #pragma once
 
 #include <cstdint>
@@ -92,17 +89,12 @@ class ScratchArena {
 
 /// Options for one ComputeEngine.
 struct ComputeOptions {
-  /// Worker count for rulebook application. 0 = default (the
-  /// ESCA_COMPUTE_THREADS environment variable, then the compile-time
-  /// define, then hardware concurrency), additionally throttled by the
-  /// work available; an explicit N > 0 is honored exactly. Results are
-  /// bit-identical for every value.
+  /// Partitions per rulebook application (capped at the out-row block
+  /// count). 0 = the executor's size, throttled by the work available; an
+  /// explicit N > 0 is honored exactly. Results are bit-identical for every
+  /// value.
   int threads{0};
 };
-
-/// The number of threads an engine with `requested` threads would use at
-/// most (0 = resolve the default; see ComputeOptions::threads).
-int resolve_compute_threads(int requested);
 
 /// Process-wide count of ScratchArena heap allocations (every arena).
 /// Back-compat shim over registry counter `esca_compute_arena_grows_total`.
@@ -125,7 +117,6 @@ BlockedRuleBook bucket_on_the_fly(const RuleBook& rulebook, std::size_t num_out_
 class ComputeEngine {
  public:
   explicit ComputeEngine(ComputeOptions options = {});
-  ~ComputeEngine();
 
   ComputeEngine(const ComputeEngine&) = delete;
   ComputeEngine& operator=(const ComputeEngine&) = delete;
@@ -134,13 +125,10 @@ class ComputeEngine {
   /// until the next apply/accumulate call on this engine.
   ScratchArena& arena() { return arena_; }
 
-  /// The maximum worker count this engine may use (the resolved option).
-  int max_threads() const { return max_threads_; }
-
   /// Float path: out[j] += W[o]^T in[i] for every rule (i -> j) of every
   /// offset o. `rules.num_out_rows()` must equal output.size(); weights are
   /// [kernel_volume][cin][cout] row-major. Bit-identical to
-  /// apply_rulebook_reference for any thread count.
+  /// apply_rulebook_reference for any partition or thread count.
   void apply(const SparseTensor& input, const BlockedRuleBook& rules,
              std::span<const float> weights, SparseTensor& output);
 
@@ -157,24 +145,20 @@ class ComputeEngine {
                                            std::span<const std::int8_t> weights, int cout);
 
  private:
-  struct Pool;
-
   template <typename TIn, typename TW, typename TAcc>
   void run_blocks(std::span<const TIn> in_features, int cin, const BlockedRuleBook& rules,
                   std::span<const TW> weights, TAcc* out, int cout);
 
-  /// Threads to use for `total_macs` of work split into `blocks`.
-  int pick_threads(std::int64_t total_macs, int blocks) const;
+  /// Partitions for `total_macs` of work split into `blocks` (>= 1).
+  int pick_parts(std::int64_t total_macs, int blocks) const;
 
   ScratchArena arena_;
-  int max_threads_;
-  bool explicit_threads_;  ///< options.threads > 0: honor it, skip throttling
-  std::unique_ptr<Pool> pool_;  ///< spawned lazily on first parallel apply
+  int threads_;  ///< ComputeOptions::threads
 };
 
 /// The calling thread's shared default engine (used by the thin
 /// apply_rulebook wrapper and by forward paths invoked without an explicit
-/// engine). One arena + pool per thread; destroyed at thread exit.
+/// engine). One arena per thread; destroyed at thread exit.
 ComputeEngine& default_compute_engine();
 
 }  // namespace esca::sparse

@@ -1,46 +1,17 @@
 #include "sparse/geometry.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <exception>
-#include <thread>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
+#include "common/executor.hpp"
 #include "obs/trace.hpp"
 #include "voxel/morton.hpp"
-
-// Compile-time default shard count: -1 = auto (environment override, then
-// hardware concurrency); 0 = hard-disable thread spawning (shard bodies run
-// inline); N > 0 = default to N shards. Set via -DESCA_GEOMETRY_THREADS=<n>.
-#ifndef ESCA_GEOMETRY_THREADS
-#define ESCA_GEOMETRY_THREADS -1
-#endif
 
 namespace esca::sparse {
 
 namespace {
 
-constexpr bool kThreadingEnabled = (ESCA_GEOMETRY_THREADS != 0);
 constexpr int kMaxShards = 64;
-
-int default_shards() {
-  static const int cached = [] {
-    // "0" means serial, like the compile-time knob; garbage and negative
-    // values warn and fall through (common/env strict parsing).
-    if (const auto env = env_int("ESCA_GEOMETRY_THREADS", 0)) {
-      if (*env == 0) return 1;
-      return static_cast<int>(std::min<long long>(*env, kMaxShards));
-    }
-    if constexpr (ESCA_GEOMETRY_THREADS > 0) {
-      return std::min(static_cast<int>(ESCA_GEOMETRY_THREADS), kMaxShards);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<int>(std::clamp(hw, 1U, 8U));
-  }();
-  return cached;
-}
 
 /// Concatenate per-shard per-offset rule lists into the rulebook, shard
 /// order preserved (== the serial emission order).
@@ -53,7 +24,7 @@ void merge_shards(std::vector<std::vector<std::vector<Rule>>>& shard_rules, Rule
   }
 }
 
-/// Sites below which an extra default shard isn't worth a thread spawn.
+/// Sites below which an extra default shard isn't worth a helper wakeup.
 constexpr std::size_t kMinSitesPerShard = 2048;
 
 /// One candidate rule of a strided/inverse build: input site `in_row`
@@ -142,13 +113,6 @@ std::uint64_t geometry_transposes() {
   return static_cast<std::uint64_t>(geometry_transposes_counter().value());
 }
 
-int resolve_geometry_shards(int requested) {
-  if (requested > 0) return std::min(requested, kMaxShards);
-  return default_shards();
-}
-
-bool geometry_threading_enabled() { return kThreadingEnabled; }
-
 GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s) {
   const std::size_t per = n / static_cast<std::size_t>(shards);
   const std::size_t rem = n % static_cast<std::size_t>(shards);
@@ -158,34 +122,11 @@ GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s) {
 }
 
 int pick_geometry_shards(const GeometryOptions& options, std::size_t n) {
-  int resolved = resolve_geometry_shards(options.shards);
+  int shards = std::min(options.shards, kMaxShards);
   if (options.shards <= 0) {
-    resolved = std::min<int>(resolved, static_cast<int>(n / kMinSitesPerShard) + 1);
+    shards = std::min<int>(Executor::global().size(), static_cast<int>(n / kMinSitesPerShard) + 1);
   }
-  return std::max(1, std::min<int>(resolved, static_cast<int>(std::max<std::size_t>(n, 1))));
-}
-
-void run_geometry_sharded(int shards, const std::function<void(int)>& fn) {
-  if (!kThreadingEnabled || shards <= 1) {
-    for (int s = 0; s < shards; ++s) fn(s);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(shards) - 1);
-  auto guarded = [&](int s) {
-    try {
-      fn(s);
-    } catch (...) {
-      errors[static_cast<std::size_t>(s)] = std::current_exception();
-    }
-  };
-  for (int s = 1; s < shards; ++s) workers.emplace_back(guarded, s);
-  guarded(0);
-  for (std::thread& w : workers) w.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  return std::max(1, std::min<int>(shards, static_cast<int>(std::max<std::size_t>(n, 1))));
 }
 
 LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_size,
@@ -215,7 +156,7 @@ LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_s
 
   // Outputs are walked in Morton order, so each offset's shifted queries
   // stay spatially local and the galloping cursor rarely moves far.
-  run_geometry_sharded(shards, [&](int s) {
+  Executor::global().parallel_for(shards, [&](int s) {
     const GeometryShardRange range = geometry_shard_range(entries.size(), shards, s);
     auto& rules = shard_rules[static_cast<std::size_t>(s)];
     std::vector<std::size_t> cursors(static_cast<std::size_t>(volume), range.begin);
@@ -259,7 +200,7 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
   // Output cell c covers input window [c*stride, c*stride + k); kernel cell
   // (kx, ky, kz) places the output at (p - kcell) / stride.
   std::vector<std::vector<Candidate>> shard_cands(static_cast<std::size_t>(shards));
-  run_geometry_sharded(shards, [&](int s) {
+  Executor::global().parallel_for(shards, [&](int s) {
     const GeometryShardRange range = geometry_shard_range(n, shards, s);
     auto& cands = shard_cands[static_cast<std::size_t>(s)];
     for (std::size_t i = range.begin; i < range.end; ++i) {
@@ -300,7 +241,7 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
   std::vector<std::vector<std::vector<Rule>>> shard_rules(
       static_cast<std::size_t>(shards),
       std::vector<std::vector<Rule>>(static_cast<std::size_t>(volume)));
-  run_geometry_sharded(shards, [&](int s) {
+  Executor::global().parallel_for(shards, [&](int s) {
     auto& rules = shard_rules[static_cast<std::size_t>(s)];
     for (const Candidate& c : shard_cands[static_cast<std::size_t>(s)]) {
       const auto it = std::lower_bound(out_codes.begin(), out_codes.end(), c.code);
@@ -339,7 +280,7 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
   // Forward downsample maps target site p to input site c via kernel cell
   // (p - c*stride); the inverse flips the rule: in_row = row(c) in `input`,
   // out_row = row(p) in `target`, same weight cell.
-  run_geometry_sharded(shards, [&](int s) {
+  Executor::global().parallel_for(shards, [&](int s) {
     const GeometryShardRange range = geometry_shard_range(n, shards, s);
     auto& rules = shard_rules[static_cast<std::size_t>(s)];
     std::size_t cursor = 0;

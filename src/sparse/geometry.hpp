@@ -13,16 +13,15 @@
 // plan-compile time and replayed for every frame; nn/, quant/, baseline/
 // and the runtime backends all consume the same handle.
 //
-// Construction can be sharded across threads: sites are partitioned into
-// contiguous Morton ranges, each shard emits per-offset rule lists, and the
-// shards are concatenated in order. The merged rule sequence is identical
-// for any shard count (including 1), so results are deterministic and
-// independent of ESCA_GEOMETRY_THREADS.
+// Construction is sharded: sites are partitioned into contiguous Morton
+// ranges, each shard emits per-offset rule lists as one partition of an
+// esca::Executor fan-out, and the shards are concatenated in order. The
+// merged rule sequence is identical for any shard count (including 1) and
+// any executor size, so results are deterministic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -44,10 +43,9 @@ const char* to_string(GeometryKind kind);
 
 /// Options for one geometry build.
 struct GeometryOptions {
-  /// Shard count for rulebook construction. 0 = default (the
-  /// ESCA_GEOMETRY_THREADS compile definition, overridable by the
-  /// ESCA_GEOMETRY_THREADS environment variable, else hardware
-  /// concurrency). Shards beyond the site count are clamped.
+  /// Shard (partition) count for rulebook construction. 0 = the
+  /// executor's size, bounded by the work available. Shards beyond the site
+  /// count are clamped.
   int shards{0};
 };
 
@@ -165,23 +163,14 @@ std::uint64_t geometry_transposes();
 obs::Counter& geometry_builds_counter();
 obs::Counter& geometry_transposes_counter();
 
-/// The shard count a build with `requested` shards would actually use
-/// (0 = resolve the default; see GeometryOptions::shards).
-int resolve_geometry_shards(int requested);
-
 // --- sharding utilities -------------------------------------------------------
 //
-// The worker-fan-out idiom every geometry producer uses (cold builds here,
-// the incremental patch path in stream/): partition work into contiguous
-// shards, run each shard on its own worker, concatenate per-shard results
-// in shard order so the merged output is bit-identical for any shard count.
-// Exposed so stream::diff_frames / patch_submanifold_geometry share one
-// threading knob (ESCA_GEOMETRY_THREADS) and one shard-picking policy with
-// the cold builders.
-
-/// False when ESCA_GEOMETRY_THREADS=0 compiled thread spawning out — shard
-/// bodies then run inline on the calling thread.
-bool geometry_threading_enabled();
+// The fan-out idiom every geometry producer uses (cold builds here, the
+// incremental patch path in stream/): partition work into contiguous
+// shards, run each shard as one Executor partition, concatenate per-shard
+// results in shard order so the merged output is bit-identical for any
+// shard count. Exposed so stream::diff_frames / patch_submanifold_geometry
+// share one shard-picking policy with the cold builders.
 
 /// Contiguous [begin, end) slice of shard `s` out of `shards` over n items.
 struct GeometryShardRange {
@@ -193,11 +182,7 @@ GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s);
 /// Shard count a build/patch over `n` sites actually uses. An explicit
 /// request (options.shards > 0) is honored exactly (clamped to n; tests pin
 /// shard determinism on tiny tensors); the default is additionally bounded
-/// by the work available so small frames never pay a thread spawn.
+/// by the work available so small frames stay on one partition.
 int pick_geometry_shards(const GeometryOptions& options, std::size_t n);
-
-/// Run fn(0..shards-1); in parallel when threading is enabled and there is
-/// more than one shard. The first worker exception is rethrown here.
-void run_geometry_sharded(int shards, const std::function<void(int)>& fn);
 
 }  // namespace esca::sparse

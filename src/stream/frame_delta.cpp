@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
 
@@ -69,7 +70,7 @@ FrameDelta diff_frames(const sparse::SparseTensor& prev, const sparse::SparseTen
 
   // Both entry runs are Morton-sorted with unique codes, so one merge walk
   // classifies every site of either frame. Compact both indexes on this
-  // thread; worker reads are then pure.
+  // thread; partition reads are then pure.
   const auto old_entries = prev.index().entries();
   const auto new_entries = next.index().entries();
 
@@ -85,7 +86,7 @@ FrameDelta diff_frames(const sparse::SparseTensor& prev, const sparse::SparseTen
 
   // Common Morton cut points, taken from the larger run so the work splits
   // evenly: a code lands in the same shard of both runs, so every site is
-  // classified by exactly one worker.
+  // classified by exactly one partition.
   const auto su = static_cast<std::size_t>(shards);
   const auto base = old_entries.size() >= new_entries.size() ? old_entries : new_entries;
   std::vector<std::size_t> old_pos(su + 1, old_entries.size());
@@ -104,7 +105,7 @@ FrameDelta diff_frames(const sparse::SparseTensor& prev, const sparse::SparseTen
     std::size_t retained{0};
   };
   std::vector<RangeOut> ranges(su);
-  sparse::run_geometry_sharded(shards, [&](int s) {
+  Executor::global().parallel_for(shards, [&](int s) {
     const auto u = static_cast<std::size_t>(s);
     RangeOut& out = ranges[u];
     merge_range(old_entries, old_pos[u], old_pos[u + 1], new_entries, new_pos[u],

@@ -10,11 +10,11 @@
 // frame's LayerGeometry instead of rebuilding it.
 //
 // The merge is shardable: both runs are split at common Morton cut points,
-// every worker merges one code range, and the per-range added/removed lists
-// concatenate in shard order (= global Morton order) while the row maps are
-// written in place (each row belongs to exactly one range). The result is
-// bit-identical to the serial merge for any shard count; the shard knob is
-// the geometry engine's (sparse::GeometryOptions / ESCA_GEOMETRY_THREADS).
+// every esca::Executor partition merges one code range, and the per-range
+// added/removed lists concatenate in shard order (= global Morton order)
+// while the row maps are written in place (each row belongs to exactly one
+// range). The result is bit-identical to the serial merge for any shard
+// count; the shard count is the geometry engine's (sparse::GeometryOptions).
 #pragma once
 
 #include <cstdint>

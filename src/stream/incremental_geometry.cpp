@@ -1,18 +1,13 @@
 #include "stream/incremental_geometry.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <chrono>
-#include <cstdlib>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <span>
-#include <thread>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
+#include "common/executor.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
 #include "voxel/morton.hpp"
@@ -117,14 +112,6 @@ void merge_offset_range(std::span<const sparse::Rule> old_rules, const FrameDelt
 
 }  // namespace
 
-int patch_shards(const sparse::GeometryOptions& options, std::size_t sites) {
-  // The parallel patch phases synchronize on a barrier, so unlike the cold
-  // builders it cannot run multiple shards inline when thread spawning is
-  // compiled out — it takes the serial path instead (same result bits).
-  if (!sparse::geometry_threading_enabled()) return 1;
-  return sparse::pick_geometry_shards(options, sites);
-}
-
 sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& prev,
                                                  const sparse::SparseTensor& next,
                                                  const FrameDelta& delta,
@@ -154,8 +141,8 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
 
   sparse::LayerGeometry g(sparse::GeometryKind::kSubmanifold, k, 1, next.zeros_like(1));
 
-  // Compact both indexes on the calling thread; every worker read below is
-  // then a pure read of the sorted runs.
+  // Compact both indexes on the calling thread; every partition's read
+  // below is then a pure read of the sorted runs.
   const auto entries = g.sites.index().entries();
   prev.sites.index().ensure_sorted();
 
@@ -164,7 +151,7 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
     offsets[static_cast<std::size_t>(o)] = sparse::kernel_offset(o, k);
   }
 
-  const int shards = patch_shards(options, next.size());
+  const int shards = sparse::pick_geometry_shards(options, next.size());
   span.arg("shards", shards);
   if (shards <= 1) {
     // Serial patch: one pass, rules written straight into the rulebook.
@@ -197,14 +184,15 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
     return g;
   }
 
-  // Sharded patch: one worker fan-out, five barrier-separated phases. The
-  // fresh enumeration splits over ranges of the added list; the survivor
-  // scan and the per-offset merge split at common Morton cut points of the
-  // next frame's output sites, so each worker produces a contiguous slice of
-  // every offset's final rule sequence and concatenation in shard order
-  // reproduces the serial merge bit for bit.
+  // Sharded patch: five consecutive executor fan-outs of `shards`
+  // partitions. The fresh enumeration splits over ranges of the added list;
+  // the survivor scan and the per-offset merge split at common Morton cut
+  // points of the next frame's output sites, so each partition produces a
+  // contiguous slice of every offset's final rule sequence and
+  // concatenation in shard order reproduces the serial merge bit for bit.
   const auto su = static_cast<std::size_t>(shards);
   const auto vu = static_cast<std::size_t>(volume);
+  Executor& executor = Executor::global();
 
   // Cut codes over the output sites: shard s owns [cuts[s], cuts[s+1]).
   // Retained sites keep their coordinates, so a survivor's previous-frame
@@ -222,108 +210,79 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
   std::vector<std::vector<std::vector<sparse::Rule>>> merged(
       su, std::vector<std::vector<sparse::Rule>>(vu));
 
-  std::barrier sync(static_cast<std::ptrdiff_t>(shards));
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-  // Every worker arrives at every barrier even after a failure (skipping the
-  // work, not the synchronization), so an exception can never deadlock the
-  // fan-out; the first one is rethrown after the join.
-  auto run_phase = [&](auto&& body) {
-    if (!failed.load(std::memory_order_acquire)) {
-      try {
-        body();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_release);
+  // Phase 1: Morton code of every next-frame row — the merge key for
+  // survivors and fresh rules alike (one array load per rule later).
+  executor.parallel_for(shards, [&](int s) {
+    const auto r = sparse::geometry_shard_range(entries.size(), shards, s);
+    for (std::size_t e = r.begin; e < r.end; ++e) {
+      code_of[static_cast<std::size_t>(entries[e].row)] = entries[e].code;
+    }
+  });
+  // Phase 2: fresh rules of each shard's slice of the added list.
+  executor.parallel_for(shards, [&](int s) {
+    const auto r = sparse::geometry_shard_range(delta.added.size(), shards, s);
+    enumerate_fresh(next, delta, entries, code_of, offsets, r.begin, r.end,
+                    fresh_parts[static_cast<std::size_t>(s)]);
+  });
+  // Phase 3: per offset (round-robin across shards), concatenate the
+  // per-shard fresh parts and sort by out code. Out codes are unique within
+  // an offset, so the sorted sequence is independent of the enumeration
+  // split.
+  executor.parallel_for(shards, [&](int s) {
+    for (int o = s; o < volume; o += shards) {
+      const auto ou = static_cast<std::size_t>(o);
+      std::size_t total = 0;
+      for (std::size_t s2 = 0; s2 < su; ++s2) total += fresh_parts[s2][ou].size();
+      auto& fo = fresh[ou];
+      fo.reserve(total);
+      for (std::size_t s2 = 0; s2 < su; ++s2) {
+        fo.insert(fo.end(), fresh_parts[s2][ou].begin(), fresh_parts[s2][ou].end());
+      }
+      std::sort(fo.begin(), fo.end(),
+                [](const KeyedRule& a, const KeyedRule& b) { return a.out_code < b.out_code; });
+    }
+  });
+  // Phase 4: merge each shard's code range of every offset — survivors
+  // sliced by previous-frame out code (the lists are sorted by it), fresh
+  // rules sliced by out code.
+  executor.parallel_for(shards, [&](int s) {
+    const auto u = static_cast<std::size_t>(s);
+    const auto prev_out_code = [&](const sparse::Rule& r) {
+      return voxel::morton_encode(prev.sites.coord(static_cast<std::size_t>(r.out_row)));
+    };
+    for (int o = 0; o < volume; ++o) {
+      const auto ou = static_cast<std::size_t>(o);
+      const std::vector<sparse::Rule>& old_rules = prev.rulebook.rules_for(o);
+      const auto ob = std::partition_point(
+          old_rules.begin(), old_rules.end(),
+          [&](const sparse::Rule& r) { return prev_out_code(r) < cuts[u]; });
+      const auto oe = std::partition_point(ob, old_rules.end(), [&](const sparse::Rule& r) {
+        return prev_out_code(r) < cuts[u + 1];
+      });
+      const auto& fo = fresh[ou];
+      const auto key_less = [](const KeyedRule& kr, std::uint64_t c) { return kr.out_code < c; };
+      const auto fb = std::lower_bound(fo.begin(), fo.end(), cuts[u], key_less);
+      const auto fe = std::lower_bound(fb, fo.end(), cuts[u + 1], key_less);
+      merge_offset_range(
+          {old_rules.data() + (ob - old_rules.begin()), static_cast<std::size_t>(oe - ob)},
+          delta, code_of, {fo.data() + (fb - fo.begin()), static_cast<std::size_t>(fe - fb)},
+          merged[u][ou]);
+    }
+  });
+  // Phase 5: per offset (round-robin), splice the per-shard slices into the
+  // rulebook in shard order == Morton order. Partitions touch disjoint
+  // offsets, and RuleBook keeps independent per-offset vectors.
+  executor.parallel_for(shards, [&](int s) {
+    for (int o = s; o < volume; o += shards) {
+      const auto ou = static_cast<std::size_t>(o);
+      std::size_t total = 0;
+      for (std::size_t s2 = 0; s2 < su; ++s2) total += merged[s2][ou].size();
+      g.rulebook.reserve(o, total);
+      for (std::size_t s2 = 0; s2 < su; ++s2) {
+        for (const sparse::Rule& r : merged[s2][ou]) g.rulebook.add(o, r);
       }
     }
-    sync.arrive_and_wait();
-  };
-
-  auto worker = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    // Phase 1: Morton code of every next-frame row — the merge key for
-    // survivors and fresh rules alike (one array load per rule later).
-    run_phase([&] {
-      const auto r = sparse::geometry_shard_range(entries.size(), shards, s);
-      for (std::size_t e = r.begin; e < r.end; ++e) {
-        code_of[static_cast<std::size_t>(entries[e].row)] = entries[e].code;
-      }
-    });
-    // Phase 2: fresh rules of this worker's slice of the added list.
-    run_phase([&] {
-      const auto r = sparse::geometry_shard_range(delta.added.size(), shards, s);
-      enumerate_fresh(next, delta, entries, code_of, offsets, r.begin, r.end, fresh_parts[u]);
-    });
-    // Phase 3: per offset (round-robin across workers), concatenate the
-    // per-worker fresh parts and sort by out code. Out codes are unique
-    // within an offset, so the sorted sequence is independent of the
-    // enumeration split.
-    run_phase([&] {
-      for (int o = s; o < volume; o += shards) {
-        const auto ou = static_cast<std::size_t>(o);
-        std::size_t total = 0;
-        for (std::size_t s2 = 0; s2 < su; ++s2) total += fresh_parts[s2][ou].size();
-        auto& fo = fresh[ou];
-        fo.reserve(total);
-        for (std::size_t s2 = 0; s2 < su; ++s2) {
-          fo.insert(fo.end(), fresh_parts[s2][ou].begin(), fresh_parts[s2][ou].end());
-        }
-        std::sort(fo.begin(), fo.end(), [](const KeyedRule& a, const KeyedRule& b) {
-          return a.out_code < b.out_code;
-        });
-      }
-    });
-    // Phase 4: merge this worker's code range of every offset — survivors
-    // sliced by previous-frame out code (the lists are sorted by it),
-    // fresh rules sliced by out code.
-    run_phase([&] {
-      const auto prev_out_code = [&](const sparse::Rule& r) {
-        return voxel::morton_encode(prev.sites.coord(static_cast<std::size_t>(r.out_row)));
-      };
-      for (int o = 0; o < volume; ++o) {
-        const auto ou = static_cast<std::size_t>(o);
-        const std::vector<sparse::Rule>& old_rules = prev.rulebook.rules_for(o);
-        const auto ob = std::partition_point(
-            old_rules.begin(), old_rules.end(),
-            [&](const sparse::Rule& r) { return prev_out_code(r) < cuts[u]; });
-        const auto oe = std::partition_point(ob, old_rules.end(), [&](const sparse::Rule& r) {
-          return prev_out_code(r) < cuts[u + 1];
-        });
-        const auto& fo = fresh[ou];
-        const auto key_less = [](const KeyedRule& kr, std::uint64_t c) { return kr.out_code < c; };
-        const auto fb = std::lower_bound(fo.begin(), fo.end(), cuts[u], key_less);
-        const auto fe = std::lower_bound(fb, fo.end(), cuts[u + 1], key_less);
-        merge_offset_range(
-            {old_rules.data() + (ob - old_rules.begin()), static_cast<std::size_t>(oe - ob)},
-            delta, code_of,
-            {fo.data() + (fb - fo.begin()), static_cast<std::size_t>(fe - fb)}, merged[u][ou]);
-      }
-    });
-    // Phase 5: per offset (round-robin), splice the per-shard slices into
-    // the rulebook in shard order == Morton order. Workers touch disjoint
-    // offsets, and RuleBook keeps independent per-offset vectors.
-    run_phase([&] {
-      for (int o = s; o < volume; o += shards) {
-        const auto ou = static_cast<std::size_t>(o);
-        std::size_t total = 0;
-        for (std::size_t s2 = 0; s2 < su; ++s2) total += merged[s2][ou].size();
-        g.rulebook.reserve(o, total);
-        for (std::size_t s2 = 0; s2 < su; ++s2) {
-          for (const sparse::Rule& r : merged[s2][ou]) g.rulebook.add(o, r);
-        }
-      }
-    });
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(su - 1);
-  for (int s = 1; s < shards; ++s) threads.emplace_back(worker, s);
-  worker(0);
-  for (std::thread& t : threads) t.join();
-  if (error) std::rethrow_exception(error);
+  });
 
   g.out_rows = next.size();
   g.blocked = sparse::BlockedRuleBook(g.rulebook, g.out_rows);
@@ -374,6 +333,7 @@ GeometryUpdate IncrementalGeometry::update(const sparse::SparseTensor& frame,
   out.added = delta.added.size();
   out.removed = delta.removed.size();
   out.retained = delta.retained;
+  out.shards = sparse::pick_geometry_shards(config_.geometry, frame.size());
   const auto t0 = std::chrono::steady_clock::now();
   // Chaos site: force the churn fallback — the patched and cold-built
   // geometries are bit-identical, so flipping paths at random must never
@@ -385,12 +345,10 @@ GeometryUpdate IncrementalGeometry::update(const sparse::SparseTensor& frame,
     ++patches_;
     stream_geometry_patches_counter().inc();
     out.patched = true;
-    out.shards = patch_shards(config_.geometry, frame.size());
   } else {
     current_ = sparse::make_submanifold_geometry(frame, config_.kernel_size, config_.geometry);
     ++rebuilds_;
     stream_geometry_rebuilds_counter().inc();
-    out.shards = sparse::pick_geometry_shards(config_.geometry, frame.size());
   }
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   out.geometry = current_;

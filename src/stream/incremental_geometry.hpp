@@ -21,15 +21,15 @@
 // more than ESCA_STREAM_REBUILD_FRACTION of its sites, patching would touch
 // most rules anyway, so it falls back to a cold (optionally sharded) build.
 //
-// The whole patch is sharded, like the cold builders (one knob:
-// sparse::GeometryOptions / ESCA_GEOMETRY_THREADS): the fresh-site kernel
-// enumeration splits over Morton ranges of the *added* sites (each worker
-// with its own galloping cursors), the survivor scan and the per-offset
-// survivor+fresh merge split at common Morton cut points of the output
-// sites, and the per-range results concatenate in Morton order — so the
-// patched geometry stays bit-identical to the serial patch (and therefore
-// to a cold build) at ANY shard count. One worker fan-out per patch; the
-// phases synchronize on an internal barrier.
+// The whole patch is sharded, like the cold builders (one shard count:
+// sparse::GeometryOptions): the fresh-site kernel enumeration splits over
+// Morton ranges of the *added* sites (each partition with its own
+// galloping cursors), the survivor scan and the per-offset survivor+fresh
+// merge split at common Morton cut points of the output sites, and the
+// per-range results concatenate in Morton order — so the patched geometry
+// stays bit-identical to the serial patch (and therefore to a cold build)
+// at ANY shard count. The phases are consecutive esca::Executor fan-outs;
+// one shard takes the serial patch, which skips the per-shard copies.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +81,6 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
                                                  const sparse::SparseTensor& next,
                                                  const FrameDelta& delta,
                                                  const sparse::GeometryOptions& options = {});
-
-/// The shard count a patch of a `sites`-site frame with `options` actually
-/// fans out to (1 when ESCA_GEOMETRY_THREADS=0 compiled threading out).
-int patch_shards(const sparse::GeometryOptions& options, std::size_t sites);
 
 /// Process-wide registry counters aggregating every IncrementalGeometry in
 /// the process: `esca_stream_geometry_patches_total` counts frames advanced

@@ -36,7 +36,7 @@ bool value_token(const json::Value& v, std::string& out) {
     return true;
   }
   if (v.is_bool()) {
-    out = v.boolean ? "1" : "0";
+    out = v.boolean ? '1' : '0';
     return true;
   }
   return false;

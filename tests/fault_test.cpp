@@ -469,12 +469,13 @@ TEST(FaultChaosTest, EverySiteArmedEveryRequestTerminalOkBitExact) {
   ASSERT_EQ(reference.frames.size(), 1U);
 
   std::int64_t total_failed = 0;
+  std::uint64_t executor_faults = 0;
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL}) {
     InjectorGuard guard(str::format(
         "seed=%llu;"
         "runtime.run:p=0.05;runtime.run.delay:p=0.05,delay_ms=1;"
         "stream.diff:p=0.05;stream.patch:p=0.05;stream.force_rebuild:p=0.05;"
-        "sparse.arena.grow:p=0.05;"
+        "sparse.arena.grow:p=0.05;executor.task:p=0.05;"
         "serve.admit.delay:p=0.05,delay_ms=1;serve.pickup.delay:p=0.05,delay_ms=1;"
         "serve.worker.die:p=0.05",
         static_cast<unsigned long long>(seed)));
@@ -483,6 +484,9 @@ TEST(FaultChaosTest, EverySiteArmedEveryRequestTerminalOkBitExact) {
     cfg.workers = 4;
     cfg.queue_capacity = 32;
     cfg.sequence.rebuild_fraction = 2.0;
+    // Sharded stream geometry: executor.task then fires mid-diff, inside a
+    // patch phase and mid-build, not only on single-partition fan-outs.
+    cfg.sequence.geometry.shards = 2;
     Server server(cfg, plan);
 
     constexpr int kClientThreads = 4;
@@ -550,6 +554,7 @@ TEST(FaultChaosTest, EverySiteArmedEveryRequestTerminalOkBitExact) {
 
     // The server must still function once the chaos stops: quarantined
     // streams cold-rebuild, respawned workers serve.
+    executor_faults += fault::Injector::global().fired("executor.task");
     fault::Injector::global().reset();
     Client survivor = server.client();
     for (std::uint64_t stream_id = 0; stream_id < 4; ++stream_id) {
@@ -566,8 +571,10 @@ TEST(FaultChaosTest, EverySiteArmedEveryRequestTerminalOkBitExact) {
     EXPECT_EQ(s.completed, ok + 4) << "seed " << seed;  // + the 4 post-chaos checks
     total_failed += s.failed;
   }
-  // At p=0.05 per site across three seeds, the chaos must actually bite.
+  // At p=0.05 per site across three seeds, the chaos must actually bite,
+  // including inside executor fan-outs.
   EXPECT_GT(total_failed, 0) << "chaos injected nothing across every seed";
+  EXPECT_GT(executor_faults, 0U) << "no executor partition was ever failed";
 }
 
 #else  // ESCA_FAULT == 0

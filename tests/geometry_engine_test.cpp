@@ -281,17 +281,12 @@ TEST(GeometryEngineTest, BuildCounterCountsEveryBuild) {
   EXPECT_EQ(builds.delta(), 4);  // 3 direct + 1 via the wrapper
 }
 
-TEST(GeometryEngineTest, ResolveShardsHonorsRequest) {
-  EXPECT_EQ(resolve_geometry_shards(3), 3);
-  EXPECT_GE(resolve_geometry_shards(0), 1);
-}
-
 TEST(GeometryEngineTest, TransposedInverseIsBitIdenticalToDirectBuild) {
   // The inverse geometry is the transpose of the forward downsample: same
   // (fine row, kernel cell, coarse row) triples with in/out swapped, in the
   // same emission order. No coordinate search, no geometry build.
   Rng rng(86);
-  for (const auto [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
+  for (const auto& [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
     const auto fine = test::random_sparse_tensor({14, 14, 14}, 1, 0.05, rng);
     const LayerGeometry down = build_downsample_geometry(fine, k, stride);
     SparseTensor coarse(down.out_extent, 1);

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/accelerator.hpp"
 #include "core/encoding.hpp"
 #include "core/sdmu.hpp"
@@ -66,7 +67,7 @@ TEST_P(SdmuRulebookProperty, MatchesEqualRulebook) {
 std::string match_param_name(const ::testing::TestParamInfo<MatchParams>& info) {
   const double d = std::get<0>(info.param);
   const int t = std::get<1>(info.param);
-  return "d" + std::to_string(static_cast<int>(d * 1000)) + "_t" + std::to_string(t);
+  return str::format("d%d_t%d", static_cast<int>(d * 1000), t);
 }
 
 INSTANTIATE_TEST_SUITE_P(DensityTileSweep, SdmuRulebookProperty,

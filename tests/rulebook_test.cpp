@@ -208,7 +208,7 @@ TEST(GeometryEquivalenceTest, SubmanifoldMatchesHashOracleAcrossShards) {
 
 TEST(GeometryEquivalenceTest, StridedMatchesHashOracleAcrossShards) {
   Rng rng(72);
-  for (const auto [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}, {3, 3}}) {
+  for (const auto& [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}, {3, 3}}) {
     const auto t = test::random_sparse_tensor({15, 15, 15}, 1, 0.06, rng);
     const DownsamplePlan ref = oracle::strided(t, k, stride);
     const std::set<CoordRule> expected = coord_rules(ref.rulebook, ref.out_coords);
@@ -225,7 +225,7 @@ TEST(GeometryEquivalenceTest, StridedMatchesHashOracleAcrossShards) {
 
 TEST(GeometryEquivalenceTest, InverseMatchesHashOracleAcrossShards) {
   Rng rng(73);
-  for (const auto [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
+  for (const auto& [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
     const auto fine = test::random_sparse_tensor({14, 14, 14}, 1, 0.05, rng);
     const DownsamplePlan down = build_strided_rulebook(fine, k, stride);
     SparseTensor coarse(down.out_extent, 1);

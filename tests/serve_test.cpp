@@ -502,7 +502,7 @@ TEST(ServeStressTest, ConcurrentStickyStreamsWithShardedPatching) {
 
   constexpr int kStreams = 4;
   constexpr int kFramesPerStream = 5;
-  const int expect_shards = sparse::geometry_threading_enabled() ? 2 : 1;
+  const int expect_shards = 2;
   std::atomic<int> patched_frames{0};
   std::vector<std::thread> clients;
   clients.reserve(kStreams);
