@@ -10,13 +10,10 @@
 
 #include "bench_util.hpp"
 #include "common/config.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/accelerator.hpp"
 #include "core/resource_model.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
 
 int main(int argc, char** argv) {
   using namespace esca;  // NOLINT(google-build-using-namespace): bench main
@@ -29,42 +26,26 @@ int main(int argc, char** argv) {
   std::printf("ESCA bench: ablation — Sub-Conv kernel size (%d -> %d channels)\n\n", cin,
               cout);
 
-  const sparse::SparseTensor geometry = bench::shapenet_tensor(sample);
-  sparse::SparseTensor x(geometry.spatial_extent(), cin);
-  Rng rng(bench::kSeed);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < cin; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
-
   Table table("Ablation: kernel size (paper fixes K = 3)");
   table.header({"K", "Columns (K^2)", "Matches", "MACs", "Cycles", "GOPS", "LUT (model)",
-                "Bit-exact"});
+                "Matches = rules"});
 
   for (const int k : {1, 3, 5}) {
-    nn::SubmanifoldConv3d conv(cin, cout, k);
-    conv.init_kaiming(rng);
-    const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-    const auto fy = conv.forward(x);
-    const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
-    const auto layer = quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale,
-                                                           out_scale, str::format("k%d", k));
-    const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
+    const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample, k);
+    const quant::QuantizedSubConv layer =
+        bench::subconv_layer(cin, cout, k, str::format("k%d", k));
 
     core::ArchConfig cfg;
     cfg.kernel_size = k;
     cfg.mask_read_cycles = k;  // one cycle per column mask word, as for K=3
     core::Accelerator accel{cfg};
-    const core::LayerRunResult r = accel.run_layer(layer, qx);
-    const bool exact = r.output == layer.forward(qx);
+    const core::LayerRunStats r = accel.run_layer(layer, geometry);
     const core::ResourceReport res = core::ResourceModel(cfg).estimate();
 
-    table.row({std::to_string(k), std::to_string(cfg.k2()),
-               str::with_commas(r.stats.sdmu.matches), str::with_commas(r.stats.mac_ops),
-               str::with_commas(r.stats.total_cycles), str::fixed(r.stats.effective_gops, 2),
-               str::fixed(res.total_lut(), 0), exact ? "yes" : "NO"});
+    table.row({std::to_string(k), std::to_string(cfg.k2()), str::with_commas(r.sdmu.matches),
+               str::with_commas(r.mac_ops), str::with_commas(r.total_cycles),
+               str::fixed(r.effective_gops, 2), str::fixed(res.total_lut(), 0),
+               r.sdmu.matches == geometry.total_rules() ? "yes" : "NO"});
   }
   table.print();
 

@@ -10,13 +10,10 @@
 
 #include "bench_util.hpp"
 #include "common/config.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/accelerator.hpp"
 #include "core/resource_model.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
 
 int main(int argc, char** argv) {
   using namespace esca;  // NOLINT(google-build-using-namespace): bench main
@@ -28,23 +25,8 @@ int main(int argc, char** argv) {
 
   std::printf("ESCA bench: ablation — compute parallelism (Sub-Conv %d->%d)\n\n", cin, cout);
 
-  const sparse::SparseTensor geometry = bench::shapenet_tensor(sample);
-  sparse::SparseTensor x(geometry.spatial_extent(), cin);
-  Rng rng(bench::kSeed);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < cin; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
-  conv.init_kaiming(rng);
-  const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
-  const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
-  const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "par");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
+  const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
+  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "par");
 
   Table table("Ablation: (IC, OC) parallelism — paper uses 16x16");
   table.header({"IC x OC", "Cycles", "GOPS", "Array util.", "DSP", "LUT (model)",
@@ -55,13 +37,13 @@ int main(int argc, char** argv) {
     cfg.ic_parallel = p;
     cfg.oc_parallel = p;
     core::Accelerator accel{cfg};
-    const core::LayerRunResult r = accel.run_layer(layer, qx);
+    const core::LayerRunStats r = accel.run_layer(layer, geometry);
     const core::ResourceReport res = core::ResourceModel(cfg).estimate();
-    table.row({str::format("%dx%d", p, p), str::with_commas(r.stats.total_cycles),
-               str::fixed(r.stats.effective_gops, 2),
-               str::percent(r.stats.array_utilization(cfg.compute_parallelism()), 1),
+    table.row({str::format("%dx%d", p, p), str::with_commas(r.total_cycles),
+               str::fixed(r.effective_gops, 2),
+               str::percent(r.array_utilization(cfg.compute_parallelism()), 1),
                str::fixed(res.total_dsp(), 0), str::fixed(res.total_lut(), 0),
-               str::fixed(r.stats.effective_gops / res.total_dsp(), 3)});
+               str::fixed(r.effective_gops / res.total_dsp(), 3)});
   }
   table.print();
 

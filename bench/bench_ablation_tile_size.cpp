@@ -10,12 +10,9 @@
 
 #include "bench_util.hpp"
 #include "common/config.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/accelerator.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
 
 int main(int argc, char** argv) {
   using namespace esca;  // NOLINT(google-build-using-namespace): bench main
@@ -28,23 +25,8 @@ int main(int argc, char** argv) {
   std::printf("ESCA bench: ablation — zero-removing tile size (Sub-Conv %d->%d)\n\n", cin,
               cout);
 
-  const sparse::SparseTensor geometry = bench::shapenet_tensor(sample);
-  sparse::SparseTensor x(geometry.spatial_extent(), cin);
-  Rng rng(bench::kSeed);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < cin; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
-  conv.init_kaiming(rng);
-  const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
-  const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
-  const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "abl");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
+  const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
+  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "abl");
 
   Table table("Ablation: tile size (8^3 is the paper's choice)");
   table.header({"Tile", "Active tiles", "Removing ratio", "Halo dup.", "Cycles", "Time (ms)",
@@ -58,17 +40,15 @@ int main(int argc, char** argv) {
     cfg.activation_buffer_bytes = 4 << 20;
     cfg.mask_buffer_bytes = 4 << 20;
     core::Accelerator accel{cfg};
-    const core::LayerRunResult r = accel.run_layer(layer, qx);
-    const double halo_frac =
-        r.stats.encoding.core_sites > 0
-            ? static_cast<double>(r.stats.encoding.halo_duplicates) /
-                  static_cast<double>(r.stats.encoding.core_sites)
-            : 0.0;
-    table.row({str::format("%d^3", tile), std::to_string(r.stats.zero_removing.active_tiles),
-               str::percent(r.stats.zero_removing.removing_ratio, 2),
-               str::percent(halo_frac, 1), str::with_commas(r.stats.total_cycles),
-               str::fixed(r.stats.total_seconds * 1e3, 3),
-               str::fixed(r.stats.effective_gops, 2)});
+    const core::LayerRunStats r = accel.run_layer(layer, geometry);
+    const double halo_frac = r.encoding.core_sites > 0
+                                 ? static_cast<double>(r.encoding.halo_duplicates) /
+                                       static_cast<double>(r.encoding.core_sites)
+                                 : 0.0;
+    table.row({str::format("%d^3", tile), std::to_string(r.zero_removing.active_tiles),
+               str::percent(r.zero_removing.removing_ratio, 2), str::percent(halo_frac, 1),
+               str::with_commas(r.total_cycles), str::fixed(r.total_seconds * 1e3, 3),
+               str::fixed(r.effective_gops, 2)});
   }
   table.print();
 

@@ -14,13 +14,10 @@
 #include "baseline/dense_accel_model.hpp"
 #include "bench_util.hpp"
 #include "common/config.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/accelerator.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
 
 int main(int argc, char** argv) {
   using namespace esca;  // NOLINT(google-build-using-namespace): bench main
@@ -34,33 +31,18 @@ int main(int argc, char** argv) {
       "ESCA bench: motivation — dense accelerator vs ESCA on one Sub-Conv layer\n"
       "(equal budgets: 256 MACs @ 270 MHz)\n\n");
 
-  const sparse::SparseTensor geometry = bench::shapenet_tensor(sample);
-  sparse::SparseTensor x(geometry.spatial_extent(), cin);
-  Rng rng(bench::kSeed);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < cin; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
-  conv.init_kaiming(rng);
-  const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
-  const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
-  const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "mot");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
+  const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
+  const sparse::SparseTensor& x = geometry.sites;
+  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "mot");
 
   core::Accelerator accel{core::ArchConfig{}};
-  const core::LayerRunResult esca = accel.run_layer(layer, qx);
-  const std::int64_t useful = esca.stats.mac_ops;
+  const core::LayerRunStats esca = accel.run_layer(layer, geometry);
+  const std::int64_t useful = esca.mac_ops;
 
   const baseline::DenseAccelRun full = baseline::model_dense_full_grid(
       x.spatial_extent(), 3, cin, cout, useful);
   const baseline::DenseAccelRun tiled = baseline::model_dense_active_tiles(
-      esca.stats.zero_removing.active_tiles, core::ArchConfig{}.tile_size, 3, cin, cout,
-      useful);
+      esca.zero_removing.active_tiles, core::ArchConfig{}.tile_size, 3, cin, cout, useful);
 
   Table table("Dense accelerator degradation on SSCN (equal MAC budget)");
   table.header({"Engine", "Scheduled MACs", "Useful MACs", "Time", "Eff. GOPS",
@@ -70,14 +52,14 @@ int main(int argc, char** argv) {
                                  double frac) {
     table.row({name, str::with_commas(scheduled), str::with_commas(useful_macs),
                units::seconds(seconds), str::fixed(gops, 3), str::percent(frac, 3),
-               str::format("%.1fx", seconds / esca.stats.total_seconds)});
+               str::format("%.1fx", seconds / esca.total_seconds)});
   };
   add_row(full.mode, full.scheduled_macs, full.useful_macs, full.seconds,
           full.effective_gops, full.utilization_of_useful);
   add_row(tiled.mode, tiled.scheduled_macs, tiled.useful_macs, tiled.seconds,
           tiled.effective_gops, tiled.utilization_of_useful);
-  add_row("ESCA (cycle sim)", esca.stats.mac_ops, esca.stats.mac_ops,
-          esca.stats.total_seconds, esca.stats.effective_gops, 1.0);
+  add_row("ESCA (cycle sim)", esca.mac_ops, esca.mac_ops, esca.total_seconds,
+          esca.effective_gops, 1.0);
   table.print();
 
   std::printf(

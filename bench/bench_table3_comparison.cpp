@@ -1,9 +1,10 @@
 // Reproduces Table III: comparison with other implementations for point
 // cloud (GPU, the cited FPGA [19], and ESCA).
 //
-// The benchmark SS U-Net runs on the cycle-level ESCA simulator (bit-exact
-// outputs, verified against the integer gold model); the same per-layer
-// workloads drive the analytic P100 model. Power comes from the event-based
+// The benchmark SS U-Net runs on the cycle-level ESCA simulator (match
+// stream checked against every layer's rulebook, layer outputs verified
+// against the integer gold model); the same per-layer workloads drive the
+// analytic P100 model. Power comes from the event-based
 // power model. See DESIGN.md §2 for the substitution rationale.
 //
 // Usage: bench_table3_comparison [sample=0]
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   std::printf("network: %zu Sub-Conv layers, %s effective MACs\n\n", plan.layer_count(),
               str::with_commas(plan.total_macs()).c_str());
 
-  // --- ESCA (cycle-level simulation, bit-exact verified) ----------------------
+  // --- ESCA (cycle-level simulation, outputs verified) ------------------------
   // Two operating points: the idealized microarchitecture (all K^2 column
   // masks read in parallel) and a port-limited variant where the mask buffer
   // serves one column per cycle (K^2 cycles per SRF) — the board-level

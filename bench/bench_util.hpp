@@ -19,6 +19,8 @@
 #include "datasets/shapenet_like.hpp"
 #include "nn/unet.hpp"
 #include "obs/metrics.hpp"
+#include "quant/qsubconv.hpp"
+#include "sparse/geometry.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "voxel/voxelizer.hpp"
 #include "xp/record.hpp"
@@ -41,6 +43,20 @@ inline sparse::SparseTensor nyu_tensor(std::size_t index, int resolution = kPape
   const datasets::NyuLikeDataset ds({}, kSeed + 1);
   const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(index), {resolution, false});
   return sparse::SparseTensor::from_voxel_grid(grid, 1);
+}
+
+/// The submanifold geometry of one ShapeNet-like sample: all the
+/// timing-only cycle simulator reads of a layer's input.
+inline sparse::LayerGeometry shapenet_geometry(std::size_t index, int kernel_size = 3) {
+  return sparse::build_submanifold_geometry(shapenet_tensor(index), kernel_size);
+}
+
+/// A Cin -> Cout Sub-Conv layer at unit scales. The cycle simulator reads
+/// only its shape (channels, kernel, weight bytes), never its weights.
+inline quant::QuantizedSubConv subconv_layer(int cin, int cout, int kernel_size,
+                                             std::string name) {
+  const nn::SubmanifoldConv3d conv(cin, cout, kernel_size);
+  return quant::QuantizedSubConv::from_float(conv, nullptr, false, 1.0F, 1.0F, std::move(name));
 }
 
 /// The benchmark network: SS U-Net with m = 16 (paper §IV.A).

@@ -2,8 +2,8 @@
 // paper's §IV evaluation flow end to end:
 //
 //   synthetic indoor scene -> voxelize (192^3) -> float SS U-Net forward
-//   (trace) -> quantize every Sub-Conv layer -> replay them on ESCA
-//   (bit-exact verified) -> per-layer cycle/GOPS report + per-point labels.
+//   (trace) -> quantize every Sub-Conv layer -> time them on ESCA (outputs
+//   verified bit-exactly) -> per-layer cycle/GOPS report + per-point labels.
 //
 // Build & run:  ./build/examples/semantic_segmentation [sample=0] [csv=path]
 #include <algorithm>

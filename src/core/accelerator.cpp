@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
-#include "core/computing_core.hpp"
 #include "obs/metrics.hpp"
 
 namespace esca::core {
@@ -37,6 +36,60 @@ obs::Counter& sdmu_fetch_stalls_counter() {
       "esca_sim_sdmu_fetch_stall_cycles_total", "SDMU fetch cycles blocked on a full match FIFO");
   return counter;
 }
+
+/// The SDMU's functional contract, checked on every layer: its match stream
+/// is exactly the geometry's rulebook — every match is a rule, no rule is
+/// matched twice and none is left over. A submanifold rule is unique per
+/// (out_row, weight_index), so a dense table of in_rows over the reused
+/// scratch makes the check O(rules).
+class RuleCheck {
+ public:
+  RuleCheck(const sparse::LayerGeometry& geometry, std::vector<std::int32_t>& slots)
+      : slots_(slots),
+        rows_(static_cast<std::int64_t>(geometry.sites.size())),
+        volume_(geometry.rulebook.kernel_volume()),
+        remaining_(geometry.total_rules()) {
+    slots_.assign(static_cast<std::size_t>(rows_ * volume_), kNoRule);
+    for (int o = 0; o < volume_; ++o) {
+      for (const sparse::Rule& rule : geometry.rulebook.rules_for(o)) {
+        ESCA_CHECK(rule.out_row >= 0 && rule.out_row < rows_ && rule.in_row >= 0 &&
+                       rule.in_row < rows_,
+                   "rule " << rule.in_row << " -> " << rule.out_row << " outside the "
+                           << rows_ << " layer sites");
+        slots_[slot(rule.out_row, o)] = rule.in_row;
+      }
+    }
+  }
+
+  void consume(const Match& m) {
+    const bool in_range = m.out_row >= 0 && m.out_row < rows_ && m.weight_index >= 0 &&
+                          m.weight_index < volume_;
+    std::int32_t* expected = in_range ? &slots_[slot(m.out_row, m.weight_index)] : nullptr;
+    ESCA_CHECK(expected != nullptr && *expected == m.in_row,
+               "SDMU match " << m.in_row << " -> " << m.out_row << " at offset "
+                             << m.weight_index << " is not an unmatched rulebook rule");
+    *expected = kNoRule;
+    --remaining_;
+  }
+
+  void finish() const {
+    ESCA_CHECK(remaining_ == 0,
+               "SDMU match stream and rulebook differ by " << remaining_ << " rules");
+  }
+
+ private:
+  static constexpr std::int32_t kNoRule = -1;
+
+  std::size_t slot(std::int32_t out_row, int offset) const {
+    return static_cast<std::size_t>(out_row) * static_cast<std::size_t>(volume_) +
+           static_cast<std::size_t>(offset);
+  }
+
+  std::vector<std::int32_t>& slots_;
+  std::int64_t rows_;
+  int volume_;
+  std::int64_t remaining_;  ///< rules not yet matched
+};
 
 }  // namespace
 
@@ -82,49 +135,36 @@ void MemorySummary::merge(const MemorySummary& other) {
 }
 
 Accelerator::Accelerator(ArchConfig config)
-    : config_(config),
-      dram_(config.dram),
-      traffic_(config.traffic_model_config()),
-      buffer_(config.buffer_geometry()) {
+    : config_(config), traffic_(config.traffic_model_config()), buffer_(config.buffer_geometry()) {
   config_.validate();
 }
 
-LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
-                                      const quant::QSparseTensor& input,
-                                      const RunOptions& options) {
-  ESCA_REQUIRE(input.channels() == layer.in_channels(),
-               "input channels " << input.channels() << " != layer " << layer.in_channels());
-  ESCA_REQUIRE(layer.kernel_size() == config_.kernel_size,
-               "layer kernel " << layer.kernel_size() << " != architecture kernel "
-                               << config_.kernel_size);
+LayerRunStats Accelerator::run_layer(const quant::QuantizedSubConv& layer,
+                                     const sparse::LayerGeometry& geometry,
+                                     const RunOptions& options) {
+  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kSubmanifold,
+               "the accelerator runs Sub-Conv layers, got " << sparse::to_string(geometry.kind)
+                                                            << " geometry");
+  ESCA_REQUIRE(geometry.kernel_size == layer.kernel_size() &&
+                   layer.kernel_size() == config_.kernel_size,
+               "geometry kernel " << geometry.kernel_size << ", layer kernel "
+                                  << layer.kernel_size() << " and architecture kernel "
+                                  << config_.kernel_size << " must agree");
+  const sparse::SparseTensor& sites = geometry.sites;
 
   LayerRunStats st;
   st.layer_name = layer.name();
   st.in_channels = layer.in_channels();
   st.out_channels = layer.out_channels();
-  st.sites = static_cast<std::int64_t>(input.size());
-
-  // Geometry (coordinate set) shared by the matching pipeline — reuse the
-  // caller's precompiled site tensor when provided (steady-state frames).
-  sparse::SparseTensor local_geometry(input.spatial_extent(), 1);
-  if (options.geometry == nullptr) {
-    local_geometry.reserve(input.size());
-    for (const Coord3& c : input.coords()) local_geometry.add_site(c);
-  } else {
-    ESCA_REQUIRE(options.geometry->size() == input.size() &&
-                     options.geometry->spatial_extent() == input.spatial_extent(),
-                 "precompiled geometry does not match the input tensor");
-  }
-  const sparse::SparseTensor& geometry =
-      options.geometry != nullptr ? *options.geometry : local_geometry;
+  st.sites = static_cast<std::int64_t>(sites.size());
 
   // --- §III.A zero removing ---------------------------------------------------
   const ZeroRemoving zr(config_.tile_size);
-  const voxel::TileGrid tiles = zr.apply(geometry, &st.zero_removing);
+  const voxel::TileGrid tiles = zr.apply(sites, &st.zero_removing);
 
   // --- §III.B encoding ----------------------------------------------------------
   const TileEncoder encoder(config_);
-  const std::vector<EncodedTile> encoded = encoder.encode(geometry, tiles, &st.encoding);
+  const std::vector<EncodedTile> encoded = encoder.encode(sites, tiles, &st.encoding);
 
   // --- buffer capacity ----------------------------------------------------------
   // Tiles whose working set overflows a buffer are double-streamed; the
@@ -151,19 +191,18 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
   }
 
   // --- per-tile SDMU + CC -------------------------------------------------------
+  // The MAC array consumes each match in cycles_per_match array passes of
+  // up to icP x ocP MACs, Cin x Cout of them effective (§III.D).
   const Sdmu sdmu(config_);
-  const ComputingCore cc(config_);
-  const int ccpm = cc.cycles_per_match(layer.in_channels(), layer.out_channels());
-
-  quant::QSparseTensor output(input.spatial_extent(), layer.out_channels(),
-                              quant::QuantParams{layer.out_scale()});
-  for (const Coord3& c : input.coords()) output.add_site(c);
-
-  std::vector<std::int64_t> acc(static_cast<std::size_t>(layer.out_channels()));
+  const int cin = layer.in_channels();
+  const int cout = layer.out_channels();
+  const int ccpm = config_.cycles_per_match(cin, cout);
+  const std::int64_t macs_per_match = static_cast<std::int64_t>(cin) * cout;
+  RuleCheck rules(geometry, rule_scratch_);
   std::int64_t covered_sites = 0;
 
   for (const EncodedTile& tile : encoded) {
-    SdmuResult tile_result = sdmu.simulate_tile(tile, geometry, ccpm);
+    SdmuResult tile_result = sdmu.simulate_tile(tile, sites, ccpm);
     st.sdmu.merge(tile_result.stats);
 
     if (config_.mem.simulate_buffer) {
@@ -180,24 +219,20 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
     }
 
     for (const MatchGroup& group : tile_result.groups) {
-      std::fill(acc.begin(), acc.end(), 0);
-      const GroupComputeResult gr = cc.process_group(group, input, layer, acc);
-      st.cc_cycles += gr.cycles;
-      st.mac_ops += gr.mac_ops;
-      cc.writeback(acc, layer,
-                   output.features(static_cast<std::size_t>(group.out_row)));
+      for (const Match& m : group.matches) rules.consume(m);
+      const auto matches = static_cast<std::int64_t>(group.matches.size());
+      st.cc_cycles += matches * ccpm;
+      st.mac_ops += matches * macs_per_match;
       ++covered_sites;
 
       // Energy accounting for this group.
-      energy_.add_mac(gr.mac_ops);
-      energy_.add_bram_read(static_cast<std::int64_t>(group.matches.size()) *
-                            ((layer.in_channels() + 3) / 4));  // 72b act words
-      energy_.add_bram_read(static_cast<std::int64_t>(group.matches.size()) *
-                            ((static_cast<std::int64_t>(layer.in_channels()) *
-                              layer.out_channels() + 8) / 9));  // 72b weight words
-      energy_.add_bram_write((layer.out_channels() + 3) / 4);
+      energy_.add_mac(matches * macs_per_match);
+      energy_.add_bram_read(matches * ((cin + 3) / 4));  // 72b act words
+      energy_.add_bram_read(matches * ((macs_per_match + 8) / 9));  // 72b weight words
+      energy_.add_bram_write((cout + 3) / 4);
     }
   }
+  rules.finish();
   ESCA_CHECK(covered_sites == st.sites,
              "not every site produced an output group: " << covered_sites << " vs "
                                                          << st.sites);
@@ -217,8 +252,6 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
   st.traffic = traffic_.layer_traffic(st.traffic_input);
   st.dram_bytes_in = st.traffic.dram_bytes_in();
   st.dram_bytes_out = st.traffic.dram_bytes_out();
-  dram_.record_read(st.dram_bytes_in);
-  dram_.record_write(st.dram_bytes_out);
 
   st.total_cycles = st.sdmu.cycles;
   energy_.add_logic_cycles(st.total_cycles);
@@ -243,7 +276,7 @@ LayerRunResult Accelerator::run_layer(const quant::QuantizedSubConv& layer,
   sdmu_scan_stalls_counter().inc(st.sdmu.scan_stall_cycles);
   sdmu_fetch_stalls_counter().inc(st.sdmu.fetch_stall_cycles);
 
-  return LayerRunResult{std::move(output), std::move(st)};
+  return st;
 }
 
 std::int64_t NetworkRunStats::total_cycles() const {

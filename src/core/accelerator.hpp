@@ -1,11 +1,17 @@
 // ESCA top level (paper §III.E, Fig. 9): main controller + SDMU + computing
-// core + on-chip buffers + off-chip DRAM.
+// core + on-chip buffers + off-chip DRAM, as a timing model.
 //
-// run_layer() executes one quantized Sub-Conv layer the way the hardware
-// does — zero removing, tile encoding, per-tile SDMU matching and CC
-// compute — and returns both the INT16 output tensor (bit-exact vs. the
-// quant::QuantizedSubConv gold model) and the full cycle/traffic statistics
-// used by the performance benches.
+// run_layer() walks one Sub-Conv layer's geometry the way the hardware
+// does — zero removing, tile encoding, per-tile SDMU matching, the MAC
+// array draining the match stream at cycles_per_match per match — and
+// returns the full cycle/traffic/energy statistics the performance benches
+// report. Simulated time depends only on the coordinate set and the
+// layer's shape, never on activation values, so no activations are read:
+// layer outputs come from sparse::ComputeEngine (runtime::Backend).
+//
+// Every call checks that the SDMU's match stream is exactly the geometry's
+// rulebook (each match a rule, none repeated, none missing) and throws
+// esca::InternalError otherwise — the simulator's functional contract.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +23,10 @@
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
 #include "quant/qsubconv.hpp"
-#include "quant/qtensor.hpp"
-#include "sim/dram.hpp"
 #include "sim/energy.hpp"
 #include "sim/mem/global_buffer.hpp"
 #include "sim/mem/traffic_model.hpp"
+#include "sparse/geometry.hpp"
 
 namespace esca::core {
 
@@ -87,20 +92,11 @@ struct MemorySummary {
   void merge(const MemorySummary& other);
 };
 
-struct LayerRunResult {
-  quant::QSparseTensor output;
-  LayerRunStats stats;
-};
-
 /// Execution options for one layer invocation.
 struct RunOptions {
   /// Weights already reside in the on-chip weight buffer (steady-state /
   /// batch execution): no weight DRAM transfer is charged.
   bool weights_resident{false};
-  /// Precompiled coordinate-set tensor for this layer (row r == input row
-  /// r), e.g. the Plan-cached LayerGeometry::sites. When null, run_layer
-  /// rebuilds it from the input coords.
-  const sparse::SparseTensor* geometry{nullptr};
 };
 
 class Accelerator {
@@ -109,8 +105,13 @@ class Accelerator {
 
   const ArchConfig& config() const { return config_; }
 
-  LayerRunResult run_layer(const quant::QuantizedSubConv& layer,
-                           const quant::QSparseTensor& input, const RunOptions& options = {});
+  /// Simulate one Sub-Conv layer over its compiled submanifold geometry
+  /// (the site tensor and rulebook; e.g. the Plan-cached LayerGeometry).
+  /// `layer` supplies only the shape: channels, kernel and weight bytes.
+  /// Throws esca::InvalidArgument unless geometry.kind is kSubmanifold and
+  /// its kernel equals both the layer's and the architecture's.
+  LayerRunStats run_layer(const quant::QuantizedSubConv& layer,
+                          const sparse::LayerGeometry& geometry, const RunOptions& options = {});
 
   /// Energy accumulated across every run_layer() call (power-model input).
   const sim::EnergyMeter& energy() const { return energy_; }
@@ -118,11 +119,11 @@ class Accelerator {
 
  private:
   ArchConfig config_;
-  sim::DramModel dram_;
   sim::mem::MemoryTrafficModel traffic_;
   sim::mem::GlobalBuffer buffer_;
   sim::EnergyMeter energy_;
   std::vector<sim::mem::BufferAccess> access_scratch_;  ///< reused per tile
+  std::vector<std::int32_t> rule_scratch_;  ///< match-check table, reused per layer
 };
 
 /// Sum a set of per-layer stats into network totals.

@@ -20,6 +20,13 @@ void ArchConfig::validate() const {
   mem.validate();
 }
 
+int ArchConfig::cycles_per_match(int in_channels, int out_channels) const {
+  ESCA_REQUIRE(in_channels > 0 && out_channels > 0, "channel counts must be positive");
+  const int ic_blocks = (in_channels + ic_parallel - 1) / ic_parallel;
+  const int oc_blocks = (out_channels + oc_parallel - 1) / oc_parallel;
+  return ic_blocks * oc_blocks;
+}
+
 sim::mem::TrafficModelConfig ArchConfig::traffic_model_config() const {
   sim::mem::TrafficModelConfig cfg;
   cfg.mem = mem;

@@ -45,6 +45,10 @@ struct ArchConfig {
   int k2() const { return kernel_size * kernel_size; }  ///< decoder columns
   int k3() const { return k2() * kernel_size; }
   int compute_parallelism() const { return ic_parallel * oc_parallel; }
+  /// Cycles the (ic_parallel x oc_parallel) MAC array spends on one match
+  /// of a Cin -> Cout layer (§III.D, Fig. 8(a)): one array pass per
+  /// (IC block, OC block), i.e. ceil(Cin / icP) * ceil(Cout / ocP).
+  int cycles_per_match(int in_channels, int out_channels) const;
 
   /// Buffer capacities + DRAM + mem knobs packaged for the traffic model.
   sim::mem::TrafficModelConfig traffic_model_config() const;

@@ -62,38 +62,4 @@ CompiledLayer LayerCompiler::compile_layer(const nn::SubmanifoldConv3d& conv,
   return CompiledLayer{std::move(qlayer), std::move(qinput), std::move(gold), macs, geometry};
 }
 
-NetworkRunStats run_network(Accelerator& accelerator, const CompiledNetwork& network,
-                            bool verify) {
-  NetworkRunStats stats;
-  for (const CompiledLayer& cl : network.layers) {
-    LayerRunResult result = accelerator.run_layer(cl.layer, cl.input);
-    if (verify) {
-      ESCA_CHECK(result.output == cl.gold_output,
-                 "accelerator output diverges from integer gold model in layer '"
-                     << cl.layer.name() << "'");
-    }
-    stats.layers.push_back(std::move(result.stats));
-  }
-  return stats;
-}
-
-NetworkRunStats run_network_batch(Accelerator& accelerator, const CompiledNetwork& network,
-                                  int batch, bool verify) {
-  ESCA_REQUIRE(batch >= 1, "batch must be >= 1");
-  NetworkRunStats stats;
-  for (int frame = 0; frame < batch; ++frame) {
-    RunOptions options;
-    options.weights_resident = frame > 0;
-    for (const CompiledLayer& cl : network.layers) {
-      LayerRunResult result = accelerator.run_layer(cl.layer, cl.input, options);
-      if (verify) {
-        ESCA_CHECK(result.output == cl.gold_output,
-                   "batch run diverges from gold in layer '" << cl.layer.name() << "'");
-      }
-      stats.layers.push_back(std::move(result.stats));
-    }
-  }
-  return stats;
-}
-
 }  // namespace esca::core

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "core/accelerator.hpp"
 #include "nn/unet.hpp"
 #include "quant/qsubconv.hpp"
 #include "quant/qtensor.hpp"
@@ -27,18 +26,15 @@ struct CompiledLayer {
   std::int64_t gold_macs{0};  ///< rulebook MACs from the float trace
   /// Precompiled geometry (rulebook + site tensor) over `input`'s coords.
   /// Built once at compile time; every frame and every backend replays it
-  /// — the geometry analogue of weight residency. Never null for layers
-  /// produced by LayerCompiler.
+  /// — the geometry analogue of weight residency. Never null:
+  /// runtime::make_plan rejects a layer without it.
   sparse::LayerGeometryPtr geometry;
 
-  /// Execute the integer gold model on the calibration input — against the
-  /// cached geometry when present, ad hoc otherwise (hand-built layers).
-  /// The single fallback policy every backend shares. `engine` supplies the
-  /// gather-GEMM-scatter scratch (backends pass their own so steady-state
-  /// frames reuse one arena); nullptr = the calling thread's default.
-  quant::QSparseTensor run_gold(sparse::ComputeEngine* engine = nullptr) const {
-    return geometry != nullptr ? layer.forward(input, *geometry, engine)
-                               : layer.forward(input, engine);
+  /// Execute the integer gold model on the calibration input against the
+  /// cached geometry. `engine` supplies the gather-GEMM-scatter scratch
+  /// (each backend passes its own so steady-state frames reuse one arena).
+  quant::QSparseTensor run_gold(sparse::ComputeEngine* engine) const {
+    return layer.forward(input, *geometry, engine);
   }
 };
 
@@ -67,26 +63,5 @@ class LayerCompiler {
                                      const sparse::SparseTensor& input,
                                      const LayerCompileOptions& options = {});
 };
-
-/// Execute a compiled network layer by layer; verifies each layer's output
-/// against the integer gold model when `verify` is set (throws on mismatch).
-///
-/// @deprecated Thin shim kept for source compatibility — use
-/// runtime::Engine::run (runtime/engine.hpp), which drives any backend and
-/// reports per frame.
-[[deprecated("use runtime::Engine/Session instead")]]
-NetworkRunStats run_network(Accelerator& accelerator, const CompiledNetwork& network,
-                            bool verify = true);
-
-/// Steady-state batch execution: the first frame pays the weight DRAM
-/// transfers, subsequent frames run with weights resident on chip. Returns
-/// one aggregated stats entry per (layer, frame) in execution order.
-///
-/// @deprecated Thin shim kept for source compatibility — use
-/// runtime::Session (runtime/session.hpp), which carries weight residency
-/// across arbitrary batched submissions.
-[[deprecated("use runtime::Engine/Session instead")]]
-NetworkRunStats run_network_batch(Accelerator& accelerator, const CompiledNetwork& network,
-                                  int batch, bool verify = false);
 
 }  // namespace esca::core

@@ -17,9 +17,7 @@ PerfEstimate PerfModel::estimate_layer(std::int64_t active_tiles, std::int64_t m
   ESCA_REQUIRE(active_tiles >= 0 && matches >= 0, "counts must be non-negative");
   ESCA_REQUIRE(in_channels > 0 && out_channels > 0, "channels must be positive");
 
-  const int ic_blocks = (in_channels + config_.ic_parallel - 1) / config_.ic_parallel;
-  const int oc_blocks = (out_channels + config_.oc_parallel - 1) / config_.oc_parallel;
-  const std::int64_t ccpm = static_cast<std::int64_t>(ic_blocks) * oc_blocks;
+  const std::int64_t ccpm = config_.cycles_per_match(in_channels, out_channels);
 
   PerfEstimate e;
   e.scan_cycles = active_tiles * config_.tile_size.volume() * config_.mask_read_cycles;

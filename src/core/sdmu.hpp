@@ -1,7 +1,9 @@
 // Sparse Data Matching Unit (paper §III.C, Figs. 6-7).
 //
 // Functional contract: for every active tile, emit exactly the match groups
-// the rulebook prescribes (tests assert this). Timing contract: a four-stage
+// the rulebook prescribes. core::Accelerator::run_layer enforces it on every
+// layer (it throws esca::InternalError when the match stream and the
+// rulebook differ by a single rule). Timing contract: a four-stage
 // pipeline —
 //   read masks   : one SRF's K^2 column masks per mask_read_cycles cycles
 //   judge state  : center bit decides active / skip (skip costs no fetch)

@@ -1,17 +1,18 @@
 // Quantized submanifold convolution — the bit-exact integer gold model.
 //
-// This is the functional contract the simulated accelerator is verified
-// against: INT16 activations x INT8 weights, 64-bit accumulation (DSP48
-// accumulators are 48-bit; 64 models them with headroom), then a per-output-
-// channel requantization that folds BatchNorm and ReLU:
+// This is the functional contract every backend's layer outputs are
+// verified against: INT16 activations x INT8 weights, 64-bit accumulation
+// (DSP48 accumulators are 48-bit; 64 models them with headroom), then a
+// per-output-channel requantization that folds BatchNorm and ReLU:
 //
 //   acc[co]  = sum over matches/in-channels of a_q * w_q          (integer)
 //   y        = acc * (s_in * s_w * bn_scale[co]) + bn_shift[co]   (float)
 //   q_out    = clamp(round(y / s_out)), ReLU clamps at 0 first
 //
 // The requantization arithmetic is implemented exactly once (requantize())
-// and shared by the gold model and the accelerator's computing core, so
-// "accelerator == gold" is a meaningful bit-exactness check.
+// and shared by the compute-engine forward every backend executes and the
+// retained scalar reference, so the two agree bit for bit whenever their
+// integer accumulators do.
 #pragma once
 
 #include <cstdint>

@@ -25,6 +25,10 @@ std::int64_t Plan::weight_bytes() const {
 }
 
 Plan make_plan(core::CompiledNetwork network) {
+  for (const core::CompiledLayer& l : network.layers) {
+    ESCA_REQUIRE(l.geometry != nullptr,
+                 "layer '" << l.layer.name() << "' has no compiled geometry");
+  }
   return Plan{next_plan_uid(), std::move(network)};
 }
 
@@ -111,7 +115,7 @@ FrameReport Backend::run_frame(const Plan& plan, const std::string& frame_id,
   ESCA_REQUIRE(!plan.network.layers.empty(), "plan has no layers to execute");
   // Chaos sites: artificial execution latency, then an execution failure
   // (spec `nonstd` throws a non-std::exception type here — the serve worker
-  // catch (...) hardening target). Both fire before execute_frame, so a
+  // catch (...) hardening target). Both fire before the first layer, so a
   // failed frame never half-updates backend state or weight residency.
   fault::maybe_delay("runtime.run.delay");
   fault::maybe_throw("runtime.run");
@@ -119,7 +123,27 @@ FrameReport Backend::run_frame(const Plan& plan, const std::string& frame_id,
   obs::Span span("runtime.frame");
   span.arg("layers", plan.network.layers.size());
   span.arg("weights_resident", static_cast<std::int64_t>(resident));
-  FrameReport report = execute_frame(plan, frame_id, options, resident);
+
+  FrameReport report;
+  report.frame_id = frame_id;
+  report.weights_resident = resident;
+  for (std::size_t i = 0; i < plan.network.layers.size(); ++i) {
+    const core::CompiledLayer& cl = plan.network.layers[i];
+    obs::Span layer_span("runtime.layer");
+    layer_span.arg("layer", i);
+    std::optional<quant::QSparseTensor> output;
+    const core::LayerRunStats& stats =
+        report.stats.layers.emplace_back(time_layer(cl, resident, output));
+    // Roofline verdict + DRAM traffic on the span: a Perfetto timeline shows
+    // which layers the memory model calls memory-bound without cross-
+    // referencing the report tables.
+    layer_span.arg("bound", stats.bound_verdict());
+    layer_span.arg("dram_bytes", stats.dram_bytes_in + stats.dram_bytes_out);
+    if (!options.verify && !options.keep_outputs) continue;
+    if (!output) output = cl.run_gold(&compute_engine());
+    if (options.verify) check_bit_exact(cl, *output, name());
+    if (options.keep_outputs) report.outputs.push_back(std::move(*output));
+  }
   if (supports_weight_residency()) resident_plan_uid_ = plan.uid;
   return report;
 }

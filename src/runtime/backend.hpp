@@ -4,9 +4,11 @@
 // calibration inputs + integer gold outputs) and executes Plans frame by
 // frame. Three implementations ship: the cycle-level ESCA simulator
 // (esca_backend), the dense-CNN-accelerator analytic model (dense_backend)
-// and the rulebook CPU gold path (cpu_backend). All of them report through
-// the same core::NetworkRunStats pathway, so tables/CSV from core/report
-// work unchanged for any backend.
+// and the wall-clock-timed CPU path (cpu_backend). They differ only in how
+// a layer is timed: run_frame() owns the one per-layer loop, takes every
+// layer's output from the backend's sparse::ComputeEngine, verifies it and
+// keeps it. All of them report through the same core::NetworkRunStats
+// pathway, so tables/CSV from core/report work unchanged for any backend.
 //
 // Weight residency: backends that model an on-chip weight buffer keep the
 // last executed Plan's weights "resident" — later frames of the same Plan
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,7 +46,8 @@ struct Plan {
 };
 
 /// Assign a fresh uid to a compiled network. Backends use this in compile();
-/// call it directly only when hand-building a Plan.
+/// call it directly only when hand-building a Plan. Throws
+/// esca::InvalidArgument when a layer carries no compiled geometry.
 Plan make_plan(core::CompiledNetwork network);
 
 /// Shared ownership of an immutable Plan. Compiled networks are heavy
@@ -71,9 +75,10 @@ struct FrameBatch {
 
 /// Execution options for one submission (all frames of the batch).
 struct RunOptions {
-  /// Check every layer's output bit-exactly against the integer gold model;
-  /// throws esca::InternalError on divergence. Backends whose functional
-  /// path *is* the gold model treat this as a self-check.
+  /// Compute every layer's output with the backend's ComputeEngine and
+  /// check it bit-exactly against the Plan's integer gold output; throws
+  /// esca::InternalError on divergence. The ESCA simulator's own
+  /// functional check (its match stream equals the rulebook) runs always.
   bool verify{true};
   /// Retain each frame's per-layer output tensors in the FrameReport.
   bool keep_outputs{false};
@@ -133,6 +138,9 @@ class Backend {
 
   /// Single-frame primitive carrying weight residency across calls (the
   /// Session building block). Running a different Plan drops residency.
+  /// The one per-layer loop of every backend: time_layer() for the stats,
+  /// then, when verify or keep_outputs asks for it, the layer's output from
+  /// compute_engine(), checked and kept.
   FrameReport run_frame(const Plan& plan, const std::string& frame_id,
                         const RunOptions& options = {});
 
@@ -157,11 +165,13 @@ class Backend {
  protected:
   Backend() = default;
 
-  /// Execute one frame. `weights_resident` is the residency decision already
-  /// made by run_frame(); implementations that have no weight buffer ignore
-  /// it (and should report weights_resident = false).
-  virtual FrameReport execute_frame(const Plan& plan, const std::string& frame_id,
-                                    const RunOptions& options, bool weights_resident) = 0;
+  /// This backend's statistics for one layer of a frame: simulated,
+  /// modelled or measured. `weights_resident` is the residency decision
+  /// run_frame() already made; backends without a weight buffer ignore it.
+  /// A backend whose timed run computes the layer's output anyway hands it
+  /// back through `output`, so run_frame() does not compute it again.
+  virtual core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+                                         std::optional<quant::QSparseTensor>& output) = 0;
 
   /// Whether this backend models an on-chip weight buffer at all.
   virtual bool supports_weight_residency() const { return false; }

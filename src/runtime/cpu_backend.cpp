@@ -1,63 +1,31 @@
 #include "runtime/cpu_backend.hpp"
 
 #include <chrono>
-#include <utility>
-
-#include "common/check.hpp"
-#include "obs/trace.hpp"
 
 namespace esca::runtime {
 
-namespace {
+core::LayerRunStats CpuBackend::time_layer(const core::CompiledLayer& layer,
+                                           bool /*weights_resident*/,
+                                           std::optional<quant::QSparseTensor>& output) {
+  // Steady-state frames replay the Plan-cached rulebook through this
+  // backend's compute engine (persistent arena — no per-frame compute
+  // allocations).
+  const auto start = std::chrono::steady_clock::now();
+  output = layer.run_gold(&compute_engine());
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-}  // namespace
-
-CpuBackend::CpuBackend(int repeats) : repeats_(repeats) {
-  ESCA_REQUIRE(repeats >= 1, "repeats must be >= 1, got " << repeats);
-}
-
-FrameReport CpuBackend::execute_frame(const Plan& plan, const std::string& frame_id,
-                                      const RunOptions& options, bool /*weights_resident*/) {
-  FrameReport report;
-  report.frame_id = frame_id;
-  int layer_index = 0;
-  for (const core::CompiledLayer& cl : plan.network.layers) {
-    // Steady-state frames replay the Plan-cached rulebook through this
-    // backend's compute engine (persistent arena — no per-frame compute
-    // allocations); only hand-built plans without geometry fall back to an
-    // ad-hoc build.
-    obs::Span span("runtime.layer");
-    span.arg("layer", layer_index++);
-    auto start = std::chrono::steady_clock::now();
-    quant::QSparseTensor output = cl.run_gold(&compute_engine());
-    double best_seconds = seconds_since(start);
-    for (int r = 1; r < repeats_; ++r) {
-      start = std::chrono::steady_clock::now();
-      output = cl.run_gold(&compute_engine());
-      const double elapsed = seconds_since(start);
-      if (elapsed < best_seconds) best_seconds = elapsed;
-    }
-    if (options.verify) check_bit_exact(cl, output, name());
-
-    core::LayerRunStats stats;
-    stats.layer_name = cl.layer.name();
-    stats.in_channels = cl.layer.in_channels();
-    stats.out_channels = cl.layer.out_channels();
-    stats.sites = static_cast<std::int64_t>(cl.input.size());
-    stats.mac_ops = cl.gold_macs;
-    stats.compute_seconds = best_seconds;
-    stats.total_seconds = best_seconds;
-    stats.effective_gops = best_seconds > 0.0
-                               ? 2.0 * static_cast<double>(cl.gold_macs) / best_seconds / 1e9
-                               : 0.0;
-    report.stats.layers.push_back(std::move(stats));
-    if (options.keep_outputs) report.outputs.push_back(std::move(output));
-  }
-  return report;
+  core::LayerRunStats stats;
+  stats.layer_name = layer.layer.name();
+  stats.in_channels = layer.layer.in_channels();
+  stats.out_channels = layer.layer.out_channels();
+  stats.sites = static_cast<std::int64_t>(layer.input.size());
+  stats.mac_ops = layer.gold_macs;
+  stats.compute_seconds = seconds;
+  stats.total_seconds = seconds;
+  stats.effective_gops =
+      seconds > 0.0 ? 2.0 * static_cast<double>(layer.gold_macs) / seconds / 1e9 : 0.0;
+  return stats;
 }
 
 }  // namespace esca::runtime

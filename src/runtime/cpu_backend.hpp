@@ -1,7 +1,8 @@
-// CPU backend: the rulebook-based integer gold path executed on the host,
-// wall-clock timed. Functionally it *is* the bit-exactness reference every
-// hardware backend is verified against, so it doubles as the parity oracle
-// in tests; its timing complements the analytic Xeon model in Fig. 10.
+// CPU backend: the integer Sub-Conv layers executed on the host through the
+// backend's gather-GEMM-scatter ComputeEngine, wall-clock timed. Its timed
+// run produces each layer's output, which Backend::run_frame verifies and
+// keeps without computing it again; the timing complements the analytic
+// Xeon model in Fig. 10.
 #pragma once
 
 #include "runtime/backend.hpp"
@@ -10,20 +11,13 @@ namespace esca::runtime {
 
 class CpuBackend final : public Backend {
  public:
-  /// @param repeats  per-layer repetitions; the minimum wall-clock time is
-  ///                 reported (standard microtiming practice).
-  explicit CpuBackend(int repeats = 1);
-
   std::string name() const override { return "cpu"; }
 
  protected:
-  FrameReport execute_frame(const Plan& plan, const std::string& frame_id,
-                            const RunOptions& options, bool weights_resident) override;
+  core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+                                 std::optional<quant::QSparseTensor>& output) override;
   // Host DRAM has no managed weight buffer: every frame reads weights from
   // memory, so residency stays off.
-
- private:
-  int repeats_;
 };
 
 }  // namespace esca::runtime

@@ -1,87 +1,44 @@
 #include "runtime/dense_backend.hpp"
 
 #include <cmath>
-#include <utility>
 
 #include "core/zero_removing.hpp"
-#include "obs/trace.hpp"
-#include "sparse/sparse_tensor.hpp"
 
 namespace esca::runtime {
 
-namespace {
-
-/// Geometry-only copy of a quantized tensor's coordinate set (fallback for
-/// hand-built plans without cached geometry).
-sparse::SparseTensor geometry_of(const quant::QSparseTensor& t) {
-  sparse::SparseTensor geometry(t.spatial_extent(), 1);
-  geometry.reserve(t.size());
-  for (const Coord3& c : t.coords()) (void)geometry.add_site(c);
-  return geometry;
-}
-
-}  // namespace
-
 DenseAccelBackend::DenseAccelBackend(DenseBackendConfig config) : config_(config) {}
 
-FrameReport DenseAccelBackend::execute_frame(const Plan& plan, const std::string& frame_id,
-                                             const RunOptions& options,
-                                             bool /*weights_resident*/) {
-  FrameReport report;
-  report.frame_id = frame_id;
-  int layer_index = 0;
-  for (const core::CompiledLayer& cl : plan.network.layers) {
-    obs::Span span("runtime.layer");
-    span.arg("layer", layer_index++);
-    const int kernel = cl.layer.kernel_size();
+core::LayerRunStats DenseAccelBackend::time_layer(const core::CompiledLayer& layer,
+                                                  bool /*weights_resident*/,
+                                                  std::optional<quant::QSparseTensor>& /*output*/) {
+  const int kernel = layer.layer.kernel_size();
+  const int cin = layer.layer.in_channels();
+  const int cout = layer.layer.out_channels();
 
-    baseline::DenseAccelRun run;
-    core::LayerRunStats stats;
-    if (config_.full_grid) {
-      run = baseline::model_dense_full_grid(cl.input.spatial_extent(), kernel,
-                                            cl.layer.in_channels(), cl.layer.out_channels(),
-                                            cl.gold_macs, config_.model);
-    } else {
-      core::ZeroRemovingStats zr;
-      if (cl.geometry != nullptr) {
-        // Tile statistics from the Plan-cached site tensor — no rebuild.
-        (void)core::ZeroRemoving(config_.tile_size).apply(cl.geometry->sites, &zr);
-      } else {
-        (void)core::ZeroRemoving(config_.tile_size).apply(geometry_of(cl.input), &zr);
-      }
-      run = baseline::model_dense_active_tiles(zr.active_tiles, config_.tile_size, kernel,
-                                               cl.layer.in_channels(),
-                                               cl.layer.out_channels(), cl.gold_macs,
-                                               config_.model);
-      stats.zero_removing = zr;
-    }
-
-    stats.layer_name = cl.layer.name();
-    stats.in_channels = cl.layer.in_channels();
-    stats.out_channels = cl.layer.out_channels();
-    stats.sites = static_cast<std::int64_t>(cl.input.size());
-    stats.mac_ops = run.useful_macs;
-    stats.cc_cycles = static_cast<std::int64_t>(
-        std::llround(run.seconds * config_.model.frequency_hz));
-    stats.total_cycles = stats.cc_cycles;
-    stats.compute_seconds = run.seconds;
-    stats.total_seconds = run.seconds;
-    stats.effective_gops = run.effective_gops;
-    report.stats.layers.push_back(std::move(stats));
-
-    // Functional result: the quantized network's output (the model prices
-    // the dense schedule; the math is the gold model's). verify recomputes
-    // the forward as a plan-integrity check; without it the precomputed
-    // gold output is returned directly.
-    if (options.verify) {
-      quant::QSparseTensor output = cl.run_gold();
-      check_bit_exact(cl, output, name());
-      if (options.keep_outputs) report.outputs.push_back(std::move(output));
-    } else if (options.keep_outputs) {
-      report.outputs.push_back(cl.gold_output);
-    }
+  baseline::DenseAccelRun run;
+  core::LayerRunStats stats;
+  if (config_.full_grid) {
+    run = baseline::model_dense_full_grid(layer.input.spatial_extent(), kernel, cin, cout,
+                                          layer.gold_macs, config_.model);
+  } else {
+    // Tile statistics from the Plan-cached site tensor — no rebuild.
+    (void)core::ZeroRemoving(config_.tile_size).apply(layer.geometry->sites, &stats.zero_removing);
+    run = baseline::model_dense_active_tiles(stats.zero_removing.active_tiles, config_.tile_size,
+                                             kernel, cin, cout, layer.gold_macs, config_.model);
   }
-  return report;
+
+  stats.layer_name = layer.layer.name();
+  stats.in_channels = cin;
+  stats.out_channels = cout;
+  stats.sites = static_cast<std::int64_t>(layer.input.size());
+  stats.mac_ops = run.useful_macs;
+  stats.cc_cycles =
+      static_cast<std::int64_t>(std::llround(run.seconds * config_.model.frequency_hz));
+  stats.total_cycles = stats.cc_cycles;
+  stats.compute_seconds = run.seconds;
+  stats.total_seconds = run.seconds;
+  stats.effective_gops = run.effective_gops;
+  return stats;
 }
 
 }  // namespace esca::runtime

@@ -1,9 +1,10 @@
 // Dense-accelerator backend: the Eyeriss-style dense CNN engine of the
 // paper's motivation (§I–II) behind the runtime::Backend interface. Timing
 // comes from baseline::DenseAccelModel — either convolving the full voxel
-// grid or a tiling DMA restricted to active tiles — while the functional
-// output is the quantized network's result (the model quantifies *cost*,
-// the cost of being sparsity-blind; it does not change the math).
+// grid or a tiling DMA restricted to active tiles — while layer outputs
+// come from the shared ComputeEngine in Backend::run_frame (the model
+// quantifies *cost*, the cost of being sparsity-blind; it does not change
+// the math).
 #pragma once
 
 #include "baseline/dense_accel_model.hpp"
@@ -30,8 +31,8 @@ class DenseAccelBackend final : public Backend {
   const DenseBackendConfig& config() const { return config_; }
 
  protected:
-  FrameReport execute_frame(const Plan& plan, const std::string& frame_id,
-                            const RunOptions& options, bool weights_resident) override;
+  core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+                                 std::optional<quant::QSparseTensor>& output) override;
   // The analytic model has no weight-buffer state: residency stays off.
 
  private:

@@ -32,7 +32,7 @@ std::unique_ptr<Backend> make_backend(const RuntimeConfig& config) {
   }
   ESCA_CHECK(config.backend == BackendKind::kCpu,
              "unhandled BackendKind " << static_cast<int>(config.backend));
-  return std::make_unique<CpuBackend>(config.cpu_repeats);
+  return std::make_unique<CpuBackend>();
 }
 
 Engine::Engine(RuntimeConfig config)

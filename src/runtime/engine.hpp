@@ -26,7 +26,7 @@ namespace esca::runtime {
 enum class BackendKind : std::uint8_t {
   kEsca,   ///< cycle-level ESCA simulator (the paper's accelerator)
   kDense,  ///< dense-CNN-accelerator analytic model (motivation baseline)
-  kCpu,    ///< host rulebook gold path, wall-clock timed
+  kCpu,    ///< host ComputeEngine execution, wall-clock timed
 };
 
 /// Parse "esca" / "dense" / "cpu" (throws esca::InvalidArgument otherwise).
@@ -38,7 +38,6 @@ struct RuntimeConfig {
   BackendKind backend{BackendKind::kEsca};
   core::ArchConfig arch{};     ///< ESCA backend parameters
   DenseBackendConfig dense{};  ///< dense-accelerator backend parameters
-  int cpu_repeats{1};          ///< CPU backend timing repetitions
 };
 
 /// Standalone factory (Engine uses it; exposed for custom harnesses).

@@ -2,37 +2,17 @@
 
 #include <utility>
 
-#include "obs/trace.hpp"
-
 namespace esca::runtime {
 
 EscaBackend::EscaBackend(core::ArchConfig config) : accelerator_(std::move(config)) {}
 
-FrameReport EscaBackend::execute_frame(const Plan& plan, const std::string& frame_id,
-                                       const RunOptions& options, bool weights_resident) {
-  FrameReport report;
-  report.frame_id = frame_id;
-  report.weights_resident = weights_resident;
-  core::RunOptions hw_options;
-  hw_options.weights_resident = weights_resident;
-  int layer_index = 0;
-  for (const core::CompiledLayer& cl : plan.network.layers) {
-    // Plan-cached geometry: the site tensor (and its Morton index) was
-    // built once at compile time; no per-frame rebuild.
-    hw_options.geometry = cl.geometry != nullptr ? &cl.geometry->sites : nullptr;
-    obs::Span span("runtime.layer");
-    span.arg("layer", layer_index++);
-    core::LayerRunResult result = accelerator_.run_layer(cl.layer, cl.input, hw_options);
-    // Roofline verdict + DRAM traffic on the span: a Perfetto timeline shows
-    // which layers the memory model calls memory-bound without cross-
-    // referencing the report tables.
-    span.arg("bound", result.stats.bound_verdict());
-    span.arg("dram_bytes", result.stats.dram_bytes_in + result.stats.dram_bytes_out);
-    if (options.verify) check_bit_exact(cl, result.output, name());
-    report.stats.layers.push_back(std::move(result.stats));
-    if (options.keep_outputs) report.outputs.push_back(std::move(result.output));
-  }
-  return report;
+core::LayerRunStats EscaBackend::time_layer(const core::CompiledLayer& layer,
+                                            bool weights_resident,
+                                            std::optional<quant::QSparseTensor>& /*output*/) {
+  // Plan-cached geometry: the site tensor (and its Morton index) and the
+  // rulebook were built once at compile time; no per-frame rebuild.
+  return accelerator_.run_layer(layer.layer, *layer.geometry,
+                                {.weights_resident = weights_resident});
 }
 
 }  // namespace esca::runtime

@@ -1,8 +1,10 @@
 // ESCA backend: the cycle-level simulator (core::Accelerator) behind the
 // runtime::Backend interface. This is the accelerator the paper builds —
-// zero removing, tile encoding, SDMU matching, 16x16 MAC array — with full
-// cycle/traffic statistics and an on-chip weight buffer, so batched frames
-// after the first skip the weight DRAM transfer.
+// zero removing, tile encoding, SDMU matching, 16x16 MAC array — as a
+// timing model with full cycle/traffic statistics and an on-chip weight
+// buffer, so batched frames after the first skip the weight DRAM transfer.
+// Layer outputs come from the shared ComputeEngine in Backend::run_frame;
+// the simulator checks its own match stream against each layer's rulebook.
 #pragma once
 
 #include "core/accelerator.hpp"
@@ -20,8 +22,8 @@ class EscaBackend final : public Backend {
   const sim::EnergyMeter* energy_meter() const override { return &accelerator_.energy(); }
 
  protected:
-  FrameReport execute_frame(const Plan& plan, const std::string& frame_id,
-                            const RunOptions& options, bool weights_resident) override;
+  core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+                                 std::optional<quant::QSparseTensor>& output) override;
   bool supports_weight_residency() const override { return true; }
 
  private:

@@ -7,6 +7,7 @@
 #include "nn/submanifold_conv.hpp"
 #include "nn/unet.hpp"
 #include "quant/qsubconv.hpp"
+#include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca::core {
@@ -15,7 +16,7 @@ namespace {
 struct Fixture {
   quant::QuantizedSubConv layer;
   quant::QSparseTensor input;
-  quant::QSparseTensor gold;
+  sparse::LayerGeometryPtr geometry;  ///< the input's submanifold geometry
 };
 
 Fixture make_fixture(int cin, int cout, Rng& rng, Coord3 extent = {24, 24, 24},
@@ -30,17 +31,35 @@ Fixture make_fixture(int cin, int cout, Rng& rng, Coord3 extent = {24, 24, 24},
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "acc");
   quant::QSparseTensor qx =
       quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
-  quant::QSparseTensor gold = layer.forward(qx);
-  return {std::move(layer), std::move(qx), std::move(gold)};
+  sparse::LayerGeometryPtr geometry = qx.submanifold_geometry(3);
+  return {std::move(layer), std::move(qx), std::move(geometry)};
 }
+
+/// A copy of `geometry` whose per-offset rule lists went through `edit`.
+template <typename Edit>
+sparse::LayerGeometry with_rules(const sparse::LayerGeometry& geometry, Edit edit) {
+  sparse::LayerGeometry tampered = geometry;
+  sparse::RuleBook rules(geometry.rulebook.kernel_volume());
+  for (int o = 0; o < rules.kernel_volume(); ++o) {
+    std::vector<sparse::Rule> list = geometry.rulebook.rules_for(o);
+    edit(o, list);
+    for (const sparse::Rule& rule : list) rules.add(o, rule);
+  }
+  tampered.rulebook = std::move(rules);
+  return tampered;
+}
+
+constexpr int kCenterOffset = 13;  ///< (0, 0, 0) of a 3^3 kernel
 
 TEST(AcceleratorTest, BitExactVsIntegerGold) {
   Rng rng(141);
   for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE(trial);
     const Fixture fx = make_fixture(2 + trial, 3 + 2 * trial, rng);
-    Accelerator acc{ArchConfig{}};
-    const LayerRunResult r = acc.run_layer(fx.layer, fx.input);
-    EXPECT_TRUE(r.output == fx.gold) << "trial " << trial;
+    const ArchConfig cfg;
+    Accelerator acc{cfg};
+    const LayerRunStats st = acc.run_layer(fx.layer, *fx.geometry);
+    test::expect_closed_forms(st, *fx.geometry, cfg);
   }
 }
 
@@ -48,17 +67,31 @@ TEST(AcceleratorTest, BitExactWithWideChannels) {
   Rng rng(142);
   // Channels wider than the 16x16 array exercise the block loops.
   const Fixture fx = make_fixture(20, 24, rng, {16, 16, 16}, 150);
-  Accelerator acc{ArchConfig{}};
-  const LayerRunResult r = acc.run_layer(fx.layer, fx.input);
-  EXPECT_TRUE(r.output == fx.gold);
+  const ArchConfig cfg;
+  Accelerator acc{cfg};
+  const LayerRunStats st = acc.run_layer(fx.layer, *fx.geometry);
+  test::expect_closed_forms(st, *fx.geometry, cfg);
+  EXPECT_EQ(cfg.cycles_per_match(20, 24), 4);
+}
+
+TEST(AcceleratorTest, CycleAndOpAccounting) {
+  Rng rng(132);
+  ArchConfig cfg;
+  cfg.ic_parallel = 4;
+  cfg.oc_parallel = 4;
+  const Fixture fx = make_fixture(6, 5, rng, {16, 16, 16}, 120);  // 2 IC x 2 OC blocks
+  Accelerator acc{cfg};
+  const LayerRunStats st = acc.run_layer(fx.layer, *fx.geometry);
+  test::expect_closed_forms(st, *fx.geometry, cfg);
+  EXPECT_EQ(st.cc_cycles, 4 * st.sdmu.matches);
+  EXPECT_EQ(st.mac_ops, 6LL * 5 * st.sdmu.matches);
 }
 
 TEST(AcceleratorTest, StatsCoherence) {
   Rng rng(143);
   const Fixture fx = make_fixture(4, 6, rng);
   Accelerator acc{ArchConfig{}};
-  const LayerRunResult r = acc.run_layer(fx.layer, fx.input);
-  const LayerRunStats& st = r.stats;
+  const LayerRunStats st = acc.run_layer(fx.layer, *fx.geometry);
 
   EXPECT_EQ(st.sites, static_cast<std::int64_t>(fx.input.size()));
   EXPECT_EQ(st.mac_ops, st.sdmu.matches * 4 * 6);
@@ -90,10 +123,12 @@ TEST(AcceleratorTest, ZeroRemovingReducesCyclesOnSparseMaps) {
 
   Accelerator a{with_zr};
   Accelerator b{without_zr};
-  const auto ra = a.run_layer(fx.layer, fx.input);
-  const auto rb = b.run_layer(fx.layer, fx.input);
-  EXPECT_TRUE(ra.output == rb.output);  // strategy is lossless
-  EXPECT_LT(ra.stats.total_cycles, rb.stats.total_cycles);
+  const LayerRunStats ra = a.run_layer(fx.layer, *fx.geometry);
+  const LayerRunStats rb = b.run_layer(fx.layer, *fx.geometry);
+  // The strategy is lossless: both match every rule.
+  test::expect_closed_forms(ra, *fx.geometry, with_zr);
+  test::expect_closed_forms(rb, *fx.geometry, without_zr);
+  EXPECT_LT(ra.total_cycles, rb.total_cycles);
 }
 
 TEST(AcceleratorTest, PerfModelTracksSimulator) {
@@ -101,14 +136,14 @@ TEST(AcceleratorTest, PerfModelTracksSimulator) {
   const Fixture fx = make_fixture(16, 16, rng, {32, 32, 32}, 500);
   const ArchConfig cfg;
   Accelerator acc{cfg};
-  const LayerRunResult r = acc.run_layer(fx.layer, fx.input);
+  const LayerRunStats st = acc.run_layer(fx.layer, *fx.geometry);
 
   const PerfModel model(cfg);
-  const PerfEstimate est = model.estimate_layer(r.stats.zero_removing.active_tiles,
-                                                r.stats.sdmu.matches, 16, 16);
+  const PerfEstimate est =
+      model.estimate_layer(st.zero_removing.active_tiles, st.sdmu.matches, 16, 16);
   // First-order model within 40 % of the cycle-accurate simulator.
   const double ratio =
-      static_cast<double>(r.stats.total_cycles) / static_cast<double>(est.total_cycles);
+      static_cast<double>(st.total_cycles) / static_cast<double>(est.total_cycles);
   EXPECT_GT(ratio, 0.6);
   EXPECT_LT(ratio, 1.6);
 }
@@ -117,10 +152,10 @@ TEST(AcceleratorTest, EnergyAccumulatesAcrossLayers) {
   Rng rng(146);
   const Fixture fx = make_fixture(4, 4, rng);
   Accelerator acc{ArchConfig{}};
-  (void)acc.run_layer(fx.layer, fx.input);
+  (void)acc.run_layer(fx.layer, *fx.geometry);
   const double after_one = acc.energy().total_joules();
   EXPECT_GT(after_one, 0.0);
-  (void)acc.run_layer(fx.layer, fx.input);
+  (void)acc.run_layer(fx.layer, *fx.geometry);
   EXPECT_GT(acc.energy().total_joules(), after_one);
 }
 
@@ -130,7 +165,64 @@ TEST(AcceleratorTest, RejectsMismatchedLayer) {
   ArchConfig cfg;
   cfg.kernel_size = 5;  // architecture built for K=5, layer is K=3
   Accelerator acc{cfg};
-  EXPECT_THROW((void)acc.run_layer(fx.layer, fx.input), InvalidArgument);
+  EXPECT_THROW((void)acc.run_layer(fx.layer, *fx.geometry), InvalidArgument);
+}
+
+TEST(AcceleratorTest, RejectsGeometryItCannotRun) {
+  Rng rng(150);
+  const Fixture fx = make_fixture(4, 4, rng);
+  Accelerator acc{ArchConfig{}};
+  const sparse::SparseTensor sites = fx.input.sites();
+  // Strided layers stay on the host: the SDMU matches submanifold rules only.
+  EXPECT_THROW((void)acc.run_layer(fx.layer, sparse::build_downsample_geometry(sites, 3, 2)),
+               InvalidArgument);
+  // A K=5 rulebook under a K=3 layer and architecture.
+  EXPECT_THROW((void)acc.run_layer(fx.layer, sparse::build_submanifold_geometry(sites, 5)),
+               InvalidArgument);
+}
+
+// The match check replaces the output compare: the SDMU's match stream must
+// be exactly the rulebook, so a rulebook that differs by one rule throws.
+TEST(AcceleratorMatchCheckTest, IntactCopyPasses) {
+  Rng rng(151);
+  const Fixture fx = make_fixture(4, 4, rng);
+  Accelerator acc{ArchConfig{}};
+  const sparse::LayerGeometry copy = with_rules(*fx.geometry, [](int, auto&) {});
+  test::expect_closed_forms(acc.run_layer(fx.layer, copy), copy, acc.config());
+}
+
+TEST(AcceleratorMatchCheckTest, MissingRuleThrows) {
+  Rng rng(152);
+  const Fixture fx = make_fixture(4, 4, rng);
+  Accelerator acc{ArchConfig{}};
+  const sparse::LayerGeometry tampered = with_rules(*fx.geometry, [](int o, auto& list) {
+    if (o == kCenterOffset) list.pop_back();
+  });
+  ASSERT_EQ(tampered.total_rules() + 1, fx.geometry->total_rules());
+  EXPECT_THROW((void)acc.run_layer(fx.layer, tampered), InternalError);
+}
+
+TEST(AcceleratorMatchCheckTest, ExtraRuleThrows) {
+  Rng rng(153);
+  const Fixture fx = make_fixture(4, 4, rng);
+  Accelerator acc{ArchConfig{}};
+  const sparse::LayerGeometry tampered = with_rules(*fx.geometry, [](int o, auto& list) {
+    if (o == kCenterOffset) list.push_back(list.front());
+  });
+  ASSERT_EQ(tampered.total_rules(), fx.geometry->total_rules() + 1);
+  EXPECT_THROW((void)acc.run_layer(fx.layer, tampered), InternalError);
+}
+
+TEST(AcceleratorMatchCheckTest, ChangedInRowThrows) {
+  Rng rng(154);
+  const Fixture fx = make_fixture(4, 4, rng);
+  Accelerator acc{ArchConfig{}};
+  const auto sites = static_cast<std::int32_t>(fx.input.size());
+  const sparse::LayerGeometry tampered = with_rules(*fx.geometry, [sites](int o, auto& list) {
+    if (o == kCenterOffset) list.front().in_row = (list.front().in_row + 1) % sites;
+  });
+  ASSERT_EQ(tampered.total_rules(), fx.geometry->total_rules());
+  EXPECT_THROW((void)acc.run_layer(fx.layer, tampered), InternalError);
 }
 
 TEST(LayerCompilerTest, CompilesAllSubConvLayers) {
@@ -152,36 +244,6 @@ TEST(LayerCompilerTest, CompilesAllSubConvLayers) {
     EXPECT_GT(cl.gold_macs, 0);
   }
 }
-
-// Coverage for the deprecated run_network shim (the supported path is
-// runtime::Engine — see runtime_test.cpp).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(LayerCompilerTest, RunNetworkVerifiesBitExactness) {
-  Rng rng(149);
-  const auto x = test::clustered_tensor({24, 24, 24}, 1, rng, 7, 200);
-  nn::SSUNetConfig cfg;
-  cfg.base_planes = 4;
-  cfg.levels = 2;
-  cfg.reps_per_level = 1;
-  const nn::SSUNet net(cfg, 10);
-  std::vector<nn::TraceEntry> trace;
-  (void)net.forward(x, &trace);
-  const CompiledNetwork compiled = LayerCompiler::compile(trace);
-
-  Accelerator acc{ArchConfig{}};
-  const NetworkRunStats stats = run_network(acc, compiled, /*verify=*/true);
-  EXPECT_EQ(stats.layers.size(), compiled.layers.size());
-  EXPECT_GT(stats.total_cycles(), 0);
-  EXPECT_GT(stats.effective_gops(), 0.0);
-  EXPECT_GT(stats.total_seconds(), 0.0);
-  EXPECT_EQ(stats.total_mac_ops(), [&] {
-    std::int64_t n = 0;
-    for (const auto& l : stats.layers) n += l.mac_ops;
-    return n;
-  }());
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace esca::core

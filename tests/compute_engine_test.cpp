@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -148,6 +149,40 @@ TEST(ComputeEngineTest, QuantizedGeometryPathMatchesRulebookPath) {
     ComputeEngine engine{ComputeOptions{.threads = threads}};
     EXPECT_TRUE(via_reference == q.forward(qx, *geometry, &engine)) << "threads=" << threads;
   }
+}
+
+TEST(ComputeEngineTest, ExtremesDoNotOverflow) {
+  // The centre of a full 3x3x3 block sums 27 offsets of Cin = 512 products
+  // 32767 * -127: each per-rule partial fits INT32, the 27-offset sum does not.
+  constexpr int kCin = 512;
+  SparseTensor x({3, 3, 3}, kCin);
+  for (std::int64_t i = 0; i < 27; ++i) {
+    const auto row = static_cast<std::size_t>(x.add_site(delinearize(i, {3, 3, 3})));
+    for (int c = 0; c < kCin; ++c) x.set_feature(row, c, 1.0F);
+  }
+  x.sort_canonical();
+  nn::SubmanifoldConv3d conv(kCin, 1, 3);
+  for (float& w : conv.weights()) w = -1.0F;
+  const float in_scale = 1.0F / static_cast<float>(quant::kInt16Max);
+  const quant::QuantizedSubConv q =
+      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, 1.0F, "extreme");
+  const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
+  ASSERT_EQ(qx.features(0)[0], quant::kInt16Max);
+  ASSERT_EQ(q.weight(0, 0, 0), -quant::kInt8Max);
+
+  const auto geometry = qx.submanifold_geometry(3);
+  const auto centre = static_cast<std::size_t>(qx.find({1, 1, 1}));
+  ComputeEngine engine;
+  const std::span<const std::int64_t> acc =
+      engine.accumulate(qx.raw_features(), kCin, geometry->blocked, q.weights(), 1);
+  constexpr std::int64_t kPartial = std::int64_t{kCin} * quant::kInt16Max * -quant::kInt8Max;
+  EXPECT_GE(kPartial, std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(acc[centre], 27 * kPartial);
+  EXPECT_LT(acc[centre], std::numeric_limits<std::int32_t>::min());
+
+  const quant::QSparseTensor out = q.forward(qx, *geometry, &engine);
+  EXPECT_TRUE(out == q.forward_reference(qx, geometry->rulebook));
+  EXPECT_EQ(out.features(centre)[0], -27 * kCin);  // = 27 * 512 * (1.0 * -1.0)
 }
 
 TEST(ComputeEngineTest, EmptyRulebookAndSingleChannelEdges) {

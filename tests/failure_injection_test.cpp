@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "core/accelerator.hpp"
 #include "core/encoding.hpp"
-#include "core/layer_compiler.hpp"
 #include "nn/submanifold_conv.hpp"
 #include "nn/unet.hpp"
 #include "quant/qsubconv.hpp"
@@ -19,7 +18,7 @@ namespace {
 struct Fixture {
   quant::QuantizedSubConv layer;
   quant::QSparseTensor input;
-  quant::QSparseTensor gold;
+  sparse::LayerGeometryPtr geometry;
 };
 
 Fixture make_fixture(Rng& rng) {
@@ -32,8 +31,8 @@ Fixture make_fixture(Rng& rng) {
   auto layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "fi");
   auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
-  auto gold = layer.forward(qx);
-  return {std::move(layer), std::move(qx), std::move(gold)};
+  auto geometry = qx.submanifold_geometry(3);
+  return {std::move(layer), std::move(qx), std::move(geometry)};
 }
 
 TEST(FailureInjectionTest, TamperedLayerIsCaughtByNetworkVerification) {
@@ -80,10 +79,10 @@ TEST(FailureInjectionTest, UndersizedBuffersAreCountedNotSilent) {
   cfg.activation_buffer_bytes = 64;  // absurdly small: every tile spills
   cfg.weight_buffer_bytes = 16;
   Accelerator acc{cfg};
-  const LayerRunResult r = acc.run_layer(fx.layer, fx.input);
-  EXPECT_GT(r.stats.buffer_spills, 0);
+  const LayerRunStats st = acc.run_layer(fx.layer, *fx.geometry);
+  EXPECT_GT(st.buffer_spills, 0);
   // Spills cost DRAM traffic but never correctness.
-  EXPECT_TRUE(r.output == fx.gold);
+  test::expect_closed_forms(st, *fx.geometry, cfg);
 }
 
 TEST(FailureInjectionTest, SpilledRunChargesMoreDram) {
@@ -93,19 +92,9 @@ TEST(FailureInjectionTest, SpilledRunChargesMoreDram) {
   ArchConfig tiny;
   tiny.activation_buffer_bytes = 64;
   Accelerator spilling{tiny};
-  const auto a = ok.run_layer(fx.layer, fx.input);
-  const auto b = spilling.run_layer(fx.layer, fx.input);
-  EXPECT_GT(b.stats.dram_bytes_in, a.stats.dram_bytes_in);
-}
-
-TEST(FailureInjectionTest, MismatchedInputChannelsRejected) {
-  Rng rng(204);
-  const Fixture fx = make_fixture(rng);
-  quant::QSparseTensor wrong(fx.input.spatial_extent(), fx.layer.in_channels() + 1,
-                             quant::QuantParams{1.0F});
-  wrong.add_site({0, 0, 0});
-  Accelerator acc{ArchConfig{}};
-  EXPECT_THROW((void)acc.run_layer(fx.layer, wrong), InvalidArgument);
+  const LayerRunStats a = ok.run_layer(fx.layer, *fx.geometry);
+  const LayerRunStats b = spilling.run_layer(fx.layer, *fx.geometry);
+  EXPECT_GT(b.dram_bytes_in, a.dram_bytes_in);
 }
 
 TEST(FailureInjectionTest, KernelArchMismatchRejected) {
@@ -115,38 +104,8 @@ TEST(FailureInjectionTest, KernelArchMismatchRejected) {
   cfg.kernel_size = 5;
   cfg.mask_read_cycles = 5;
   Accelerator acc{cfg};
-  EXPECT_THROW((void)acc.run_layer(fx.layer, fx.input), InvalidArgument);
+  EXPECT_THROW((void)acc.run_layer(fx.layer, *fx.geometry), InvalidArgument);
 }
-
-// This test intentionally exercises the deprecated run_network_batch shim:
-// its behavior must stay intact until removal (the supported path is
-// runtime::Engine/Session, which every other test here now uses).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(DeprecatedShimTest, RunNetworkBatchStillChargesWeightsOnce) {
-  Rng rng(207);
-  const auto x = test::clustered_tensor({16, 16, 16}, 1, rng, 4, 60);
-  nn::SSUNetConfig cfg;
-  cfg.base_planes = 4;
-  cfg.levels = 1;
-  cfg.reps_per_level = 1;
-  const nn::SSUNet net(cfg, 4);
-  std::vector<nn::TraceEntry> trace;
-  (void)net.forward(x, &trace);
-  const CompiledNetwork compiled = LayerCompiler::compile(trace);
-  Accelerator acc{ArchConfig{}};
-  const NetworkRunStats stats = run_network_batch(acc, compiled, 2, /*verify=*/true);
-  ASSERT_EQ(stats.layers.size(), compiled.layers.size() * 2);
-  const std::size_t per_frame = compiled.layers.size();
-  for (std::size_t i = 0; i < per_frame; ++i) {
-    EXPECT_EQ(stats.layers[i].dram_bytes_in - stats.layers[per_frame + i].dram_bytes_in,
-              compiled.layers[i].layer.weight_bytes())
-        << "layer " << i;
-  }
-}
-
-#pragma GCC diagnostic pop
 
 TEST(FailureInjectionTest, BatchRequiresPositiveCount) {
   EXPECT_THROW((void)runtime::FrameBatch::replay(0), InvalidArgument);

@@ -51,11 +51,15 @@ TEST(IntegrationTest, FullNetworkOnAcceleratorBitExact) {
   const runtime::Plan plan = engine.compile(trace);
   ASSERT_GT(plan.layer_count(), 0U);
 
-  // verify=true (the default) throws if any layer diverges from gold.
+  // verify=true (the default) throws if any layer diverges from gold; the
+  // simulator throws if any layer's match stream differs from its rulebook.
   const runtime::RunReport report = engine.run(plan);
   const core::NetworkRunStats stats = report.merged_stats();
-  EXPECT_EQ(stats.layers.size(), plan.layer_count());
+  ASSERT_EQ(stats.layers.size(), plan.layer_count());
   EXPECT_GT(stats.effective_gops(), 0.0);
+  for (std::size_t i = 0; i < stats.layers.size(); ++i) {
+    EXPECT_EQ(stats.layers[i].sdmu.matches, plan.network.layers[i].geometry->total_rules());
+  }
 }
 
 TEST(IntegrationTest, QuantizedOutputsTrackFloatTrace) {

@@ -102,12 +102,13 @@ TEST(BatchRunTest, SteadyStateIsFasterPerFrame) {
 TEST(RunOptionsTest, WeightsResidentStillBitExact) {
   Rng rng(215);
   const CompiledNetwork net = small_network(rng);
-  Accelerator acc{ArchConfig{}};
+  const ArchConfig cfg;
+  Accelerator acc{cfg};
   RunOptions options;
   options.weights_resident = true;
   for (const auto& cl : net.layers) {
-    const LayerRunResult r = acc.run_layer(cl.layer, cl.input, options);
-    EXPECT_TRUE(r.output == cl.gold_output) << cl.layer.name();
+    SCOPED_TRACE(cl.layer.name());
+    test::expect_closed_forms(acc.run_layer(cl.layer, *cl.geometry, options), *cl.geometry, cfg);
   }
 }
 

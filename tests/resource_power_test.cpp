@@ -155,5 +155,15 @@ TEST(ArchConfigTest, ValidateCatchesBadParameters) {
   EXPECT_EQ(cfg.compute_parallelism(), 256);
 }
 
+TEST(ArchConfigTest, CyclesPerMatchBlocks) {
+  const ArchConfig cfg;  // 16 x 16
+  EXPECT_EQ(cfg.cycles_per_match(16, 16), 1);
+  EXPECT_EQ(cfg.cycles_per_match(1, 16), 1);
+  EXPECT_EQ(cfg.cycles_per_match(17, 16), 2);
+  EXPECT_EQ(cfg.cycles_per_match(32, 32), 4);
+  EXPECT_EQ(cfg.cycles_per_match(48, 16), 3);
+  EXPECT_THROW((void)cfg.cycles_per_match(0, 16), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace esca::core

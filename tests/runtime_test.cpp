@@ -1,6 +1,7 @@
-// runtime::Engine/Session tests: backend parity (the ESCA simulator's
-// outputs are bit-exact vs. the CPU gold backend on the same Plan), batched
-// weight-residency caching, and the Engine/Backend plumbing.
+// runtime::Engine/Session tests: backend parity (every backend's outputs,
+// computed by its ComputeEngine, are bit-exact vs. the CPU backend's on the
+// same Plan), batched weight-residency caching, and the Engine/Backend
+// plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -260,6 +261,13 @@ TEST(RuntimeValidationTest, EmptyBatchAndEmptyPlanRejected) {
   EXPECT_THROW((void)engine.open_session(Plan{}), InvalidArgument);
   const Plan plan = small_unet_plan(engine.backend());
   EXPECT_THROW((void)engine.run(plan, FrameBatch{.frame_ids = {}}), InvalidArgument);
+}
+
+TEST(RuntimeValidationTest, PlanLayerWithoutGeometryRejected) {
+  Engine engine;
+  core::CompiledNetwork network = small_unet_plan(engine.backend()).network;
+  network.layers.back().geometry = nullptr;
+  EXPECT_THROW((void)make_plan(std::move(network)), InvalidArgument);
 }
 
 TEST(RuntimeValidationTest, TamperedGoldIsCaughtByEveryBackend) {

@@ -1,11 +1,15 @@
 // Shared helpers for the ESCA test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "core/accelerator.hpp"
+#include "sparse/geometry.hpp"
 #include "sparse/sparse_tensor.hpp"
 
 namespace esca::test {
@@ -56,6 +60,19 @@ inline sparse::SparseTensor clustered_tensor(Coord3 extent, int channels, Rng& r
   }
   t.sort_canonical();
   return t;
+}
+
+/// The simulator's closed forms for one layer run over `geometry`: the SDMU
+/// matched every rule once, and the MAC array drained each match in
+/// cycles_per_match array passes of Cin x Cout effective MACs.
+inline void expect_closed_forms(const core::LayerRunStats& stats,
+                                const sparse::LayerGeometry& geometry,
+                                const core::ArchConfig& config) {
+  const std::int64_t rules = geometry.total_rules();
+  EXPECT_EQ(stats.sdmu.matches, rules);
+  EXPECT_EQ(stats.mac_ops, rules * stats.in_channels * stats.out_channels);
+  EXPECT_EQ(stats.cc_cycles,
+            rules * config.cycles_per_match(stats.in_channels, stats.out_channels));
 }
 
 }  // namespace esca::test
