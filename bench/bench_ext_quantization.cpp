@@ -34,8 +34,8 @@ float fake_quant_error(const nn::TraceEntry& e, int bits) {
   for (std::size_t i = 0; i < w.size(); ++i) {
     w[i] = params.dequantize(quant::quantize_value(e.subconv->weights()[i], params, qmax));
   }
-  const sparse::SparseTensor ref = e.subconv->forward(e.input);
-  const sparse::SparseTensor approx = conv.forward(e.input);
+  const sparse::SparseTensor ref = e.subconv->forward(e.input, *e.geometry);
+  const sparse::SparseTensor approx = conv.forward(e.input, *e.geometry);
   const float err = sparse::max_abs_diff(ref, approx);
   const float signal = std::max(ref.abs_max(), 1e-12F);
   return err / signal;
@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
     auto relative_error = [&](quant::WeightGranularity g) {
       const auto layer = quant::QuantizedSubConv::from_float(*e.subconv, e.bn, e.relu,
                                                              in_scale, out_scale, e.name, g);
-      return sparse::max_abs_diff(e.output, layer.forward(qx).to_float()) / signal;
+      return sparse::max_abs_diff(e.output, layer.forward(qx, *e.geometry).to_float()) /
+             signal;
     };
     gran_table.row({e.name,
                     str::percent(relative_error(quant::WeightGranularity::kPerTensor), 3),

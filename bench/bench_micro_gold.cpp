@@ -1,5 +1,5 @@
-// Google-benchmark microbenchmarks of the substrate kernels: rulebook
-// construction, gold Sub-Conv execution, tile encoding and SDMU matching.
+// Google-benchmark microbenchmarks of the substrate kernels: geometry
+// construction, gold Sub-Conv execution, tile encoding and SDMU simulation.
 // These are the software costs a host pays around the accelerator.
 #include <benchmark/benchmark.h>
 
@@ -10,8 +10,8 @@
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
 #include "nn/submanifold_conv.hpp"
-#include "sparse/ops.hpp"
-#include "sparse/rulebook.hpp"
+#include "sparse/compute.hpp"
+#include "sparse/geometry.hpp"
 
 namespace {
 
@@ -33,7 +33,7 @@ sparse::SparseTensor workload_tensor(int channels) {
 void BM_RulebookBuild(benchmark::State& state) {
   const sparse::SparseTensor x = workload_tensor(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse::build_submanifold_rulebook(x, 3));
+    benchmark::DoNotOptimize(sparse::build_submanifold_geometry(x, 3));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(x.size()));
@@ -46,11 +46,11 @@ void BM_GoldSubConvForward(benchmark::State& state) {
   Rng rng(2);
   nn::SubmanifoldConv3d conv(channels, channels, 3);
   conv.init_kaiming(rng);
-  const sparse::RuleBook rb = sparse::build_submanifold_rulebook(x, 3);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   std::int64_t macs = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(x, rb));
-    macs += sparse::rulebook_macs(rb, channels, channels);
+    benchmark::DoNotOptimize(conv.forward(x, geometry));
+    macs += geometry.macs(channels, channels);
   }
   state.SetItemsProcessed(macs);
 }
@@ -69,25 +69,6 @@ void BM_TileEncoding(benchmark::State& state) {
                           grid.active_tiles());
 }
 BENCHMARK(BM_TileEncoding);
-
-void BM_SdmuFunctionalMatch(benchmark::State& state) {
-  const sparse::SparseTensor x = workload_tensor(1);
-  const core::ArchConfig cfg;
-  const core::ZeroRemoving zr(cfg.tile_size);
-  const voxel::TileGrid grid = zr.apply(x);
-  const core::TileEncoder encoder(cfg);
-  const auto tiles = encoder.encode(x, grid, nullptr);
-  const core::Sdmu sdmu(cfg);
-  std::int64_t matches = 0;
-  for (auto _ : state) {
-    for (const auto& tile : tiles) {
-      const auto groups = sdmu.match_tile(tile, x);
-      for (const auto& g : groups) matches += static_cast<std::int64_t>(g.matches.size());
-    }
-  }
-  state.SetItemsProcessed(matches);
-}
-BENCHMARK(BM_SdmuFunctionalMatch);
 
 void BM_SdmuCycleSimulation(benchmark::State& state) {
   const sparse::SparseTensor x = workload_tensor(1);
@@ -111,17 +92,17 @@ BENCHMARK(BM_SdmuCycleSimulation);
 void BM_ApplyRulebookGatherGemmScatter(benchmark::State& state) {
   const int channels = 16;
   const sparse::SparseTensor x = workload_tensor(channels);
-  const sparse::RuleBook rb = sparse::build_submanifold_rulebook(x, 3);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   Rng rng(3);
   std::vector<float> weights(27U * channels * channels);
   nn::kaiming_uniform(weights, 27 * channels, rng);
   for (auto _ : state) {
     sparse::SparseTensor out = x.zeros_like(channels);
-    sparse::apply_rulebook(x, rb, weights, out);
+    sparse::default_compute_engine().apply(x, geometry.blocked, weights, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          sparse::rulebook_macs(rb, channels, channels));
+                          geometry.macs(channels, channels));
 }
 BENCHMARK(BM_ApplyRulebookGatherGemmScatter);
 

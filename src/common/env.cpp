@@ -39,22 +39,4 @@ std::optional<long long> env_int(const char* name, long long lo, long long hi) {
   return v;
 }
 
-std::optional<double> env_double(const char* name, double lo, double hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || !only_whitespace(end) || errno == ERANGE) {
-    ESCA_LOG_WARN << name << "='" << raw << "' is not a number — ignoring it";
-    return std::nullopt;
-  }
-  if (!(v >= lo && v <= hi)) {  // NaN fails both comparisons
-    ESCA_LOG_WARN << name << "=" << v << " is outside [" << lo << ", " << hi
-                  << "] — ignoring it";
-    return std::nullopt;
-  }
-  return v;
-}
-
 }  // namespace esca

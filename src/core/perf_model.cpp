@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "sim/dram.hpp"
 
 namespace esca::core {
 
@@ -29,14 +28,6 @@ PerfEstimate PerfModel::estimate_layer(std::int64_t active_tiles, std::int64_t m
   const double macs = static_cast<double>(matches) * in_channels * out_channels;
   e.effective_gops = e.seconds > 0.0 ? 2.0 * macs / e.seconds / 1e9 : 0.0;
   return e;
-}
-
-double PerfModel::dram_seconds(const sim::mem::LayerTraffic& traffic) const {
-  return traffic_.transfer_seconds(traffic);
-}
-
-double PerfModel::dram_seconds(std::int64_t bytes_in, std::int64_t bytes_out) const {
-  return traffic_.stream_seconds(bytes_in) + traffic_.stream_seconds(bytes_out);
 }
 
 sim::mem::LayerTraffic PerfModel::layer_traffic(const sim::mem::LayerTrafficInput& input) const {

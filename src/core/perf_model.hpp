@@ -32,14 +32,6 @@ class PerfModel {
   PerfEstimate estimate_layer(std::int64_t active_tiles, std::int64_t matches,
                               int in_channels, int out_channels) const;
 
-  /// DRAM seconds for burst-accounted layer traffic — the same
-  /// sim::mem::MemoryTrafficModel charge the cycle simulator applies.
-  double dram_seconds(const sim::mem::LayerTraffic& traffic) const;
-
-  /// Legacy first-order fallback: two monolithic streaming bursts. Kept as
-  /// a cross-checked lower bound on the burst-accounted charge.
-  double dram_seconds(std::int64_t bytes_in, std::int64_t bytes_out) const;
-
   /// Closed-form traffic of one layer (passthrough to the shared model).
   sim::mem::LayerTraffic layer_traffic(const sim::mem::LayerTrafficInput& input) const;
 

@@ -33,35 +33,6 @@ Sdmu::Sdmu(const ArchConfig& config) : config_(config), state_gen_(config.kernel
   config_.validate();
 }
 
-std::vector<MatchGroup> Sdmu::match_tile(const EncodedTile& tile,
-                                         const sparse::SparseTensor& geometry) const {
-  const int r = config_.kernel_radius();
-  const Coord3 core = tile.core_size();
-  std::vector<MatchGroup> groups;
-
-  // Scan order: x-major over center columns, z (the scan axis) innermost.
-  for (int cx = r; cx < r + core.x; ++cx) {
-    for (int cy = r; cy < r + core.y; ++cy) {
-      for (int cz = r; cz < r + core.z; ++cz) {
-        if (MaskJudger::judge(tile, cx, cy, cz) != SrfState::kActive) continue;
-        const Coord3 global = tile.padded_origin() + Coord3{cx, cy, cz};
-        const std::int32_t out_row = geometry.find(global);
-        ESCA_CHECK(out_row >= 0, "active mask bit without a site at " << global);
-
-        MatchGroup group{out_row, {}};
-        for (int dy = -r; dy <= r; ++dy) {
-          for (int dx = -r; dx <= r; ++dx) {
-            auto column = state_gen_.column_matches(tile, cx, cy, cz, dx, dy, out_row);
-            group.matches.insert(group.matches.end(), column.begin(), column.end());
-          }
-        }
-        groups.push_back(std::move(group));
-      }
-    }
-  }
-  return groups;
-}
-
 SdmuResult Sdmu::simulate_tile(const EncodedTile& tile, const sparse::SparseTensor& geometry,
                                int cc_cycles_per_match) const {
   ESCA_REQUIRE(cc_cycles_per_match >= 1, "cc_cycles_per_match must be >= 1");

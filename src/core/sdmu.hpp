@@ -51,12 +51,9 @@ class Sdmu {
  public:
   explicit Sdmu(const ArchConfig& config);
 
-  /// Pure matching, no timing: all match groups of one tile in scan order.
-  /// `geometry` resolves output rows for SRF centers.
-  std::vector<MatchGroup> match_tile(const EncodedTile& tile,
-                                     const sparse::SparseTensor& geometry) const;
-
-  /// Cycle-accurate simulation of one tile.
+  /// Cycle-accurate simulation of one tile: its match groups in scan order
+  /// plus the pipeline's timing. `geometry` resolves output rows for SRF
+  /// centers.
   /// @param cc_cycles_per_match  consumption rate of the computing core
   ///                             (ceil(Cin/icP) * ceil(Cout/ocP)).
   SdmuResult simulate_tile(const EncodedTile& tile, const sparse::SparseTensor& geometry,

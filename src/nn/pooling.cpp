@@ -12,17 +12,10 @@ MaxPool3d::MaxPool3d(int kernel_size, int stride) : kernel_size_(kernel_size), s
   ESCA_REQUIRE(kernel_size >= 1 && stride >= 1, "kernel/stride must be >= 1");
 }
 
-sparse::SparseTensor MaxPool3d::forward(const sparse::SparseTensor& input) const {
-  return forward(input,
-                 sparse::build_downsample_geometry(input, kernel_size_, stride_));
-}
-
 sparse::SparseTensor MaxPool3d::forward(const sparse::SparseTensor& input,
                                         const sparse::LayerGeometry& geometry) const {
-  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kDownsample &&
-                   geometry.kernel_size == kernel_size_ && geometry.stride == stride_,
-               "geometry " << sparse::to_string(geometry.kind)
-                           << " does not match pooling k" << kernel_size_ << "/s" << stride_);
+  sparse::require_geometry(geometry, sparse::GeometryKind::kDownsample, kernel_size_, stride_,
+                           input.size(), "pooling");
   sparse::SparseTensor output(geometry.out_extent, input.channels());
   output.reserve(geometry.out_coords.size());
   for (const Coord3& c : geometry.out_coords) output.add_site(c);

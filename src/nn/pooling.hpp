@@ -7,8 +7,6 @@
 // participate, matching SparseConvNet semantics).
 #pragma once
 
-#include <cstdint>
-
 #include "sparse/geometry.hpp"
 #include "sparse/sparse_tensor.hpp"
 
@@ -21,9 +19,9 @@ class MaxPool3d {
   int kernel_size() const { return kernel_size_; }
   int stride() const { return stride_; }
 
-  sparse::SparseTensor forward(const sparse::SparseTensor& input) const;
-  /// Reuse precompiled downsample geometry (pooling shares the strided-conv
-  /// output rule, so the same LayerGeometry drives both).
+  /// Run over `geometry`, the downsample geometry of `input`'s sites at
+  /// this kernel and stride (pooling shares the strided-conv output rule,
+  /// so the same LayerGeometry drives both).
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::LayerGeometry& geometry) const;
 

@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "nn/init.hpp"
 #include "sparse/compute.hpp"
-#include "sparse/ops.hpp"
 
 namespace esca::nn {
 
@@ -24,31 +23,18 @@ void SparseConv3d::init_kaiming(Rng& rng) {
   kaiming_uniform(weights_, kernel_volume() * in_channels_, rng);
 }
 
-sparse::SparseTensor SparseConv3d::forward(const sparse::SparseTensor& input) const {
-  return forward(input,
-                 sparse::build_downsample_geometry(input, kernel_size_, stride_));
-}
-
 sparse::SparseTensor SparseConv3d::forward(const sparse::SparseTensor& input,
                                            const sparse::LayerGeometry& geometry,
                                            sparse::ComputeEngine* engine) const {
   ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kDownsample &&
-                   geometry.kernel_size == kernel_size_ && geometry.stride == stride_,
-               "geometry " << sparse::to_string(geometry.kind)
-                           << " does not match strided conv k" << kernel_size_ << "/s"
-                           << stride_);
+  sparse::require_geometry(geometry, sparse::GeometryKind::kDownsample, kernel_size_, stride_,
+                           input.size(), "strided conv");
   sparse::SparseTensor output(geometry.out_extent, out_channels_);
   output.reserve(geometry.out_coords.size());
   for (const Coord3& c : geometry.out_coords) output.add_site(c);
   sparse::ComputeEngine& e = engine != nullptr ? *engine : sparse::default_compute_engine();
   e.apply(input, geometry.blocked, weights_, output);
   return output;
-}
-
-std::int64_t SparseConv3d::macs(const sparse::SparseTensor& input) const {
-  return sparse::build_downsample_geometry(input, kernel_size_, stride_)
-      .macs(in_channels_, out_channels_);
 }
 
 InverseConv3d::InverseConv3d(int in_channels, int out_channels, int kernel_size, int stride)
@@ -69,31 +55,16 @@ void InverseConv3d::init_kaiming(Rng& rng) {
 }
 
 sparse::SparseTensor InverseConv3d::forward(const sparse::SparseTensor& input,
-                                            const sparse::SparseTensor& target) const {
-  return forward(input, target,
-                 sparse::build_inverse_geometry(input, target, kernel_size_, stride_));
-}
-
-sparse::SparseTensor InverseConv3d::forward(const sparse::SparseTensor& input,
                                             const sparse::SparseTensor& target,
                                             const sparse::LayerGeometry& geometry,
                                             sparse::ComputeEngine* engine) const {
   ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kInverse &&
-                   geometry.kernel_size == kernel_size_ && geometry.stride == stride_,
-               "geometry " << sparse::to_string(geometry.kind)
-                           << " does not match inverse conv k" << kernel_size_ << "/s"
-                           << stride_);
+  sparse::require_geometry(geometry, sparse::GeometryKind::kInverse, kernel_size_, stride_,
+                           input.size(), "inverse conv");
   sparse::SparseTensor output = target.zeros_like(out_channels_);
   sparse::ComputeEngine& e = engine != nullptr ? *engine : sparse::default_compute_engine();
   e.apply(input, geometry.blocked, weights_, output);
   return output;
-}
-
-std::int64_t InverseConv3d::macs(const sparse::SparseTensor& input,
-                                 const sparse::SparseTensor& target) const {
-  return sparse::build_inverse_geometry(input, target, kernel_size_, stride_)
-      .macs(in_channels_, out_channels_);
 }
 
 }  // namespace esca::nn

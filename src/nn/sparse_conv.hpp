@@ -6,13 +6,11 @@
 // previously recorded coordinate set (the matching encoder scale).
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sparse/geometry.hpp"
-#include "sparse/rulebook.hpp"
 #include "sparse/sparse_tensor.hpp"
 
 namespace esca::sparse {
@@ -35,13 +33,11 @@ class SparseConv3d {
   std::span<const float> weights() const { return weights_; }
   void init_kaiming(Rng& rng);
 
-  sparse::SparseTensor forward(const sparse::SparseTensor& input) const;
-  /// Reuse precompiled downsample geometry built on this input's coords;
-  /// nullptr engine = the calling thread's default.
+  /// Run over `geometry`, the downsample geometry of `input`'s sites at
+  /// this kernel and stride; nullptr engine = the calling thread's default.
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::LayerGeometry& geometry,
                                sparse::ComputeEngine* engine = nullptr) const;
-  std::int64_t macs(const sparse::SparseTensor& input) const;
 
  private:
   int in_channels_;
@@ -64,18 +60,14 @@ class InverseConv3d {
   std::span<const float> weights() const { return weights_; }
   void init_kaiming(Rng& rng);
 
+  /// Run over `geometry`, the inverse geometry of (input, target) at this
+  /// kernel and stride; nullptr engine = the calling thread's default.
   /// @param target supplies the output coordinate set (its features are
   ///               ignored) — in U-Net, the encoder tensor at this scale.
-  sparse::SparseTensor forward(const sparse::SparseTensor& input,
-                               const sparse::SparseTensor& target) const;
-  /// Reuse precompiled inverse geometry built on (input, target);
-  /// nullptr engine = the calling thread's default.
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::SparseTensor& target,
                                const sparse::LayerGeometry& geometry,
                                sparse::ComputeEngine* engine = nullptr) const;
-  std::int64_t macs(const sparse::SparseTensor& input,
-                    const sparse::SparseTensor& target) const;
 
  private:
   int in_channels_;

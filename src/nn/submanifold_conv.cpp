@@ -3,7 +3,7 @@
 #include "common/check.hpp"
 #include "nn/init.hpp"
 #include "sparse/compute.hpp"
-#include "sparse/ops.hpp"
+#include "sparse/rulebook.hpp"
 
 namespace esca::nn {
 
@@ -28,34 +28,17 @@ void SubmanifoldConv3d::init_kaiming(Rng& rng) {
   if (has_bias_) uniform_init(bias_, -0.01F, 0.01F, rng);
 }
 
-sparse::SparseTensor SubmanifoldConv3d::forward(const sparse::SparseTensor& input) const {
-  return forward(input, sparse::build_submanifold_geometry(input, kernel_size_));
-}
-
 sparse::SparseTensor SubmanifoldConv3d::forward(const sparse::SparseTensor& input,
                                                 const sparse::LayerGeometry& geometry,
                                                 sparse::ComputeEngine* engine) const {
-  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kSubmanifold &&
-                   geometry.kernel_size == kernel_size_,
-               "geometry " << sparse::to_string(geometry.kind) << "/k" << geometry.kernel_size
-                           << " does not match Sub-Conv k" << kernel_size_);
+  sparse::require_geometry(geometry, sparse::GeometryKind::kSubmanifold, kernel_size_, 1,
+                           input.size(), "Sub-Conv");
   ESCA_REQUIRE(input.channels() == in_channels_,
                "input channels " << input.channels() << " != layer in_channels "
                                  << in_channels_);
   sparse::SparseTensor output = input.zeros_like(out_channels_);
   sparse::ComputeEngine& e = engine != nullptr ? *engine : sparse::default_compute_engine();
   e.apply(input, geometry.blocked, weights_, output);
-  add_bias(output);
-  return output;
-}
-
-sparse::SparseTensor SubmanifoldConv3d::forward(const sparse::SparseTensor& input,
-                                                const sparse::RuleBook& rulebook) const {
-  ESCA_REQUIRE(input.channels() == in_channels_,
-               "input channels " << input.channels() << " != layer in_channels "
-                                 << in_channels_);
-  sparse::SparseTensor output = input.zeros_like(out_channels_);
-  sparse::apply_rulebook(input, rulebook, weights_, output);
   add_bias(output);
   return output;
 }
@@ -100,11 +83,6 @@ sparse::SparseTensor SubmanifoldConv3d::forward_naive(const sparse::SparseTensor
     }
   }
   return output;
-}
-
-std::int64_t SubmanifoldConv3d::macs(const sparse::SparseTensor& input) const {
-  return sparse::build_submanifold_geometry(input, kernel_size_)
-      .macs(in_channels_, out_channels_);
 }
 
 }  // namespace esca::nn

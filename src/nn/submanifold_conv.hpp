@@ -2,17 +2,16 @@
 //
 // Output sites == input sites; each output accumulates weights only over the
 // occupied part of its K^3 neighbourhood (paper Fig. 2(b)). Two execution
-// paths: a rulebook gather-GEMM-scatter (fast) and a direct neighbourhood
-// walk (forward_naive) used to cross-check it in tests.
+// paths: gather-GEMM-scatter over a prebuilt submanifold LayerGeometry
+// (forward) and a direct neighbourhood walk (forward_naive) used to
+// cross-check it in tests.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sparse/geometry.hpp"
-#include "sparse/rulebook.hpp"
 #include "sparse/sparse_tensor.hpp"
 
 namespace esca::sparse {
@@ -40,23 +39,14 @@ class SubmanifoldConv3d {
 
   void init_kaiming(Rng& rng);
 
-  sparse::SparseTensor forward(const sparse::SparseTensor& input) const;
-  /// Reuse precompiled geometry (shared across all layers at one scale).
-  /// Executes on `engine` (its arena); nullptr = the calling thread's
-  /// default engine.
+  /// Run over `geometry`, the submanifold geometry of `input`'s sites at
+  /// this kernel size (shared across all layers at one scale). Executes on
+  /// `engine` (its arena); nullptr = the calling thread's default engine.
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::LayerGeometry& geometry,
                                sparse::ComputeEngine* engine = nullptr) const;
-  /// Reuse a prebuilt rulebook (e.g. shared across layers at one scale).
-  /// Prefer the LayerGeometry overload — a plain rulebook is re-bucketed
-  /// per call.
-  sparse::SparseTensor forward(const sparse::SparseTensor& input,
-                               const sparse::RuleBook& rulebook) const;
   /// Direct per-site neighbourhood accumulation; O(sites * K^3 * Cin * Cout).
   sparse::SparseTensor forward_naive(const sparse::SparseTensor& input) const;
-
-  /// Effective MACs for this input (rulebook size x Cin x Cout).
-  std::int64_t macs(const sparse::SparseTensor& input) const;
 
  private:
   void add_bias(sparse::SparseTensor& output) const;

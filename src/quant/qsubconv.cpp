@@ -92,39 +92,17 @@ QuantizedSubConv QuantizedSubConv::from_float(const nn::SubmanifoldConv3d& conv,
 }
 
 QSparseTensor QuantizedSubConv::forward(const QSparseTensor& input,
-                                        sparse::ComputeEngine* engine) const {
-  // Geometry is shared between the float and integer worlds; the tensor
-  // memoizes it, so repeated forwards on one input build it exactly once.
-  return forward(input, *input.submanifold_geometry(kernel_size_), engine);
-}
-
-QSparseTensor QuantizedSubConv::forward(const QSparseTensor& input,
                                         const sparse::LayerGeometry& geometry,
                                         sparse::ComputeEngine* engine) const {
   ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kSubmanifold &&
-                   geometry.kernel_size == kernel_size_,
-               "geometry " << sparse::to_string(geometry.kind) << "/k" << geometry.kernel_size
-                           << " does not match quantized Sub-Conv k" << kernel_size_);
+  sparse::require_geometry(geometry, sparse::GeometryKind::kSubmanifold, kernel_size_, 1,
+                           input.size(), "quantized Sub-Conv");
   ESCA_REQUIRE(geometry.out_rows == input.size(),
                "geometry covers " << geometry.out_rows << " rows, input has " << input.size());
   sparse::ComputeEngine& e = engine != nullptr ? *engine : sparse::default_compute_engine();
   const std::span<const std::int64_t> acc =
       e.accumulate(input.raw_features(), in_channels_, geometry.blocked, weights_,
                    out_channels_);
-  return requantize_output(input, acc);
-}
-
-QSparseTensor QuantizedSubConv::forward(const QSparseTensor& input,
-                                        const sparse::RuleBook& rb) const {
-  ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  ESCA_REQUIRE(rb.kernel_volume() == kernel_volume(),
-               "rulebook kernel volume " << rb.kernel_volume() << " != layer "
-                                         << kernel_volume());
-  const sparse::BlockedRuleBook blocked = sparse::bucket_on_the_fly(rb, input.size());
-  sparse::ComputeEngine& e = sparse::default_compute_engine();
-  const std::span<const std::int64_t> acc =
-      e.accumulate(input.raw_features(), in_channels_, blocked, weights_, out_channels_);
   return requantize_output(input, acc);
 }
 

@@ -83,25 +83,18 @@ class QuantizedSubConv {
   const std::vector<float>& requant_scale() const { return requant_scale_; }
   const std::vector<float>& requant_shift() const { return requant_shift_; }
 
-  /// Integer gold forward. The geometry is built once per (input tensor,
-  /// kernel size) and cached on the tensor (QSparseTensor::
-  /// submanifold_geometry) — repeated calls on the same input replay it.
-  QSparseTensor forward(const QSparseTensor& input,
-                        sparse::ComputeEngine* engine = nullptr) const;
-  /// Integer gold forward against precompiled geometry (rulebook rows must
-  /// index `input`'s rows — e.g. the Plan-cached LayerGeometry built on the
-  /// same coordinate set). Executes gather-GEMM-scatter on `engine`
-  /// (nullptr = the calling thread's default engine): the INT64 accumulator
-  /// lives in the engine's arena, so steady-state frames allocate nothing
-  /// in the accumulate path.
+  /// Integer gold forward over `geometry`, the submanifold geometry of
+  /// `input`'s sites at this kernel size (e.g. the Plan-cached LayerGeometry
+  /// built on the same coordinate set). Executes gather-GEMM-scatter on
+  /// `engine` (nullptr = the calling thread's default engine): the INT64
+  /// accumulator lives in the engine's arena, so steady-state frames
+  /// allocate nothing in the accumulate path.
   QSparseTensor forward(const QSparseTensor& input, const sparse::LayerGeometry& geometry,
                         sparse::ComputeEngine* engine = nullptr) const;
-  /// Plain-rulebook variant; the rules are re-bucketed per call — prefer
-  /// the LayerGeometry overload on hot paths.
-  QSparseTensor forward(const QSparseTensor& input, const sparse::RuleBook& rulebook) const;
   /// Retained scalar triple loop (per-element zero skip, per-call INT64
-  /// accumulator) — the order-defining reference the engine is
-  /// equivalence-tested and benchmarked against.
+  /// accumulator) over `rulebook` (e.g. geometry.rulebook) — the
+  /// order-defining reference the engine is equivalence-tested and
+  /// benchmarked against.
   QSparseTensor forward_reference(const QSparseTensor& input,
                                   const sparse::RuleBook& rulebook) const;
 

@@ -1,7 +1,6 @@
 #include "quant/qtensor.hpp"
 
 #include "common/check.hpp"
-#include "sparse/geometry.hpp"
 #include "voxel/morton.hpp"
 
 namespace esca::quant {
@@ -14,27 +13,6 @@ QSparseTensor::QSparseTensor(Coord3 spatial_extent, int channels, QuantParams pa
                "extent " << extent_ << " exceeds the 2^21 Morton range");
   ESCA_REQUIRE(channels > 0, "channels must be positive");
   ESCA_REQUIRE(params.scale > 0.0F, "scale must be positive");
-}
-
-QSparseTensor::QSparseTensor(const QSparseTensor& other)
-    : extent_(other.extent_),
-      channels_(other.channels_),
-      params_(other.params_),
-      coords_(other.coords_),
-      features_(other.features_),
-      index_(other.index_),
-      cached_geometry_(std::atomic_load(&other.cached_geometry_)) {}
-
-QSparseTensor& QSparseTensor::operator=(const QSparseTensor& other) {
-  if (this == &other) return *this;
-  extent_ = other.extent_;
-  channels_ = other.channels_;
-  params_ = other.params_;
-  coords_ = other.coords_;
-  features_ = other.features_;
-  index_ = other.index_;
-  std::atomic_store(&cached_geometry_, std::atomic_load(&other.cached_geometry_));
-  return *this;
 }
 
 QSparseTensor QSparseTensor::from_float(const sparse::SparseTensor& t, QuantParams params) {
@@ -67,30 +45,11 @@ std::int32_t QSparseTensor::add_site(const Coord3& c) {
   ESCA_REQUIRE(index_.insert(c, row), "site " << c << " already present");
   coords_.push_back(c);
   features_.resize(features_.size() + static_cast<std::size_t>(channels_), 0);
-  // The coordinate set changed; drop the geometry memo (atomically, to
-  // pair with concurrent submanifold_geometry() readers — though mutating
-  // a tensor that others are reading is already a caller error).
-  std::atomic_store(&cached_geometry_, std::shared_ptr<const CachedGeometry>{});
   return row;
 }
 
 sparse::SparseTensor QSparseTensor::sites() const {
   return sparse::SparseTensor::from_coords(extent_, 1, coords_, index_);
-}
-
-std::shared_ptr<const sparse::LayerGeometry> QSparseTensor::submanifold_geometry(
-    int kernel_size) const {
-  // Atomic memo: concurrent first calls on a shared tensor each build the
-  // (deterministic) geometry and the last store wins — no torn state, no
-  // locking on the hit path.
-  const std::shared_ptr<const CachedGeometry> cached = std::atomic_load(&cached_geometry_);
-  if (cached != nullptr && cached->kernel_size == kernel_size) return cached->geometry;
-  auto fresh = std::make_shared<CachedGeometry>();
-  fresh->kernel_size = kernel_size;
-  fresh->geometry = sparse::make_submanifold_geometry(sites(), kernel_size);
-  std::atomic_store(&cached_geometry_,
-                    std::shared_ptr<const CachedGeometry>(fresh));
-  return fresh->geometry;
 }
 
 std::int32_t QSparseTensor::find(const Coord3& c) const {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,23 +12,11 @@
 #include "sparse/coord_index.hpp"
 #include "sparse/sparse_tensor.hpp"
 
-namespace esca::sparse {
-struct LayerGeometry;
-}  // namespace esca::sparse
-
 namespace esca::quant {
 
 class QSparseTensor {
  public:
   QSparseTensor(Coord3 spatial_extent, int channels, QuantParams params);
-
-  // Explicit so the geometry memo is read/written atomically even if a
-  // concurrent reader is filling it (see submanifold_geometry()).
-  QSparseTensor(const QSparseTensor& other);
-  QSparseTensor& operator=(const QSparseTensor& other);
-  QSparseTensor(QSparseTensor&&) noexcept = default;
-  QSparseTensor& operator=(QSparseTensor&&) noexcept = default;
-  ~QSparseTensor() = default;
 
   /// Quantize a float tensor with the given (or calibrated) params.
   static QSparseTensor from_float(const sparse::SparseTensor& t, QuantParams params);
@@ -60,13 +47,6 @@ class QSparseTensor {
   /// insertion. Geometry is shared between the float and integer worlds.
   sparse::SparseTensor sites() const;
 
-  /// Submanifold geometry over these coordinates, built on first use and
-  /// cached on the tensor (per kernel size; invalidated by add_site()).
-  /// Safe to call from concurrent readers of one shared tensor: the memo is
-  /// accessed atomically, racing first calls each build and one wins (the
-  /// geometry is deterministic, so every caller sees identical content).
-  std::shared_ptr<const sparse::LayerGeometry> submanifold_geometry(int kernel_size) const;
-
   /// Dequantize back to float (for accuracy comparisons).
   sparse::SparseTensor to_float() const;
 
@@ -74,20 +54,12 @@ class QSparseTensor {
   friend bool operator==(const QSparseTensor& a, const QSparseTensor& b);
 
  private:
-  struct CachedGeometry {
-    int kernel_size;
-    std::shared_ptr<const sparse::LayerGeometry> geometry;
-  };
-
   Coord3 extent_;
   int channels_;
   QuantParams params_;
   std::vector<Coord3> coords_;
   std::vector<std::int16_t> features_;
   sparse::CoordIndex index_;
-  /// submanifold_geometry() memo — copied with the tensor (geometry is
-  /// coordinate-only, so a copy's coords still match).
-  mutable std::shared_ptr<const CachedGeometry> cached_geometry_;
 };
 
 }  // namespace esca::quant

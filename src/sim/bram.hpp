@@ -1,9 +1,5 @@
-// Block-RAM modelling.
-//
-// Two concerns:
-//  1. Resource mapping: how many BRAM36 primitives a buffer of a given
-//     width x depth consumes on an UltraScale+ device (Table II input).
-//  2. Access accounting: reads/writes per buffer for the power model.
+// Block-RAM resource mapping: how many BRAM36 primitives a buffer of a
+// given width x depth consumes on an UltraScale+ device (Table II input).
 #pragma once
 
 #include <cstdint>
@@ -30,29 +26,5 @@ struct BramSpec {
 /// 72-bit words (512x72), with narrower aspect ratios allowing deeper
 /// primitives (e.g. 36Kx1). We model the piecewise aspect table.
 double bram36_count(const BramSpec& spec);
-
-/// Access-counting wrapper around a buffer (the functional storage itself
-/// lives in plain std::vector inside each module; this tracks energy/ports).
-class BramTracker {
- public:
-  explicit BramTracker(BramSpec spec) : spec_(std::move(spec)) {}
-
-  void record_read(std::int64_t words = 1) { reads_ += words; }
-  void record_write(std::int64_t words = 1) { writes_ += words; }
-
-  std::int64_t reads() const { return reads_; }
-  std::int64_t writes() const { return writes_; }
-  const BramSpec& spec() const { return spec_; }
-
-  void reset_stats() {
-    reads_ = 0;
-    writes_ = 0;
-  }
-
- private:
-  BramSpec spec_;
-  std::int64_t reads_{0};
-  std::int64_t writes_{0};
-};
 
 }  // namespace esca::sim

@@ -1,12 +1,10 @@
-// Off-chip DRAM transfer model.
+// Off-chip DRAM parameters.
 //
-// First-order model: a transfer of N bytes takes
-//   latency + N / effective_bandwidth
 // Effective bandwidth derates the pin bandwidth by an efficiency factor
-// (row-buffer misses, refresh, bus turnaround).
+// (row-buffer misses, refresh, bus turnaround). The burst-accounted charge
+// of a layer's traffic (every burst pays the first-word latency, bytes
+// stream at effective bandwidth) lives in sim::mem::MemoryTrafficModel.
 #pragma once
-
-#include <cstdint>
 
 #include "common/check.hpp"
 
@@ -30,28 +28,8 @@ class DramModel {
     return cfg_.peak_bandwidth_bytes_per_s * cfg_.efficiency;
   }
 
-  /// Seconds to move `bytes` in one streaming burst.
-  double transfer_seconds(std::int64_t bytes) const {
-    ESCA_REQUIRE(bytes >= 0, "negative transfer size");
-    if (bytes == 0) return 0.0;
-    return cfg_.first_word_latency_s + static_cast<double>(bytes) / effective_bandwidth();
-  }
-
-  void record_read(std::int64_t bytes) { read_bytes_ += bytes; }
-  void record_write(std::int64_t bytes) { write_bytes_ += bytes; }
-  std::int64_t read_bytes() const { return read_bytes_; }
-  std::int64_t write_bytes() const { return write_bytes_; }
-  const DramConfig& config() const { return cfg_; }
-
-  void reset_stats() {
-    read_bytes_ = 0;
-    write_bytes_ = 0;
-  }
-
  private:
   DramConfig cfg_;
-  std::int64_t read_bytes_{0};
-  std::int64_t write_bytes_{0};
 };
 
 }  // namespace esca::sim

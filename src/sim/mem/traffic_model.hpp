@@ -108,10 +108,6 @@ class MemoryTrafficModel {
   /// latency, bytes stream at effective bandwidth.
   double transfer_seconds(const LayerTraffic& traffic) const;
 
-  /// Single-burst streaming seconds — the legacy first-order charge
-  /// (PerfModel keeps it as the cross-checked fallback).
-  double stream_seconds(std::int64_t bytes) const { return dram_.transfer_seconds(bytes); }
-
   const TrafficModelConfig& config() const { return config_; }
   const DramModel& dram() const { return dram_; }
 

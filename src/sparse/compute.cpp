@@ -324,24 +324,8 @@ obs::Counter& compute_arena_grows_counter() {
   return counter;
 }
 
-obs::Counter& compute_fallback_buckets_counter() {
-  static obs::Counter& counter = obs::Registry::global().counter(
-      "esca_compute_fallback_buckets_total",
-      "per-call rule bucketings instead of geometry-cached replays");
-  return counter;
-}
-
 std::uint64_t compute_arena_grows() {
   return static_cast<std::uint64_t>(compute_arena_grows_counter().value());
-}
-
-std::uint64_t compute_fallback_buckets() {
-  return static_cast<std::uint64_t>(compute_fallback_buckets_counter().value());
-}
-
-BlockedRuleBook bucket_on_the_fly(const RuleBook& rulebook, std::size_t num_out_rows) {
-  compute_fallback_buckets_counter().inc();
-  return BlockedRuleBook(rulebook, num_out_rows);
 }
 
 // --- ComputeEngine ------------------------------------------------------------

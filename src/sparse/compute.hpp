@@ -100,19 +100,8 @@ struct ComputeOptions {
 /// Back-compat shim over registry counter `esca_compute_arena_grows_total`.
 std::uint64_t compute_arena_grows();
 
-/// Process-wide count of on-the-fly rule bucketings: a plain-RuleBook entry
-/// point had to build a BlockedRuleBook per call instead of replaying a
-/// geometry-cached one. Steady-state serving must keep this flat. Shim over
-/// registry counter `esca_compute_fallback_buckets_total`.
-std::uint64_t compute_fallback_buckets();
-
-/// The registry cells behind the shims above (obs::CounterGuard baselines).
+/// The registry cell behind the shim above (obs::CounterGuard baselines).
 obs::Counter& compute_arena_grows_counter();
-obs::Counter& compute_fallback_buckets_counter();
-
-/// Bucket a plain rulebook per call (counted by compute_fallback_buckets()).
-/// Hot paths replay LayerGeometry::blocked instead.
-BlockedRuleBook bucket_on_the_fly(const RuleBook& rulebook, std::size_t num_out_rows);
 
 class ComputeEngine {
  public:
@@ -156,9 +145,9 @@ class ComputeEngine {
   int threads_;  ///< ComputeOptions::threads
 };
 
-/// The calling thread's shared default engine (used by the thin
-/// apply_rulebook wrapper and by forward paths invoked without an explicit
-/// engine). One arena per thread; destroyed at thread exit.
+/// The calling thread's shared default engine (used by layer forwards
+/// invoked without an explicit engine). One arena per thread; destroyed at
+/// thread exit.
 ComputeEngine& default_compute_engine();
 
 }  // namespace esca::sparse

@@ -58,6 +58,18 @@ std::int64_t LayerGeometry::macs(int in_channels, int out_channels) const {
          static_cast<std::int64_t>(out_channels);
 }
 
+void require_geometry(const LayerGeometry& geometry, GeometryKind kind, int kernel_size,
+                      int stride, std::size_t input_rows, const char* layer) {
+  ESCA_REQUIRE(geometry.kind == kind && geometry.kernel_size == kernel_size &&
+                   geometry.stride == stride,
+               to_string(geometry.kind) << " geometry k" << geometry.kernel_size << "/s"
+                                        << geometry.stride << " does not match " << layer
+                                        << " k" << kernel_size << "/s" << stride);
+  ESCA_REQUIRE(geometry.sites.size() == input_rows,
+               layer << " input has " << input_rows << " rows, geometry was built on "
+                     << geometry.sites.size());
+}
+
 bool geometry_equal(const LayerGeometry& a, const LayerGeometry& b) {
   if (a.kind != b.kind || a.kernel_size != b.kernel_size || a.stride != b.stride ||
       !(a.out_extent == b.out_extent) || a.out_rows != b.out_rows) {
@@ -361,13 +373,6 @@ LayerGeometryPtr make_downsample_geometry(const SparseTensor& input, int kernel_
                                           int stride, const GeometryOptions& options) {
   return std::make_shared<const LayerGeometry>(
       build_downsample_geometry(input, kernel_size, stride, options));
-}
-
-LayerGeometryPtr make_inverse_geometry(const SparseTensor& input, const SparseTensor& target,
-                                       int kernel_size, int stride,
-                                       const GeometryOptions& options) {
-  return std::make_shared<const LayerGeometry>(
-      build_inverse_geometry(input, target, kernel_size, stride, options));
 }
 
 LayerGeometryPtr make_transposed_inverse_geometry(const LayerGeometry& down,

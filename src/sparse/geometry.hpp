@@ -130,14 +130,19 @@ LayerGeometryPtr make_submanifold_geometry(const SparseTensor& input, int kernel
                                            const GeometryOptions& options = {});
 LayerGeometryPtr make_downsample_geometry(const SparseTensor& input, int kernel_size,
                                           int stride, const GeometryOptions& options = {});
-LayerGeometryPtr make_inverse_geometry(const SparseTensor& input, const SparseTensor& target,
-                                       int kernel_size, int stride,
-                                       const GeometryOptions& options = {});
 
 /// Shared-handle variant of transpose_downsample_geometry.
 LayerGeometryPtr make_transposed_inverse_geometry(const LayerGeometry& down,
                                                   const SparseTensor& coarse,
                                                   const SparseTensor& target);
+
+/// The check every layer's forward makes before it reads its input through
+/// `geometry`'s rules: throws InvalidArgument unless the geometry is of
+/// `kind` with this kernel and stride and was built on an input of
+/// `input_rows` rows (a geometry built on another tensor would index past
+/// the input). O(1); `layer` names the caller in the message.
+void require_geometry(const LayerGeometry& geometry, GeometryKind kind, int kernel_size,
+                      int stride, std::size_t input_rows, const char* layer);
 
 /// Bit-level equality of two compiled geometries: kind/kernel/stride, the
 /// site tensor's coordinate rows (order included), out_coords, out_rows,

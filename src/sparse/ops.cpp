@@ -1,7 +1,6 @@
 #include "sparse/ops.hpp"
 
 #include "common/check.hpp"
-#include "sparse/compute.hpp"
 
 // Keep the order-defining reference free of FMA contraction for the same
 // reason as the engine (sparse/compute.cpp): the bit-identity contract
@@ -13,12 +12,6 @@
 #endif
 
 namespace esca::sparse {
-
-void apply_rulebook(const SparseTensor& input, const RuleBook& rulebook,
-                    std::span<const float> weights, SparseTensor& output) {
-  const BlockedRuleBook blocked = bucket_on_the_fly(rulebook, output.size());
-  default_compute_engine().apply(input, blocked, weights, output);
-}
 
 void apply_rulebook_reference(const SparseTensor& input, const RuleBook& rulebook,
                               std::span<const float> weights, SparseTensor& output) {
@@ -48,11 +41,6 @@ void apply_rulebook_reference(const SparseTensor& input, const RuleBook& ruleboo
       }
     }
   }
-}
-
-std::int64_t rulebook_macs(const RuleBook& rulebook, int in_channels, int out_channels) {
-  return rulebook.total_rules() * static_cast<std::int64_t>(in_channels) *
-         static_cast<std::int64_t>(out_channels);
 }
 
 }  // namespace esca::sparse

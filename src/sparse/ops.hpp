@@ -1,16 +1,11 @@
-// Rulebook execution entry points.
-//
-// apply_rulebook() is how SparseConvNet-style libraries (and the paper's
-// GPU baseline) execute sparse convolutions. Since the gather-GEMM-scatter
-// refactor it is a thin wrapper over the ComputeEngine
-// (sparse/compute.hpp): callers holding a LayerGeometry should prefer the
-// engine directly (geometry.blocked replays the pre-bucketed rules with no
-// per-call sorting); this wrapper buckets the plain rulebook on the fly.
+// Scalar rulebook execution: the order-defining reference.
 //
 // apply_rulebook_reference() is the retained scalar triple loop. It defines
 // the floating-point accumulation order (offset-major, rule order within an
-// offset, in-channel ascending) that the engine reproduces bit-exactly for
-// any thread count; tests and benches compare against it.
+// offset, in-channel ascending) that the ComputeEngine (sparse/compute.hpp)
+// reproduces bit-exactly for any thread count; tests and benches compare
+// against it. Layers execute through the engine over a LayerGeometry's
+// pre-bucketed rules, never through this loop.
 #pragma once
 
 #include <span>
@@ -20,19 +15,12 @@
 
 namespace esca::sparse {
 
-/// out[j] += W[o]^T in[i] for every rule (i -> j) of every offset o.
-/// Executes on the calling thread's default ComputeEngine.
+/// out[j] += W[o]^T in[i] for every rule (i -> j) of every offset o: a
+/// naive triple loop with a per-element zero skip. Defines the canonical
+/// accumulation order.
 ///
 /// @param weights  [kernel_volume][in_channels][out_channels], row-major.
-void apply_rulebook(const SparseTensor& input, const RuleBook& rulebook,
-                    std::span<const float> weights, SparseTensor& output);
-
-/// The scalar reference: same contract, naive triple loop with a
-/// per-element zero skip. Defines the canonical accumulation order.
 void apply_rulebook_reference(const SparseTensor& input, const RuleBook& rulebook,
                               std::span<const float> weights, SparseTensor& output);
-
-/// Effective multiply-accumulate count for a rulebook execution.
-std::int64_t rulebook_macs(const RuleBook& rulebook, int in_channels, int out_channels);
 
 }  // namespace esca::sparse

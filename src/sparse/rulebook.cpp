@@ -1,7 +1,6 @@
 #include "sparse/rulebook.hpp"
 
 #include "common/check.hpp"
-#include "sparse/geometry.hpp"
 
 namespace esca::sparse {
 
@@ -62,32 +61,6 @@ int kernel_offset_index(const Coord3& offset, int kernel_size) {
                    offset.z >= -r && offset.z <= r,
                "offset " << offset << " outside kernel " << k);
   return ((offset.z + r) * k + (offset.y + r)) * k + (offset.x + r);
-}
-
-// The three legacy builders are thin wrappers over the Morton-ordered
-// geometry engine (sparse/geometry.hpp); no hash probing anywhere. They
-// return only the rulebook, discarding the geometry's pre-bucketed form —
-// bucketing is eager (geometry-build time) by design, because the shared
-// immutable LayerGeometry must never mutate after construction; its cost is
-// two linear passes over the rules, small next to the coordinate searches.
-// Per-frame code should hold the LayerGeometry, not these.
-
-RuleBook build_submanifold_rulebook(const SparseTensor& input, int kernel_size) {
-  return build_submanifold_geometry(input, kernel_size).rulebook;
-}
-
-DownsamplePlan build_strided_rulebook(const SparseTensor& input, int kernel_size, int stride) {
-  LayerGeometry g = build_downsample_geometry(input, kernel_size, stride);
-  DownsamplePlan plan;
-  plan.out_coords = std::move(g.out_coords);
-  plan.out_extent = g.out_extent;
-  plan.rulebook = std::move(g.rulebook);
-  return plan;
-}
-
-RuleBook build_inverse_rulebook(const SparseTensor& input, const SparseTensor& target,
-                                int kernel_size, int stride) {
-  return build_inverse_geometry(input, target, kernel_size, stride).rulebook;
 }
 
 }  // namespace esca::sparse

@@ -1,8 +1,9 @@
-// Rulebook construction for sparse convolutions.
+// Rulebooks of sparse convolutions.
 //
 // A rulebook lists, for every kernel offset, the (input row, output row)
 // pairs that contribute a MAC. It is the software equivalent of the paper's
 // "matching operation": the SDMU tests must produce exactly these pairs.
+// The geometry engine (sparse/geometry.hpp) builds them.
 //
 // Kernel offset indexing: for a K x K x K kernel with radius r = K/2, offset
 // (dx, dy, dz) in [-r, r]^3 maps to
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sparse/sparse_tensor.hpp"
 
 namespace esca::sparse {
 
@@ -116,26 +116,5 @@ class BlockedRuleBook {
 Coord3 kernel_offset(int offset_index, int kernel_size);
 /// Inverse of kernel_offset.
 int kernel_offset_index(const Coord3& offset, int kernel_size);
-
-/// Submanifold convolution rulebook: outputs exist exactly at input sites;
-/// rule (i -> j) exists when coord(i) == coord(j) + offset.
-RuleBook build_submanifold_rulebook(const SparseTensor& input, int kernel_size);
-
-/// Strided ("regular") sparse convolution: output site exists when any input
-/// site falls inside its receptive field. Returns the output coordinate set
-/// (Morton-ordered — canonical for any build configuration) together with
-/// the rulebook.
-struct DownsamplePlan {
-  std::vector<Coord3> out_coords;
-  Coord3 out_extent;
-  RuleBook rulebook{1};
-};
-
-DownsamplePlan build_strided_rulebook(const SparseTensor& input, int kernel_size, int stride);
-
-/// Inverse (transposed) convolution restoring a recorded coordinate set:
-/// rule direction is flipped relative to the forward strided conv.
-RuleBook build_inverse_rulebook(const SparseTensor& input, const SparseTensor& target,
-                                int kernel_size, int stride);
 
 }  // namespace esca::sparse

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 #include "sparse/rulebook.hpp"
@@ -33,8 +34,16 @@ inline RuleBook submanifold(const SparseTensor& input, int k) {
   return rb;
 }
 
-inline DownsamplePlan strided(const SparseTensor& input, int k, int stride) {
-  DownsamplePlan plan;
+/// A strided build's output: the output coordinate set (first-seen order)
+/// and the rulebook whose out_rows index it.
+struct StridedRules {
+  std::vector<Coord3> out_coords;
+  Coord3 out_extent;
+  RuleBook rulebook{1};
+};
+
+inline StridedRules strided(const SparseTensor& input, int k, int stride) {
+  StridedRules plan;
   const Coord3 in_extent = input.spatial_extent();
   plan.out_extent = {(in_extent.x + stride - 1) / stride, (in_extent.y + stride - 1) / stride,
                      (in_extent.z + stride - 1) / stride};

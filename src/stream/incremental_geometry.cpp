@@ -6,7 +6,6 @@
 #include <span>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/executor.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
@@ -15,15 +14,6 @@
 namespace esca::stream {
 
 namespace {
-
-double resolve_rebuild_fraction(double configured) {
-  if (configured >= 0.0) return configured;
-  // Read the environment at construction (not a cached static) so tests and
-  // operators can retune the knob between sessions. Garbage and negative
-  // values warn and keep the default (common/env strict parsing).
-  if (const auto env = env_double("ESCA_STREAM_REBUILD_FRACTION", 0.0)) return *env;
-  return kDefaultRebuildFraction;
-}
 
 /// A fresh rule keyed by the Morton code of its output site — the merge key
 /// that reproduces the cold builder's per-offset emission order.
@@ -290,9 +280,11 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
 }
 
 IncrementalGeometry::IncrementalGeometry(IncrementalGeometryConfig config)
-    : config_(config), rebuild_fraction_(resolve_rebuild_fraction(config.rebuild_fraction)) {
+    : config_(config) {
   ESCA_REQUIRE(config_.kernel_size >= 1 && config_.kernel_size % 2 == 1,
                "incremental geometry requires an odd kernel, got " << config_.kernel_size);
+  ESCA_REQUIRE(config_.rebuild_fraction >= 0.0,
+               "rebuild fraction must be >= 0, got " << config_.rebuild_fraction);
 }
 
 obs::Counter& stream_geometry_patches_counter() {
@@ -339,7 +331,7 @@ GeometryUpdate IncrementalGeometry::update(const sparse::SparseTensor& frame,
   // geometries are bit-identical, so flipping paths at random must never
   // change results (the chaos suite's cheapest invariant).
   const bool force_rebuild = fault::maybe_fire("stream.force_rebuild");
-  if (!force_rebuild && delta.churn_fraction() <= rebuild_fraction_) {
+  if (!force_rebuild && delta.churn_fraction() <= config_.rebuild_fraction) {
     current_ = std::make_shared<const sparse::LayerGeometry>(
         patch_submanifold_geometry(*current_, frame, delta, config_.geometry));
     ++patches_;

@@ -18,8 +18,8 @@
 // frame — rule sequences, site rows, out_rows and the blocked re-bucketing
 // (property-tested; see sparse::geometry_equal). IncrementalGeometry wraps
 // the patch with state carrying and a churn threshold: when a frame changes
-// more than ESCA_STREAM_REBUILD_FRACTION of its sites, patching would touch
-// most rules anyway, so it falls back to a cold (optionally sharded) build.
+// more than `rebuild_fraction` of its sites, patching would touch most
+// rules anyway, so it falls back to a cold (optionally sharded) build.
 //
 // The whole patch is sharded, like the cold builders (one shard count:
 // sparse::GeometryOptions): the fresh-site kernel enumeration splits over
@@ -39,8 +39,8 @@
 
 namespace esca::stream {
 
-/// Fallback threshold used when ESCA_STREAM_REBUILD_FRACTION is not set:
-/// rebuild from scratch once more than half the (larger) frame churned.
+/// Default fallback threshold: rebuild from scratch once more than half the
+/// (larger) frame churned.
 inline constexpr double kDefaultRebuildFraction = 0.5;
 
 struct IncrementalGeometryConfig {
@@ -53,12 +53,9 @@ struct IncrementalGeometryConfig {
   /// SequenceSessionConfig::geometry for intra-frame parallelism.
   sparse::GeometryOptions geometry{};
   /// Churn fraction above which update() abandons patching for a cold
-  /// rebuild. Negative = resolve from the ESCA_STREAM_REBUILD_FRACTION
-  /// environment variable (read at construction), falling back to
-  /// kDefaultRebuildFraction. 0 patches only geometrically identical
-  /// frames; 2 or more patches through any churn (churn_fraction() never
-  /// exceeds 2).
-  double rebuild_fraction{-1.0};
+  /// rebuild. 0 patches only geometrically identical frames; 2 or more
+  /// patches through any churn (churn_fraction() never exceeds 2).
+  double rebuild_fraction{kDefaultRebuildFraction};
 };
 
 /// One update() outcome: the geometry handle plus what the frame changed.
@@ -97,8 +94,6 @@ class IncrementalGeometry {
  public:
   explicit IncrementalGeometry(IncrementalGeometryConfig config = {});
 
-  /// The effective fallback threshold (config or environment).
-  double rebuild_fraction() const { return rebuild_fraction_; }
   const IncrementalGeometryConfig& config() const { return config_; }
 
   /// Advance to `frame`, reusing the previous frame's geometry when
@@ -121,7 +116,6 @@ class IncrementalGeometry {
 
  private:
   IncrementalGeometryConfig config_;
-  double rebuild_fraction_;
   sparse::LayerGeometryPtr current_;
   std::uint64_t patches_{0};
   std::uint64_t rebuilds_{0};

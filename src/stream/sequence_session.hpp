@@ -45,7 +45,7 @@ struct SequenceSessionConfig {
   /// are bit-identical for any value.
   sparse::GeometryOptions geometry{};
   /// Churn fallback threshold; see IncrementalGeometryConfig.
-  double rebuild_fraction{-1.0};
+  double rebuild_fraction{kDefaultRebuildFraction};
 };
 
 /// What one frame changed at one scale.

@@ -4,7 +4,7 @@
 //   FrameDelta          — Morton-merge diff of two voxelized frames
 //   IncrementalGeometry — patch the previous frame's LayerGeometry
 //                         (bit-identical to a cold rebuild) with a churn
-//                         fallback (ESCA_STREAM_REBUILD_FRACTION)
+//                         fallback (rebuild_fraction)
 //   SequenceSession     — per-scale incremental state over a
 //                         runtime::Session; served sticky by serve::Server
 //

@@ -24,14 +24,14 @@ Fixture make_fixture(int cin, int cout, Rng& rng, Coord3 extent = {24, 24, 24},
   const auto x = test::clustered_tensor(extent, cin, rng, extent.x / 3, points);
   nn::SubmanifoldConv3d conv(cin, cout, 3);
   conv.init_kaiming(rng);
+  sparse::LayerGeometryPtr geometry = sparse::make_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
+  const auto fy = conv.forward(x, *geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   quant::QuantizedSubConv layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "acc");
   quant::QSparseTensor qx =
       quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
-  sparse::LayerGeometryPtr geometry = qx.submanifold_geometry(3);
   return {std::move(layer), std::move(qx), std::move(geometry)};
 }
 

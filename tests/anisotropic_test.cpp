@@ -12,7 +12,7 @@
 #include "core/zero_removing.hpp"
 #include "nn/submanifold_conv.hpp"
 #include "quant/qsubconv.hpp"
-#include "sparse/rulebook.hpp"
+#include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca::core {
@@ -26,7 +26,7 @@ std::set<M> sdmu_matches(const sparse::SparseTensor& geometry, const ArchConfig&
   const Sdmu sdmu(cfg);
   std::set<M> out;
   for (const auto& tile : tiles) {
-    for (const auto& g : sdmu.match_tile(tile, geometry)) {
+    for (const auto& g : sdmu.simulate_tile(tile, geometry, 1).groups) {
       for (const auto& m : g.matches) {
         EXPECT_TRUE(out.insert({m.in_row, m.weight_index, m.out_row}).second);
       }
@@ -36,7 +36,7 @@ std::set<M> sdmu_matches(const sparse::SparseTensor& geometry, const ArchConfig&
 }
 
 std::set<M> rulebook_matches(const sparse::SparseTensor& geometry, int k) {
-  const sparse::RuleBook rb = sparse::build_submanifold_rulebook(geometry, k);
+  const sparse::RuleBook rb = sparse::build_submanifold_geometry(geometry, k).rulebook;
   std::set<M> out;
   for (int o = 0; o < rb.kernel_volume(); ++o) {
     for (const auto& r : rb.rules_for(o)) {
@@ -76,20 +76,19 @@ TEST(AnisotropicTest, AcceleratorBitExactOnAnisotropicTiles) {
   const auto x = test::clustered_tensor({24, 24, 24}, 3, rng, 6, 200);
   nn::SubmanifoldConv3d conv(3, 5, 3);
   conv.init_kaiming(rng);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
+  const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "a");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
-  const sparse::LayerGeometryPtr geometry = qx.submanifold_geometry(3);
 
   for (const Coord3 tile : {Coord3{4, 8, 16}, Coord3{16, 4, 8}, Coord3{3, 5, 7}}) {
     SCOPED_TRACE(testing::Message() << "tile " << tile);
     ArchConfig cfg;
     cfg.tile_size = tile;
     Accelerator acc{cfg};
-    test::expect_closed_forms(acc.run_layer(layer, *geometry), *geometry, cfg);
+    test::expect_closed_forms(acc.run_layer(layer, geometry), geometry, cfg);
   }
 }
 

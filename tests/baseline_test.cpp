@@ -45,7 +45,7 @@ TEST(DenseConvTest, MatchesSparseGoldWhereNeighbourhoodsAreFull) {
   }
   nn::SubmanifoldConv3d conv(2, 3, 3);
   conv.init_kaiming(rng);
-  const auto sparse_y = conv.forward(x);
+  const auto sparse_y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   const DenseTensor dense_y = dense_conv3d(densify(x), conv.weights(), 3, 3);
   for (int z = 2; z < 5; ++z) {
     for (int y = 2; y < 5; ++y) {
@@ -66,10 +66,8 @@ TEST(DenseConvTest, MacCountFormula) {
   // magnitude on point-cloud maps.
   Rng rng(153);
   const auto t = test::random_sparse_tensor({32, 32, 32}, 1, 0.002, rng);
-  nn::SubmanifoldConv3d conv(16, 16, 3);
-  sparse::SparseTensor t16(t.spatial_extent(), 16);
-  for (const auto& c : t.coords()) t16.add_site(c);
-  EXPECT_GT(dense_conv_macs(t.spatial_extent(), 3, 16, 16), 100 * conv.macs(t16));
+  EXPECT_GT(dense_conv_macs(t.spatial_extent(), 3, 16, 16),
+            100 * sparse::build_submanifold_geometry(t, 3).macs(16, 16));
 }
 
 TEST(CpuBaselineTest, ProducesPositiveTimings) {

@@ -215,7 +215,6 @@ struct ScopedEnv {
 TEST(EnvTest, UnsetVariablesComeBackEmpty) {
   ::unsetenv("ESCA_TEST_ENV_KNOB");
   EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB"), std::nullopt);
-  EXPECT_EQ(env_double("ESCA_TEST_ENV_KNOB"), std::nullopt);
 }
 
 TEST(EnvTest, WholeValueMustParse) {
@@ -226,7 +225,6 @@ TEST(EnvTest, WholeValueMustParse) {
   {
     ScopedEnv env("ESCA_TEST_ENV_KNOB", "abc");  // atoi would read 0
     EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB"), std::nullopt);
-    EXPECT_EQ(env_double("ESCA_TEST_ENV_KNOB"), std::nullopt);
   }
   {
     ScopedEnv env("ESCA_TEST_ENV_KNOB", "");
@@ -235,23 +233,14 @@ TEST(EnvTest, WholeValueMustParse) {
   {
     ScopedEnv env("ESCA_TEST_ENV_KNOB", "1.5");  // not a whole integer
     EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB"), std::nullopt);
-    EXPECT_EQ(env_double("ESCA_TEST_ENV_KNOB"), 1.5);
   }
 }
 
 TEST(EnvTest, GoodValuesAndBoundsEnforced) {
-  {
-    ScopedEnv env("ESCA_TEST_ENV_KNOB", "-12");
-    EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB"), -12);
-    EXPECT_EQ(env_double("ESCA_TEST_ENV_KNOB"), -12.0);
-    // Out of the caller's range => treated as unset, default applies.
-    EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB", /*lo=*/1, /*hi=*/64), std::nullopt);
-  }
-  {
-    ScopedEnv env("ESCA_TEST_ENV_KNOB", "0.25");
-    EXPECT_EQ(env_double("ESCA_TEST_ENV_KNOB", /*lo=*/0.0, /*hi=*/1.0), 0.25);
-    EXPECT_EQ(env_double("ESCA_TEST_ENV_KNOB", /*lo=*/0.5, /*hi=*/1.0), std::nullopt);
-  }
+  ScopedEnv env("ESCA_TEST_ENV_KNOB", "-12");
+  EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB"), -12);
+  // Out of the caller's range => treated as unset, default applies.
+  EXPECT_EQ(env_int("ESCA_TEST_ENV_KNOB", /*lo=*/1, /*hi=*/64), std::nullopt);
 }
 
 }  // namespace

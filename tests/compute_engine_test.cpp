@@ -62,6 +62,16 @@ std::vector<float> random_weights(int volume, int cin, int cout, Rng& rng) {
   return w;
 }
 
+/// A k=3 submanifold geometry over `sites` whose rules are `rb` — runs the
+/// layer forwards on rulebooks the geometry builders would never emit.
+LayerGeometry geometry_with_rules(const SparseTensor& sites, RuleBook rb) {
+  LayerGeometry g(GeometryKind::kSubmanifold, 3, 1, sites.zeros_like(1));
+  g.out_rows = sites.size();
+  g.blocked = BlockedRuleBook(rb, g.out_rows);
+  g.rulebook = std::move(rb);
+  return g;
+}
+
 bool bit_identical(const SparseTensor& a, const SparseTensor& b) {
   return a.raw_features().size() == b.raw_features().size() &&
          std::memcmp(a.raw_features().data(), b.raw_features().data(),
@@ -85,7 +95,7 @@ TEST(ComputeEngineTest, FloatBitIdenticalToScalarReferenceOnRandomRulebooks) {
     apply_rulebook_reference(input, rb, weights, expected);
 
     SparseTensor got = expected.zeros_like(cout);
-    apply_rulebook(input, rb, weights, got);
+    default_compute_engine().apply(input, BlockedRuleBook(rb, got.size()), weights, got);
     EXPECT_TRUE(bit_identical(expected, got)) << "trial " << trial;
   }
 }
@@ -123,11 +133,11 @@ TEST(ComputeEngineTest, QuantizedPathMatchesScalarReference) {
     const SparseTensor x = dense_rows_tensor(1 + rng.uniform_int(0, 400), cin, rng);
     const quant::QSparseTensor qx =
         quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
-    const RuleBook rb = random_rulebook(27, qx.size(), qx.size(),
-                                        rng.uniform_int(0, 3000), rng);
+    const LayerGeometry g = geometry_with_rules(
+        x, random_rulebook(27, qx.size(), qx.size(), rng.uniform_int(0, 3000), rng));
 
-    const quant::QSparseTensor expected = q.forward_reference(qx, rb);
-    const quant::QSparseTensor got = q.forward(qx, rb);
+    const quant::QSparseTensor expected = q.forward_reference(qx, g.rulebook);
+    const quant::QSparseTensor got = q.forward(qx, g);
     EXPECT_TRUE(expected == got) << "trial " << trial;
   }
 }
@@ -143,11 +153,11 @@ TEST(ComputeEngineTest, QuantizedGeometryPathMatchesRulebookPath) {
   const SparseTensor x = dense_rows_tensor(333, cin, rng);
   const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
 
-  const auto geometry = qx.submanifold_geometry(3);
-  const quant::QSparseTensor via_reference = q.forward_reference(qx, geometry->rulebook);
+  const LayerGeometry geometry = build_submanifold_geometry(qx.sites(), 3);
+  const quant::QSparseTensor via_reference = q.forward_reference(qx, geometry.rulebook);
   for (const int threads : {1, 2, 4}) {
     ComputeEngine engine{ComputeOptions{.threads = threads}};
-    EXPECT_TRUE(via_reference == q.forward(qx, *geometry, &engine)) << "threads=" << threads;
+    EXPECT_TRUE(via_reference == q.forward(qx, geometry, &engine)) << "threads=" << threads;
   }
 }
 
@@ -170,18 +180,18 @@ TEST(ComputeEngineTest, ExtremesDoNotOverflow) {
   ASSERT_EQ(qx.features(0)[0], quant::kInt16Max);
   ASSERT_EQ(q.weight(0, 0, 0), -quant::kInt8Max);
 
-  const auto geometry = qx.submanifold_geometry(3);
+  const LayerGeometry geometry = build_submanifold_geometry(qx.sites(), 3);
   const auto centre = static_cast<std::size_t>(qx.find({1, 1, 1}));
   ComputeEngine engine;
   const std::span<const std::int64_t> acc =
-      engine.accumulate(qx.raw_features(), kCin, geometry->blocked, q.weights(), 1);
+      engine.accumulate(qx.raw_features(), kCin, geometry.blocked, q.weights(), 1);
   constexpr std::int64_t kPartial = std::int64_t{kCin} * quant::kInt16Max * -quant::kInt8Max;
   EXPECT_GE(kPartial, std::numeric_limits<std::int32_t>::min());
   EXPECT_EQ(acc[centre], 27 * kPartial);
   EXPECT_LT(acc[centre], std::numeric_limits<std::int32_t>::min());
 
-  const quant::QSparseTensor out = q.forward(qx, *geometry, &engine);
-  EXPECT_TRUE(out == q.forward_reference(qx, geometry->rulebook));
+  const quant::QSparseTensor out = q.forward(qx, geometry, &engine);
+  EXPECT_TRUE(out == q.forward_reference(qx, geometry.rulebook));
   EXPECT_EQ(out.features(centre)[0], -27 * kCin);  // = 27 * 512 * (1.0 * -1.0)
 }
 
@@ -209,7 +219,7 @@ TEST(ComputeEngineTest, EmptyRulebookAndSingleChannelEdges) {
   tiny.add(0, Rule{0, 0});
   SparseTensor out = input.zeros_like(1);
   const std::vector<float> w1(1, 2.0F);
-  apply_rulebook(input, tiny, w1, out);
+  default_compute_engine().apply(input, BlockedRuleBook(tiny, out.size()), w1, out);
   EXPECT_EQ(out.feature(0, 0), 2.0F * input.feature(0, 0));
 }
 
@@ -293,28 +303,6 @@ TEST(BlockedRuleBookTest, RejectsOutOfRangeRows) {
   EXPECT_NO_THROW((void)BlockedRuleBook(rb, 6));
 }
 
-TEST(ComputeEngineTest, QuantForwardCachesGeometryOnTheTensor) {
-  Rng rng(99);
-  nn::SubmanifoldConv3d conv(3, 4, 3);
-  conv.init_kaiming(rng);
-  const quant::QuantizedSubConv q =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "cache");
-  const SparseTensor x = dense_rows_tensor(120, 3, rng);
-  quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
-
-  const obs::CounterGuard builds(geometry_builds_counter());
-  const quant::QSparseTensor y1 = q.forward(qx);
-  EXPECT_EQ(builds.delta(), 1);  // first call builds...
-  const quant::QSparseTensor y2 = q.forward(qx);
-  EXPECT_EQ(builds.delta(), 1);  // ...repeat calls replay
-  EXPECT_TRUE(y1 == y2);
-
-  // Mutating the coordinate set invalidates the cache.
-  qx.add_site({63, 63, 63});
-  (void)q.forward(qx);
-  EXPECT_EQ(builds.delta(), 2);
-}
-
 TEST(ComputeEngineTest, SteadyStateSessionSubmitDoesNotAllocateInApplyPath) {
   Rng rng(1212);
   const auto x = test::clustered_tensor({20, 20, 20}, 1, rng, 6, 150);
@@ -334,12 +322,9 @@ TEST(ComputeEngineTest, SteadyStateSessionSubmitDoesNotAllocateInApplyPath) {
   // Warmup: the backend's arena grows to the largest layer once.
   (void)session.submit(runtime::FrameBatch::replay(2));
   const obs::CounterGuard grows(compute_arena_grows_counter());
-  const obs::CounterGuard buckets(compute_fallback_buckets_counter());
   (void)session.submit(runtime::FrameBatch::replay(4));
   EXPECT_EQ(grows.delta(), 0)
       << "steady-state frames must not grow any compute arena";
-  EXPECT_EQ(buckets.delta(), 0)
-      << "steady-state frames must replay geometry-cached buckets, not re-bucket";
 }
 
 }  // namespace

@@ -25,13 +25,13 @@ Fixture make_fixture(Rng& rng) {
   const auto x = test::clustered_tensor({24, 24, 24}, 4, rng, 6, 250);
   nn::SubmanifoldConv3d conv(4, 4, 3);
   conv.init_kaiming(rng);
+  auto geometry = sparse::make_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
+  const auto fy = conv.forward(x, *geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   auto layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "fi");
   auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
-  auto geometry = qx.submanifold_geometry(3);
   return {std::move(layer), std::move(qx), std::move(geometry)};
 }
 

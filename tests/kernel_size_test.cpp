@@ -13,7 +13,7 @@
 #include "core/zero_removing.hpp"
 #include "nn/submanifold_conv.hpp"
 #include "quant/qsubconv.hpp"
-#include "sparse/rulebook.hpp"
+#include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca::core {
@@ -38,7 +38,7 @@ TEST_P(KernelSizeProperty, SdmuMatchesEqualRulebook) {
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
   std::set<M> produced;
   for (const auto& tile : tiles) {
-    for (const auto& g : sdmu.match_tile(tile, geometry)) {
+    for (const auto& g : sdmu.simulate_tile(tile, geometry, 1).groups) {
       for (const auto& m : g.matches) {
         EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second);
       }
@@ -46,7 +46,7 @@ TEST_P(KernelSizeProperty, SdmuMatchesEqualRulebook) {
   }
 
   std::set<M> expected;
-  const sparse::RuleBook rb = sparse::build_submanifold_rulebook(geometry, k);
+  const sparse::RuleBook rb = sparse::build_submanifold_geometry(geometry, k).rulebook;
   for (int o = 0; o < rb.kernel_volume(); ++o) {
     for (const auto& r : rb.rules_for(o)) {
       expected.insert({r.in_row, static_cast<std::int16_t>(o), r.out_row});
@@ -62,20 +62,19 @@ TEST_P(KernelSizeProperty, AcceleratorBitExact) {
 
   nn::SubmanifoldConv3d conv(3, 5, k);
   conv.init_kaiming(rng);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, k);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
+  const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "k");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
 
   ArchConfig cfg;
   cfg.kernel_size = k;
   cfg.mask_read_cycles = k;
   Accelerator acc{cfg};
-  const sparse::LayerGeometryPtr geometry = qx.submanifold_geometry(k);
-  const LayerRunStats st = acc.run_layer(layer, *geometry);
-  test::expect_closed_forms(st, *geometry, cfg);
+  const LayerRunStats st = acc.run_layer(layer, geometry);
+  test::expect_closed_forms(st, geometry, cfg);
   // SRF scan is K cycles per position at minimum.
   EXPECT_GE(st.total_cycles, st.zero_removing.active_tiles * cfg.tile_size.volume() * k);
 }
@@ -87,9 +86,9 @@ TEST(KernelSizeTest, LargerKernelsFindMoreMatches) {
   const auto t = test::clustered_tensor({20, 20, 20}, 1, rng, 5, 200);
   std::int64_t previous = 0;
   for (const int k : {1, 3, 5}) {
-    const sparse::RuleBook rb = sparse::build_submanifold_rulebook(t, k);
-    EXPECT_GT(rb.total_rules(), previous) << "k=" << k;
-    previous = rb.total_rules();
+    const std::int64_t rules = sparse::build_submanifold_geometry(t, k).total_rules();
+    EXPECT_GT(rules, previous) << "k=" << k;
+    previous = rules;
   }
 }
 

@@ -1,0 +1,114 @@
+// Every sparse layer runs through one forward that takes its LayerGeometry.
+// These tests pin that each layer rejects a geometry it cannot run — wrong
+// kind, kernel, stride, or built on a different input — instead of reading
+// its input through rules that index another tensor.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/check.hpp"
+#include "common/rng.hpp"
+#include "nn/pooling.hpp"
+#include "nn/sparse_conv.hpp"
+#include "nn/submanifold_conv.hpp"
+#include "quant/qsubconv.hpp"
+#include "test_util.hpp"
+
+namespace esca {
+namespace {
+
+using sparse::GeometryKind;
+using sparse::LayerGeometry;
+
+/// One layer under test and the geometries it is offered.
+struct LayerCase {
+  std::string name;
+  LayerGeometry good;         ///< built on the layer's input
+  LayerGeometry other_input;  ///< same kind/kernel/stride, built on a larger tensor
+  GeometryKind wrong_kind;
+  std::function<void(const LayerGeometry&)> run;
+};
+
+/// One way a geometry can fail to fit its layer.
+struct Mismatch {
+  std::string name;
+  std::function<LayerGeometry(const LayerCase&)> make;
+};
+
+TEST(LayerGeometryTest, EveryLayerRejectsAGeometryItCannotRun) {
+  Rng rng(1401);
+  const sparse::SparseTensor x = test::clustered_tensor({32, 32, 32}, 2, rng, 3, 24);
+  const sparse::SparseTensor big = test::random_sparse_tensor({32, 32, 32}, 2, 0.1, rng);
+  ASSERT_LT(x.size(), big.size());
+
+  nn::SubmanifoldConv3d sub(2, 3, 3);
+  sub.init_kaiming(rng);
+  nn::SparseConv3d down(2, 3, 2, 2);
+  down.init_kaiming(rng);
+  nn::InverseConv3d up(3, 2, 2, 2);
+  up.init_kaiming(rng);
+  const nn::MaxPool3d pool(2, 2);
+  const quant::QuantizedSubConv qsub =
+      quant::QuantizedSubConv::from_float(sub, nullptr, false, 0.01F, 0.01F, "q");
+  const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
+
+  const LayerGeometry x_down = sparse::build_downsample_geometry(x, 2, 2);
+  const LayerGeometry big_down = sparse::build_downsample_geometry(big, 2, 2);
+  const sparse::SparseTensor coarse = down.forward(x, x_down);
+  sparse::SparseTensor big_coarse(big_down.out_extent, 1);
+  for (const Coord3& c : big_down.out_coords) big_coarse.add_site(c);
+
+  std::vector<LayerCase> layers;
+  layers.push_back({"Sub-Conv", sparse::build_submanifold_geometry(x, 3),
+                    sparse::build_submanifold_geometry(big, 3), GeometryKind::kDownsample,
+                    [&](const LayerGeometry& g) { (void)sub.forward(x, g); }});
+  layers.push_back({"strided conv", x_down, big_down, GeometryKind::kSubmanifold,
+                    [&](const LayerGeometry& g) { (void)down.forward(x, g); }});
+  // The other-input inverse geometry restores x's own sites, so only its
+  // input domain (big's coarse cells) differs from the good one.
+  layers.push_back({"inverse conv", sparse::build_inverse_geometry(coarse, x, 2, 2),
+                    sparse::build_inverse_geometry(big_coarse, x, 2, 2),
+                    GeometryKind::kDownsample,
+                    [&](const LayerGeometry& g) { (void)up.forward(coarse, x, g); }});
+  layers.push_back({"max pool", x_down, big_down, GeometryKind::kSubmanifold,
+                    [&](const LayerGeometry& g) { (void)pool.forward(x, g); }});
+  layers.push_back({"quantized Sub-Conv", sparse::build_submanifold_geometry(x, 3),
+                    sparse::build_submanifold_geometry(big, 3), GeometryKind::kDownsample,
+                    [&](const LayerGeometry& g) { (void)qsub.forward(qx, g); }});
+
+  const std::vector<Mismatch> mismatches = {
+      {"kind",
+       [](const LayerCase& c) {
+         LayerGeometry g = c.good;
+         g.kind = c.wrong_kind;
+         return g;
+       }},
+      {"kernel",
+       [](const LayerCase& c) {
+         LayerGeometry g = c.good;
+         g.kernel_size += 2;
+         return g;
+       }},
+      {"stride",
+       [](const LayerCase& c) {
+         LayerGeometry g = c.good;
+         g.stride += 1;
+         return g;
+       }},
+      {"input domain", [](const LayerCase& c) { return c.other_input; }},
+  };
+
+  for (const LayerCase& layer : layers) {
+    SCOPED_TRACE(layer.name);
+    EXPECT_NO_THROW(layer.run(layer.good));
+    for (const Mismatch& m : mismatches) {
+      SCOPED_TRACE(m.name);
+      EXPECT_THROW(layer.run(m.make(layer)), InvalidArgument);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace esca

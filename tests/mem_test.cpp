@@ -316,28 +316,6 @@ TEST(TrafficModelTest, RejectsNegativeInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// PerfModel: burst-accounted charge vs. the legacy streaming fallback.
-// ---------------------------------------------------------------------------
-
-TEST(PerfModelDramTest, FallbackMatchesSingleBurstStreamingModel) {
-  const core::ArchConfig cfg;
-  const core::PerfModel perf(cfg);
-  const DramModel dram(cfg.dram);
-  const std::int64_t in_bytes = 1 << 20;
-  const std::int64_t out_bytes = 1 << 18;
-  EXPECT_NEAR(perf.dram_seconds(in_bytes, out_bytes),
-              dram.transfer_seconds(in_bytes) + dram.transfer_seconds(out_bytes), 1e-15);
-}
-
-TEST(PerfModelDramTest, BurstChargeLowerBoundedByFallback) {
-  const core::ArchConfig cfg;
-  const core::PerfModel perf(cfg);
-  const LayerTraffic t = perf.layer_traffic(typical_layer());
-  // Same bytes, >= bursts: the tile-granular charge can only add latency.
-  EXPECT_GE(perf.dram_seconds(t), perf.dram_seconds(t.dram_bytes_in(), t.dram_bytes_out()));
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: the ESCA backend's reported DRAM bytes reproduce the closed
 // form exactly on the SS U-Net integration network, for both dataflows.
 // ---------------------------------------------------------------------------

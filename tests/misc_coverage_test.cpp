@@ -64,12 +64,12 @@ TEST(OverlapDramTest, OverlapNeverSlowerThanSerial) {
   const auto x = test::clustered_tensor({24, 24, 24}, 8, rng, 6, 250);
   nn::SubmanifoldConv3d conv(8, 8, 3);
   conv.init_kaiming(rng);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
+  const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "ov");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
 
   core::ArchConfig serial;
   serial.overlap_dram = false;
@@ -77,11 +77,10 @@ TEST(OverlapDramTest, OverlapNeverSlowerThanSerial) {
   overlapped.overlap_dram = true;
   core::Accelerator a{serial};
   core::Accelerator b{overlapped};
-  const sparse::LayerGeometryPtr geometry = qx.submanifold_geometry(3);
-  const core::LayerRunStats ra = a.run_layer(layer, *geometry);
-  const core::LayerRunStats rb = b.run_layer(layer, *geometry);
-  test::expect_closed_forms(ra, *geometry, serial);
-  test::expect_closed_forms(rb, *geometry, overlapped);
+  const core::LayerRunStats ra = a.run_layer(layer, geometry);
+  const core::LayerRunStats rb = b.run_layer(layer, geometry);
+  test::expect_closed_forms(ra, geometry, serial);
+  test::expect_closed_forms(rb, geometry, overlapped);
   EXPECT_LE(rb.total_seconds, ra.total_seconds);
   // Serial = compute + dram exactly; overlap = max of the two.
   EXPECT_NEAR(ra.total_seconds, ra.compute_seconds + ra.dram_seconds, 1e-12);

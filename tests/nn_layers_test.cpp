@@ -19,7 +19,7 @@ TEST(SparseConvTest, DownsampleHalvesCoordinates) {
   const auto x = test::random_sparse_tensor({16, 16, 16}, 2, 0.05, rng);
   SparseConv3d down(2, 4, 2, 2);
   down.init_kaiming(rng);
-  const auto y = down.forward(x);
+  const auto y = down.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   EXPECT_EQ(y.channels(), 4);
   EXPECT_EQ(y.spatial_extent(), (Coord3{8, 8, 8}));
   // Every output coord must be the floor-half of some input coord.
@@ -38,7 +38,7 @@ TEST(SparseConvTest, SingleInputSumsThroughItsKernelCell) {
   sparse::SparseTensor x({4, 4, 4}, 1);
   const float f[] = {2.0F};
   x.add_site({1, 0, 1}, f);
-  const auto y = down.forward(x);
+  const auto y = down.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   ASSERT_EQ(y.size(), 1U);
   EXPECT_EQ(y.coord(0), (Coord3{0, 0, 0}));
   EXPECT_FLOAT_EQ(y.feature(0, 0), 6.0F);
@@ -47,9 +47,11 @@ TEST(SparseConvTest, SingleInputSumsThroughItsKernelCell) {
 TEST(SparseConvTest, MacsCountsRules) {
   Rng rng(52);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 3, 0.1, rng);
-  SparseConv3d down(3, 5, 2, 2);
+  const SparseConv3d down(3, 5, 2, 2);
   // K=2, s=2: each input site has exactly one covering output -> one rule.
-  EXPECT_EQ(down.macs(x), static_cast<std::int64_t>(x.size()) * 3 * 5);
+  EXPECT_EQ(sparse::build_downsample_geometry(x, down.kernel_size(), down.stride())
+                .macs(down.in_channels(), down.out_channels()),
+            static_cast<std::int64_t>(x.size()) * 3 * 5);
 }
 
 TEST(InverseConvTest, RestoresTargetCoordinateSet) {
@@ -57,11 +59,12 @@ TEST(InverseConvTest, RestoresTargetCoordinateSet) {
   const auto fine = test::random_sparse_tensor({12, 12, 12}, 2, 0.06, rng);
   SparseConv3d down(2, 4, 2, 2);
   down.init_kaiming(rng);
-  const auto coarse = down.forward(fine);
+  const auto coarse = down.forward(fine, sparse::build_downsample_geometry(fine, 2, 2));
 
   InverseConv3d up(4, 2, 2, 2);
   up.init_kaiming(rng);
-  const auto restored = up.forward(coarse, fine);
+  const auto restored =
+      up.forward(coarse, fine, sparse::build_inverse_geometry(coarse, fine, 2, 2));
   EXPECT_EQ(restored.size(), fine.size());
   EXPECT_EQ(restored.channels(), 2);
   for (std::size_t i = 0; i < fine.size(); ++i) {
@@ -79,13 +82,14 @@ TEST(InverseConvTest, RoundTripWithIdentityWeights) {
 
   SparseConv3d down(1, 1, 2, 2);
   for (std::size_t i = 0; i < down.weights().size(); ++i) down.weights()[i] = 1.0F;
-  const auto coarse = down.forward(x);
+  const auto coarse = down.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   ASSERT_EQ(coarse.size(), 1U);
   EXPECT_FLOAT_EQ(coarse.feature(0, 0), 5.0F);
 
   InverseConv3d up(1, 1, 2, 2);
   for (std::size_t i = 0; i < up.weights().size(); ++i) up.weights()[i] = 1.0F;
-  const auto restored = up.forward(coarse, x);
+  const auto restored =
+      up.forward(coarse, x, sparse::build_inverse_geometry(coarse, x, 2, 2));
   ASSERT_EQ(restored.size(), 1U);
   EXPECT_FLOAT_EQ(restored.feature(0, 0), 5.0F);
 }

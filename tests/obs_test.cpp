@@ -183,16 +183,14 @@ TEST(ObsGlobalCountersTest, ProductShimsAreRegistryBacked) {
   const Counter* cells[] = {&sparse::geometry_builds_counter(),
                             &sparse::geometry_transposes_counter(),
                             &sparse::compute_arena_grows_counter(),
-                            &sparse::compute_fallback_buckets_counter(),
                             &stream::stream_geometry_patches_counter(),
                             &stream::stream_geometry_rebuilds_counter()};
   Registry& reg = Registry::global();
   EXPECT_EQ(cells[0], reg.find_counter("esca_geometry_builds_total"));
   EXPECT_EQ(cells[1], reg.find_counter("esca_geometry_transposes_total"));
   EXPECT_EQ(cells[2], reg.find_counter("esca_compute_arena_grows_total"));
-  EXPECT_EQ(cells[3], reg.find_counter("esca_compute_fallback_buckets_total"));
-  EXPECT_EQ(cells[4], reg.find_counter("esca_stream_geometry_patches_total"));
-  EXPECT_EQ(cells[5], reg.find_counter("esca_stream_geometry_rebuilds_total"));
+  EXPECT_EQ(cells[3], reg.find_counter("esca_stream_geometry_patches_total"));
+  EXPECT_EQ(cells[4], reg.find_counter("esca_stream_geometry_rebuilds_total"));
 
   EXPECT_EQ(sparse::geometry_builds(),
             static_cast<std::uint64_t>(sparse::geometry_builds_counter().value()));

@@ -46,7 +46,8 @@ float channel_error(const sparse::SparseTensor& ref, const sparse::SparseTensor&
 
 Errors compare_granularities(const sparse::SparseTensor& x, const nn::SubmanifoldConv3d& conv,
                              int channel) {
-  const sparse::SparseTensor fy = conv.forward(x);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
+  const sparse::SparseTensor fy = conv.forward(x, geometry);
   const float in_scale = calibrate(x.abs_max(), kInt16Max).scale;
   const float out_scale = calibrate(fy.abs_max(), kInt16Max).scale;
   const QSparseTensor qx = QSparseTensor::from_float(x, QuantParams{in_scale});
@@ -54,7 +55,7 @@ Errors compare_granularities(const sparse::SparseTensor& x, const nn::Submanifol
   auto run = [&](WeightGranularity g) {
     const QuantizedSubConv layer =
         QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "g", g);
-    return channel_error(fy, layer.forward(qx).to_float(), channel);
+    return channel_error(fy, layer.forward(qx, geometry).to_float(), channel);
   };
   return {run(WeightGranularity::kPerTensor), run(WeightGranularity::kPerChannel)};
 }

@@ -55,15 +55,6 @@ TEST(PerfModelTest, TileSizeMovesTheScanBoundCrossover) {
   EXPECT_LT(es.scan_cycles, eb.scan_cycles);
 }
 
-TEST(PerfModelTest, DramSecondsPositiveAndMonotonic) {
-  const PerfModel model{ArchConfig{}};
-  const double small = model.dram_seconds(1 << 10, 1 << 10);
-  const double big = model.dram_seconds(1 << 20, 1 << 20);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(big, small);
-  EXPECT_DOUBLE_EQ(model.dram_seconds(0, 0), 0.0);
-}
-
 TEST(PerfModelTest, RejectsBadInputs) {
   const PerfModel model{ArchConfig{}};
   EXPECT_THROW((void)model.estimate_layer(-1, 10, 16, 16), InvalidArgument);

@@ -97,7 +97,7 @@ TEST(MaxPoolTest, OutputCoordsMatchStridedRule) {
   Rng rng(701);
   const auto x = test::random_sparse_tensor({16, 16, 16}, 3, 0.05, rng);
   const nn::MaxPool3d pool(2, 2);
-  const auto y = pool.forward(x);
+  const auto y = pool.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   EXPECT_EQ(y.spatial_extent(), (Coord3{8, 8, 8}));
   EXPECT_EQ(y.channels(), 3);
   for (const auto& c : x.coords()) {
@@ -112,7 +112,7 @@ TEST(MaxPoolTest, TakesChannelwiseMaxOverActiveInputs) {
   x.add_site({0, 0, 0}, a);
   x.add_site({1, 1, 1}, b);  // same 2^3 window
   const nn::MaxPool3d pool(2, 2);
-  const auto y = pool.forward(x);
+  const auto y = pool.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   ASSERT_EQ(y.size(), 1U);
   EXPECT_FLOAT_EQ(y.feature(0, 0), 1.0F);
   // Implicit zeros do NOT participate: max(-5, -1) = -1, not 0.
@@ -127,7 +127,7 @@ TEST(MaxPoolTest, SingletonWindowCopiesFeatures) {
     x.set_feature(static_cast<std::size_t>(row), c, rng.uniform_f(-1, 1));
   }
   const nn::MaxPool3d pool(2, 2);
-  const auto y = pool.forward(x);
+  const auto y = pool.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   ASSERT_EQ(y.size(), 1U);
   for (int c = 0; c < 4; ++c) {
     EXPECT_FLOAT_EQ(y.feature(0, c), x.feature(static_cast<std::size_t>(row), c));

@@ -13,7 +13,7 @@
 #include "core/zero_removing.hpp"
 #include "nn/submanifold_conv.hpp"
 #include "quant/qsubconv.hpp"
-#include "sparse/rulebook.hpp"
+#include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca {
@@ -46,7 +46,7 @@ TEST_P(SdmuRulebookProperty, MatchesEqualRulebook) {
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
   std::set<M> produced;
   for (const auto& tl : tiles) {
-    for (const auto& g : sdmu.match_tile(tl, geometry)) {
+    for (const auto& g : sdmu.simulate_tile(tl, geometry, 1).groups) {
       for (const auto& m : g.matches) {
         EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second)
             << "duplicate match emitted";
@@ -55,7 +55,8 @@ TEST_P(SdmuRulebookProperty, MatchesEqualRulebook) {
   }
 
   std::set<M> expected;
-  const sparse::RuleBook rb = sparse::build_submanifold_rulebook(geometry, cfg.kernel_size);
+  const sparse::RuleBook rb =
+      sparse::build_submanifold_geometry(geometry, cfg.kernel_size).rulebook;
   for (int o = 0; o < rb.kernel_volume(); ++o) {
     for (const auto& r : rb.rules_for(o)) {
       expected.insert({r.in_row, static_cast<std::int16_t>(o), r.out_row});
@@ -113,17 +114,16 @@ TEST_P(AcceleratorBitExactProperty, OutputEqualsGold) {
 
   nn::SubmanifoldConv3d conv(cin, cout, 3);
   conv.init_kaiming(rng);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
-  const auto fy = conv.forward(x);
+  const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
       quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "p");
-  const auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
-  const sparse::LayerGeometryPtr geometry = qx.submanifold_geometry(3);
 
   const core::ArchConfig cfg;
   core::Accelerator acc{cfg};
-  test::expect_closed_forms(acc.run_layer(layer, *geometry), *geometry, cfg);
+  test::expect_closed_forms(acc.run_layer(layer, geometry), geometry, cfg);
 }
 
 std::string channel_param_name(const ::testing::TestParamInfo<ChannelParams>& info) {

@@ -35,7 +35,8 @@ TEST(RequantizeTest, SaturatesToInt16) {
 /// dequantized| over all outputs.
 float quantized_vs_float_error(const sparse::SparseTensor& x, nn::SubmanifoldConv3d& conv,
                                const nn::BatchNorm* bn, bool relu) {
-  sparse::SparseTensor fy = conv.forward(x);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
+  sparse::SparseTensor fy = conv.forward(x, geometry);
   if (bn != nullptr) bn->forward_inplace(fy);
   if (relu) nn::relu_inplace(fy);
 
@@ -44,7 +45,7 @@ float quantized_vs_float_error(const sparse::SparseTensor& x, nn::SubmanifoldCon
   const QuantizedSubConv qconv =
       QuantizedSubConv::from_float(conv, bn, relu, in_scale, out_scale, "test");
   const QSparseTensor qx = QSparseTensor::from_float(x, QuantParams{in_scale});
-  const QSparseTensor qy = qconv.forward(qx);
+  const QSparseTensor qy = qconv.forward(qx, geometry);
   return sparse::max_abs_diff(fy, qy.to_float());
 }
 
@@ -56,7 +57,7 @@ TEST(QuantizedSubConvTest, TracksFloatModelWithinQuantError) {
     const auto x = test::random_sparse_tensor({10, 10, 10}, cin, 0.08, rng);
     nn::SubmanifoldConv3d conv(cin, cout, 3);
     conv.init_kaiming(rng);
-    sparse::SparseTensor fy = conv.forward(x);
+    const sparse::SparseTensor fy = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
     // Error budget: INT8 weight error accumulates over the receptive field
     // (up to K^3 x Cin taps), so the envelope is relative to the signal, not
     // a few output quantization steps. Empirically ~0.4 % here; assert 1 %.
@@ -74,7 +75,7 @@ TEST(QuantizedSubConvTest, BnAndReluFoldCorrectly) {
   nn::BatchNorm bn(4);
   bn.randomize(rng);
 
-  sparse::SparseTensor fy = conv.forward(x);
+  sparse::SparseTensor fy = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   bn.forward_inplace(fy);
   nn::relu_inplace(fy);
   const float err = quantized_vs_float_error(x, conv, &bn, true);
@@ -89,7 +90,8 @@ TEST(QuantizedSubConvTest, ReluOutputsNonNegative) {
   const float in_scale = calibrate(x.abs_max(), kInt16Max).scale;
   const QuantizedSubConv q =
       QuantizedSubConv::from_float(conv, nullptr, true, in_scale, 0.01F, "relu");
-  const QSparseTensor qy = q.forward(QSparseTensor::from_float(x, QuantParams{in_scale}));
+  const QSparseTensor qy = q.forward(QSparseTensor::from_float(x, QuantParams{in_scale}),
+                                     sparse::build_submanifold_geometry(x, 3));
   for (std::size_t i = 0; i < qy.size(); ++i) {
     for (const std::int16_t v : qy.features(i)) EXPECT_GE(v, 0);
   }
@@ -123,7 +125,7 @@ TEST(QuantizedSubConvTest, OutputCoordsMatchInput) {
   const QuantizedSubConv q =
       QuantizedSubConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "coords");
   const QSparseTensor qx = QSparseTensor::from_float(x, QuantParams{0.01F});
-  const QSparseTensor qy = q.forward(qx);
+  const QSparseTensor qy = q.forward(qx, sparse::build_submanifold_geometry(x, 3));
   EXPECT_EQ(qy.size(), qx.size());
   for (std::size_t i = 0; i < qx.size(); ++i) {
     EXPECT_GE(qy.find(qx.coord(i)), 0);
@@ -140,7 +142,8 @@ TEST(QuantizedSubConvTest, RejectsBadScalesAndChannelMismatch) {
       QuantizedSubConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "q");
   QSparseTensor wrong({4, 4, 4}, 3, QuantParams{1.0F});
   wrong.add_site({0, 0, 0});
-  EXPECT_THROW((void)q.forward(wrong), InvalidArgument);
+  EXPECT_THROW((void)q.forward(wrong, sparse::build_submanifold_geometry(wrong.sites(), 3)),
+               InvalidArgument);
 }
 
 TEST(QuantizedSubConvTest, BnChannelMismatchThrows) {

@@ -69,7 +69,7 @@ TEST(SubmanifoldRulebookTest, MatchesBruteForceOnRandomTensors) {
   Rng rng(31);
   for (int trial = 0; trial < 10; ++trial) {
     const auto t = test::random_sparse_tensor({12, 12, 12}, 1, 0.08, rng);
-    const RuleBook rb = build_submanifold_rulebook(t, 3);
+    const RuleBook rb = build_submanifold_geometry(t, 3).rulebook;
     EXPECT_EQ(rulebook_set(rb), brute_force_submanifold(t, 3)) << "trial " << trial;
   }
 }
@@ -77,7 +77,7 @@ TEST(SubmanifoldRulebookTest, MatchesBruteForceOnRandomTensors) {
 TEST(SubmanifoldRulebookTest, CenterRuleAlwaysPresent) {
   Rng rng(32);
   const auto t = test::random_sparse_tensor({10, 10, 10}, 1, 0.1, rng);
-  const RuleBook rb = build_submanifold_rulebook(t, 3);
+  const RuleBook rb = build_submanifold_geometry(t, 3).rulebook;
   const auto& center = rb.rules_for(13);
   ASSERT_EQ(center.size(), t.size());
   for (const Rule& r : center) EXPECT_EQ(r.in_row, r.out_row);
@@ -86,7 +86,7 @@ TEST(SubmanifoldRulebookTest, CenterRuleAlwaysPresent) {
 TEST(SubmanifoldRulebookTest, IsolatedSiteHasOnlyCenterRule) {
   SparseTensor t({9, 9, 9}, 1);
   t.add_site({4, 4, 4});
-  const RuleBook rb = build_submanifold_rulebook(t, 3);
+  const RuleBook rb = build_submanifold_geometry(t, 3).rulebook;
   EXPECT_EQ(rb.total_rules(), 1);
   EXPECT_EQ(rb.rules_for(13).size(), 1U);
 }
@@ -94,13 +94,13 @@ TEST(SubmanifoldRulebookTest, IsolatedSiteHasOnlyCenterRule) {
 TEST(SubmanifoldRulebookTest, EvenKernelRejected) {
   SparseTensor t({4, 4, 4}, 1);
   t.add_site({0, 0, 0});
-  EXPECT_THROW((void)build_submanifold_rulebook(t, 2), InvalidArgument);
+  EXPECT_THROW((void)build_submanifold_geometry(t, 2), InvalidArgument);
 }
 
 TEST(SubmanifoldRulebookTest, KernelSize1IsIdentityPattern) {
   Rng rng(33);
   const auto t = test::random_sparse_tensor({8, 8, 8}, 1, 0.1, rng);
-  const RuleBook rb = build_submanifold_rulebook(t, 1);
+  const RuleBook rb = build_submanifold_geometry(t, 1).rulebook;
   EXPECT_EQ(rb.total_rules(), static_cast<std::int64_t>(t.size()));
 }
 
@@ -109,7 +109,7 @@ TEST(StridedRulebookTest, K2S2OutputCoordsAreHalvedCells) {
   t.add_site({0, 0, 0});
   t.add_site({1, 1, 1});  // same output cell (0,0,0)
   t.add_site({5, 4, 2});  // cell (2,2,1)
-  const DownsamplePlan plan = build_strided_rulebook(t, 2, 2);
+  const LayerGeometry plan = build_downsample_geometry(t, 2, 2);
   EXPECT_EQ(plan.out_extent, (Coord3{4, 4, 4}));
   ASSERT_EQ(plan.out_coords.size(), 2U);
   std::set<Coord3> coords(plan.out_coords.begin(), plan.out_coords.end());
@@ -122,7 +122,7 @@ TEST(StridedRulebookTest, K2S2OutputCoordsAreHalvedCells) {
 TEST(StridedRulebookTest, RuleWeightCellMatchesPosition) {
   SparseTensor t({4, 4, 4}, 1);
   t.add_site({1, 0, 1});  // inside cell (0,0,0), kernel cell (1,0,1) -> o = 1+0+4 = 5
-  const DownsamplePlan plan = build_strided_rulebook(t, 2, 2);
+  const LayerGeometry plan = build_downsample_geometry(t, 2, 2);
   ASSERT_EQ(plan.rulebook.total_rules(), 1);
   int found_offset = -1;
   for (int o = 0; o < plan.rulebook.kernel_volume(); ++o) {
@@ -134,7 +134,7 @@ TEST(StridedRulebookTest, RuleWeightCellMatchesPosition) {
 TEST(StridedRulebookTest, OddExtentCeilDivision) {
   SparseTensor t({5, 5, 5}, 1);
   t.add_site({4, 4, 4});
-  const DownsamplePlan plan = build_strided_rulebook(t, 2, 2);
+  const LayerGeometry plan = build_downsample_geometry(t, 2, 2);
   EXPECT_EQ(plan.out_extent, (Coord3{3, 3, 3}));
   EXPECT_EQ(plan.out_coords.at(0), (Coord3{2, 2, 2}));
 }
@@ -142,12 +142,12 @@ TEST(StridedRulebookTest, OddExtentCeilDivision) {
 TEST(InverseRulebookTest, TransposesForwardPlan) {
   Rng rng(34);
   const auto fine = test::random_sparse_tensor({12, 12, 12}, 1, 0.06, rng);
-  const DownsamplePlan plan = build_strided_rulebook(fine, 2, 2);
+  const LayerGeometry plan = build_downsample_geometry(fine, 2, 2);
 
   SparseTensor coarse(plan.out_extent, 1);
   for (const Coord3& c : plan.out_coords) coarse.add_site(c);
 
-  const RuleBook inv = build_inverse_rulebook(coarse, fine, 2, 2);
+  const RuleBook inv = build_inverse_geometry(coarse, fine, 2, 2).rulebook;
   EXPECT_EQ(inv.total_rules(), plan.rulebook.total_rules());
 
   // Every forward rule (i -> j) appears flipped, with rows translated
@@ -210,7 +210,7 @@ TEST(GeometryEquivalenceTest, StridedMatchesHashOracleAcrossShards) {
   Rng rng(72);
   for (const auto& [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}, {3, 3}}) {
     const auto t = test::random_sparse_tensor({15, 15, 15}, 1, 0.06, rng);
-    const DownsamplePlan ref = oracle::strided(t, k, stride);
+    const oracle::StridedRules ref = oracle::strided(t, k, stride);
     const std::set<CoordRule> expected = coord_rules(ref.rulebook, ref.out_coords);
     for (const int shards : {1, 2, 4}) {
       const LayerGeometry g = build_downsample_geometry(t, k, stride, {.shards = shards});
@@ -227,7 +227,7 @@ TEST(GeometryEquivalenceTest, InverseMatchesHashOracleAcrossShards) {
   Rng rng(73);
   for (const auto& [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
     const auto fine = test::random_sparse_tensor({14, 14, 14}, 1, 0.05, rng);
-    const DownsamplePlan down = build_strided_rulebook(fine, k, stride);
+    const LayerGeometry down = build_downsample_geometry(fine, k, stride);
     SparseTensor coarse(down.out_extent, 1);
     for (const Coord3& c : down.out_coords) coarse.add_site(c);
 
@@ -250,14 +250,14 @@ TEST(StridedRulebookTest, StrideLargerThanKernelLeavesGaps) {
   t.add_site({4, 4, 4});  // 1 (mod 3) on every axis -> cell (1,1,1)
   t.add_site({2, 0, 0});  // 2 (mod 3) on x -> in no window
   t.add_site({8, 8, 8});  // 2 (mod 3) everywhere -> dropped boundary site
-  const DownsamplePlan plan = build_strided_rulebook(t, 2, 3);
+  const LayerGeometry plan = build_downsample_geometry(t, 2, 3);
   EXPECT_EQ(plan.out_extent, (Coord3{3, 3, 3}));
   EXPECT_EQ(plan.rulebook.total_rules(), 2);
   const std::set<Coord3> coords(plan.out_coords.begin(), plan.out_coords.end());
   EXPECT_EQ(coords, (std::set<Coord3>{{0, 0, 0}, {1, 1, 1}}));
 
   // And the oracle agrees about the gap structure.
-  const DownsamplePlan ref = oracle::strided(t, 2, 3);
+  const oracle::StridedRules ref = oracle::strided(t, 2, 3);
   EXPECT_EQ(coord_rules(plan.rulebook, plan.out_coords),
             coord_rules(ref.rulebook, ref.out_coords));
 }
@@ -269,12 +269,12 @@ TEST(StridedRulebookTest, ExtentBoundarySitesClampToOutExtent) {
   t.add_site({6, 6, 6});
   t.add_site({0, 0, 0});
   t.add_site({6, 0, 6});
-  const DownsamplePlan plan = build_strided_rulebook(t, 3, 2);
+  const LayerGeometry plan = build_downsample_geometry(t, 3, 2);
   EXPECT_EQ(plan.out_extent, (Coord3{4, 4, 4}));
   for (const Coord3& c : plan.out_coords) {
     EXPECT_TRUE(in_bounds(c, plan.out_extent)) << c;
   }
-  const DownsamplePlan ref = oracle::strided(t, 3, 2);
+  const oracle::StridedRules ref = oracle::strided(t, 3, 2);
   EXPECT_EQ(coord_rules(plan.rulebook, plan.out_coords),
             coord_rules(ref.rulebook, ref.out_coords));
 }
@@ -290,7 +290,7 @@ TEST(InverseRulebookTest, StrideGapsAndBoundaryMatchOracle) {
   coarse.add_site({0, 0, 0});
   coarse.add_site({2, 2, 2});
 
-  const RuleBook inv = build_inverse_rulebook(coarse, fine, 2, 3);
+  const RuleBook inv = build_inverse_geometry(coarse, fine, 2, 3).rulebook;
   EXPECT_EQ(rulebook_set(inv), rulebook_set(oracle::inverse(coarse, fine, 2, 3)));
   EXPECT_EQ(inv.total_rules(), 1);  // only (0,0,0) -> (0,0,0)
 }

@@ -8,7 +8,7 @@
 #include "core/encoding.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
-#include "sparse/rulebook.hpp"
+#include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca::core {
@@ -44,7 +44,7 @@ std::set<MatchTuple> all_matches(const std::vector<MatchGroup>& groups) {
 
 std::set<MatchTuple> rulebook_matches(const sparse::SparseTensor& geometry, int k) {
   std::set<MatchTuple> s;
-  const sparse::RuleBook rb = sparse::build_submanifold_rulebook(geometry, k);
+  const sparse::RuleBook rb = sparse::build_submanifold_geometry(geometry, k).rulebook;
   for (int o = 0; o < rb.kernel_volume(); ++o) {
     for (const sparse::Rule& r : rb.rules_for(o)) {
       s.insert({r.in_row, static_cast<std::int16_t>(o), r.out_row});
@@ -63,7 +63,7 @@ TEST(SdmuMatchTest, GroupsEqualRulebookProperty) {
 
     std::vector<MatchGroup> groups;
     for (const EncodedTile& tile : p.tiles) {
-      auto g = sdmu.match_tile(tile, p.geometry);
+      auto g = sdmu.simulate_tile(tile, p.geometry, 1).groups;
       groups.insert(groups.end(), g.begin(), g.end());
     }
     EXPECT_EQ(all_matches(groups), rulebook_matches(p.geometry, cfg.kernel_size))
@@ -84,28 +84,10 @@ TEST(SdmuMatchTest, GroupsEqualRulebookAcrossTileBoundaries) {
   const Sdmu sdmu(cfg);
   std::vector<MatchGroup> groups;
   for (const EncodedTile& tile : p.tiles) {
-    auto g = sdmu.match_tile(tile, p.geometry);
+    auto g = sdmu.simulate_tile(tile, p.geometry, 1).groups;
     groups.insert(groups.end(), g.begin(), g.end());
   }
   EXPECT_EQ(all_matches(groups), rulebook_matches(p.geometry, 3));
-}
-
-TEST(SdmuSimulateTest, SameMatchesAsFunctionalPath) {
-  Rng rng(122);
-  ArchConfig cfg;
-  const auto t = test::clustered_tensor({32, 32, 32}, 1, rng, 6, 200);
-  const Prepared p = prepare(t, cfg);
-  const Sdmu sdmu(cfg);
-  for (const EncodedTile& tile : p.tiles) {
-    const auto functional = sdmu.match_tile(tile, p.geometry);
-    const SdmuResult timed = sdmu.simulate_tile(tile, p.geometry, 1);
-    EXPECT_EQ(all_matches(timed.groups), all_matches(functional));
-    // Consumption preserves group order (scan order of active SRFs).
-    ASSERT_EQ(timed.groups.size(), functional.size());
-    for (std::size_t i = 0; i < functional.size(); ++i) {
-      EXPECT_EQ(timed.groups[i].out_row, functional[i].out_row);
-    }
-  }
 }
 
 TEST(SdmuSimulateTest, StatsAreCoherent) {

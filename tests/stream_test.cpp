@@ -1,11 +1,10 @@
 // esca::stream tests: frame diffing, the incremental geometry patch (the
 // central property: patched geometry is bit-identical to a cold rebuild,
 // for any churn level and any geometry shard count), churn fallback and
-// the ESCA_STREAM_REBUILD_FRACTION knob, and SequenceSession's per-scale
-// state carrying over a runtime Session.
+// its rebuild_fraction threshold, and SequenceSession's per-scale state
+// carrying over a runtime Session.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.hpp"
@@ -311,20 +310,13 @@ TEST(StreamIncrementalGeometryTest, ChurnFallbackRebuildsColdly) {
   EXPECT_EQ(global_rebuilds.delta(), static_cast<std::int64_t>(inc.rebuilds()));
 }
 
-TEST(StreamIncrementalGeometryTest, RebuildFractionEnvKnob) {
-  ASSERT_EQ(setenv("ESCA_STREAM_REBUILD_FRACTION", "0.125", 1), 0);
-  EXPECT_EQ(IncrementalGeometry{}.rebuild_fraction(), 0.125);
-  // Explicit config wins over the environment.
-  EXPECT_EQ(IncrementalGeometry({.rebuild_fraction = 0.75}).rebuild_fraction(), 0.75);
-  // Junk falls back to the default.
-  ASSERT_EQ(setenv("ESCA_STREAM_REBUILD_FRACTION", "not-a-number", 1), 0);
-  EXPECT_EQ(IncrementalGeometry{}.rebuild_fraction(), kDefaultRebuildFraction);
-  ASSERT_EQ(unsetenv("ESCA_STREAM_REBUILD_FRACTION"), 0);
-  EXPECT_EQ(IncrementalGeometry{}.rebuild_fraction(), kDefaultRebuildFraction);
-}
-
 TEST(StreamIncrementalGeometryTest, RejectsEvenKernel) {
   EXPECT_THROW((void)IncrementalGeometry({.kernel_size = 2}), InvalidArgument);
+}
+
+TEST(StreamIncrementalGeometryTest, RejectsNegativeRebuildFraction) {
+  EXPECT_EQ(IncrementalGeometry{}.config().rebuild_fraction, kDefaultRebuildFraction);
+  EXPECT_THROW((void)IncrementalGeometry({.rebuild_fraction = -1.0}), InvalidArgument);
 }
 
 /// A tiny single-layer Plan for SequenceSession runtime tests.

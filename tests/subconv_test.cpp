@@ -4,7 +4,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/submanifold_conv.hpp"
-#include "sparse/ops.hpp"
+#include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
 namespace esca::nn {
@@ -23,7 +23,7 @@ TEST(SubConvTest, OutputCoordsEqualInputCoords) {
   const auto x = test::random_sparse_tensor({12, 12, 12}, 3, 0.05, rng);
   SubmanifoldConv3d conv(3, 5, 3);
   conv.init_kaiming(rng);
-  const auto y = conv.forward(x);
+  const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   ASSERT_EQ(y.size(), x.size());
   EXPECT_EQ(y.channels(), 5);
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -39,7 +39,7 @@ TEST(SubConvTest, RulebookPathMatchesNaivePath) {
     const auto x = test::random_sparse_tensor({10, 10, 10}, cin, 0.08, rng);
     SubmanifoldConv3d conv(cin, cout, 3);
     conv.init_kaiming(rng);
-    const auto fast = conv.forward(x);
+    const auto fast = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
     const auto naive = conv.forward_naive(x);
     EXPECT_LT(sparse::max_abs_diff(fast, naive), 1e-4F) << "trial " << trial;
   }
@@ -52,7 +52,7 @@ TEST(SubConvTest, IsolatedSiteUsesOnlyCenterWeight) {
   sparse::SparseTensor x({9, 9, 9}, 1);
   const float f[] = {1.5F};
   x.add_site({4, 4, 4}, f);
-  const auto y = conv.forward(x);
+  const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   EXPECT_FLOAT_EQ(y.feature(0, 0), 3.0F);
 }
 
@@ -65,7 +65,7 @@ TEST(SubConvTest, NeighbourContributesThroughItsOffsetWeight) {
   const float fb[] = {10.0F};
   x.add_site({4, 4, 4}, fa);
   x.add_site({5, 4, 4}, fb);
-  const auto y = conv.forward(x);
+  const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   const auto row_a = static_cast<std::size_t>(y.find({4, 4, 4}));
   const auto row_b = static_cast<std::size_t>(y.find({5, 4, 4}));
   EXPECT_FLOAT_EQ(y.feature(row_a, 0), 10.0F);  // neighbour at +x exists
@@ -90,7 +90,7 @@ TEST(SubConvTest, AgreesWithDenseConvOnActiveSites) {
   }
   SubmanifoldConv3d conv(2, 3, 3);
   conv.init_kaiming(rng);
-  const auto sparse_out = conv.forward(x);
+  const auto sparse_out = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
 
   const baseline::DenseTensor dense_in = baseline::densify(x);
   const baseline::DenseTensor dense_out =
@@ -116,7 +116,7 @@ TEST(SubConvTest, BiasAddedPerOutputChannel) {
   conv.bias()[1] = -1.0F;
   sparse::SparseTensor x({5, 5, 5}, 1);
   x.add_site({2, 2, 2});  // zero feature
-  const auto y = conv.forward(x);
+  const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   EXPECT_FLOAT_EQ(y.feature(0, 0), 0.5F);
   EXPECT_FLOAT_EQ(y.feature(0, 1), -1.0F);
   const auto ynaive = conv.forward_naive(x);
@@ -126,16 +126,17 @@ TEST(SubConvTest, BiasAddedPerOutputChannel) {
 TEST(SubConvTest, MacsEqualsRulebookTimesChannels) {
   Rng rng(46);
   const auto x = test::random_sparse_tensor({10, 10, 10}, 4, 0.1, rng);
-  SubmanifoldConv3d conv(4, 6, 3);
-  const auto rb = sparse::build_submanifold_rulebook(x, 3);
-  EXPECT_EQ(conv.macs(x), rb.total_rules() * 4 * 6);
+  const SubmanifoldConv3d conv(4, 6, 3);
+  const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
+  EXPECT_EQ(geometry.macs(conv.in_channels(), conv.out_channels()),
+            geometry.rulebook.total_rules() * 4 * 6);
 }
 
 TEST(SubConvTest, ChannelMismatchThrows) {
   Rng rng(47);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 3, 0.1, rng);
   SubmanifoldConv3d conv(4, 6, 3);
-  EXPECT_THROW((void)conv.forward(x), InvalidArgument);
+  EXPECT_THROW((void)conv.forward(x, sparse::build_submanifold_geometry(x, 3)), InvalidArgument);
 }
 
 TEST(SubConvTest, LinearityInInput) {
@@ -146,8 +147,8 @@ TEST(SubConvTest, LinearityInInput) {
   // Scale input by 2 -> output scales by 2 (no bias).
   sparse::SparseTensor x2 = x;
   for (float& v : x2.raw_features()) v *= 2.0F;
-  const auto y = conv.forward(x);
-  const auto y2 = conv.forward(x2);
+  const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
+  const auto y2 = conv.forward(x2, sparse::build_submanifold_geometry(x2, 3));
   for (std::size_t i = 0; i < y.size(); ++i) {
     for (int c = 0; c < 2; ++c) {
       EXPECT_NEAR(y2.feature(i, c), 2.0F * y.feature(i, c), 1e-4F);
