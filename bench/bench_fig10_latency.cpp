@@ -45,14 +45,9 @@ int main(int argc, char** argv) {
 
   // Build the layer input: dataset geometry with cin feature channels.
   const sparse::SparseTensor geometry = bench::shapenet_tensor(sample);
-  sparse::SparseTensor x(geometry.spatial_extent(), cin);
+  sparse::SparseTensor x = geometry.zeros_like(cin);
   Rng rng(bench::kSeed);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < cin; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
+  for (float& v : x.raw_features()) v = rng.uniform_f(-1.0F, 1.0F);
 
   nn::SubmanifoldConv3d conv(cin, cout, 3);
   conv.init_kaiming(rng);

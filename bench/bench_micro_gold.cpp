@@ -19,14 +19,9 @@ using namespace esca;  // NOLINT(google-build-using-namespace): bench main
 
 sparse::SparseTensor workload_tensor(int channels) {
   static const sparse::SparseTensor geometry = bench::shapenet_tensor(0, 96);
-  sparse::SparseTensor x(geometry.spatial_extent(), channels);
+  sparse::SparseTensor x = geometry.zeros_like(channels);
   Rng rng(1);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < channels; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
+  for (float& v : x.raw_features()) v = rng.uniform_f(-1.0F, 1.0F);
   return x;
 }
 

@@ -23,7 +23,7 @@
 #include "common/table.hpp"
 #include "sparse/compute.hpp"
 #include "sparse/geometry.hpp"
-#include "sparse/ops.hpp"
+#include "sparse/testing/reference.hpp"
 
 namespace {
 
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     Timings tf;
     tf.scalar = best_seconds(repeats, [&] {
       std::fill(ref.raw_features().begin(), ref.raw_features().end(), 0.0F);
-      sparse::apply_rulebook_reference(x, geometry.rulebook, w, ref);
+      sparse::oracle::apply_rulebook_reference(x, geometry.rulebook, w, ref);
     });
     for (int t = 0; t < 3; ++t) {
       sparse::ComputeEngine engine{sparse::ComputeOptions{.threads = thread_counts[t]}};

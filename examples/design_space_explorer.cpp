@@ -34,14 +34,9 @@ int main(int argc, char** argv) {
   const voxel::VoxelGrid grid = voxel::voxelize(dataset.sample(sample), {.resolution = 192});
   const auto geometry = sparse::SparseTensor::from_voxel_grid(grid, 1);
   const int channels = 32;
-  sparse::SparseTensor x(geometry.spatial_extent(), channels);
+  sparse::SparseTensor x = geometry.zeros_like(channels);
   Rng rng(1);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < channels; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
+  for (float& v : x.raw_features()) v = rng.uniform_f(-1.0F, 1.0F);
   nn::SubmanifoldConv3d conv(channels, channels, 3);
   conv.init_kaiming(rng);
 

@@ -46,14 +46,9 @@ sparse::SparseTensor load_tensor(const Config& args, int channels) {
   const voxel::VoxelGrid grid = voxel::voxelize(cloud, {resolution, false});
   sparse::SparseTensor geometry = sparse::SparseTensor::from_voxel_grid(grid, 1);
   if (channels == 1) return geometry;
-  sparse::SparseTensor x(geometry.spatial_extent(), channels);
+  sparse::SparseTensor x = geometry.zeros_like(channels);
   Rng rng(7);
-  for (const Coord3& c : geometry.coords()) {
-    const auto row = x.add_site(c);
-    for (int ch = 0; ch < channels; ++ch) {
-      x.set_feature(static_cast<std::size_t>(row), ch, rng.uniform_f(-1.0F, 1.0F));
-    }
-  }
+  for (float& v : x.raw_features()) v = rng.uniform_f(-1.0F, 1.0F);
   return x;
 }
 

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "nn/init.hpp"
 #include "sparse/compute.hpp"
-#include "sparse/ops.hpp"
 #include "sparse/rulebook.hpp"
 
 namespace esca::baseline {

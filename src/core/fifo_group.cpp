@@ -17,36 +17,10 @@ bool FifoGroup::all_empty() const {
                      [](const sim::Fifo<Match>& f) { return f.empty(); });
 }
 
-std::size_t FifoGroup::total_size() const {
-  std::size_t n = 0;
-  for (const auto& f : fifos_) n += f.size();
-  return n;
-}
-
 std::size_t FifoGroup::high_water() const {
   std::size_t hw = 0;
   for (const auto& f : fifos_) hw = std::max(hw, f.high_water());
   return hw;
-}
-
-std::int64_t FifoGroup::total_push_stalls() const {
-  std::int64_t n = 0;
-  for (const auto& f : fifos_) n += f.push_stalls();
-  return n;
-}
-
-std::int64_t FifoGroup::total_pushed() const {
-  std::int64_t n = 0;
-  for (const auto& f : fifos_) n += f.total_pushed();
-  return n;
-}
-
-void FifoGroup::reset_stats() {
-  for (auto& f : fifos_) f.reset_stats();
-}
-
-void FifoGroup::clear() {
-  for (auto& f : fifos_) f.clear();
 }
 
 }  // namespace esca::core

@@ -15,23 +15,15 @@ class FifoGroup {
  public:
   FifoGroup(int columns, std::size_t depth);
 
-  int columns() const { return static_cast<int>(fifos_.size()); }
   sim::Fifo<Match>& fifo(int column) { return fifos_[static_cast<std::size_t>(column)]; }
   const sim::Fifo<Match>& fifo(int column) const {
     return fifos_[static_cast<std::size_t>(column)];
   }
 
   bool all_empty() const;
-  std::size_t total_size() const;
 
   /// Deepest any FIFO ever got (FIFO-depth ablation metric).
   std::size_t high_water() const;
-  /// Push attempts rejected because a FIFO was full.
-  std::int64_t total_push_stalls() const;
-  std::int64_t total_pushed() const;
-
-  void reset_stats();
-  void clear();
 
  private:
   std::vector<sim::Fifo<Match>> fifos_;

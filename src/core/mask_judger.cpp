@@ -6,16 +6,4 @@ SrfState MaskJudger::judge(const EncodedTile& tile, int cx, int cy, int cz) {
   return tile.mask_at(tile.column_of(cx, cy), cz) ? SrfState::kActive : SrfState::kNonActive;
 }
 
-SrfState MaskJudger::judge_counted(const EncodedTile& tile, int cx, int cy, int cz) {
-  const SrfState state = judge(tile, cx, cy, cz);
-  ++judged_;
-  if (state == SrfState::kActive) ++active_;
-  return state;
-}
-
-void MaskJudger::reset_stats() {
-  judged_ = 0;
-  active_ = 0;
-}
-
 }  // namespace esca::core

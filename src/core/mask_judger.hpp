@@ -17,18 +17,6 @@ class MaskJudger {
  public:
   /// Judge the SRF centered at padded coords (cx, cy, cz) of the tile.
   static SrfState judge(const EncodedTile& tile, int cx, int cy, int cz);
-
-  std::int64_t judged() const { return judged_; }
-  std::int64_t active() const { return active_; }
-  std::int64_t skipped() const { return judged_ - active_; }
-
-  /// Stateful variant that keeps running statistics.
-  SrfState judge_counted(const EncodedTile& tile, int cx, int cy, int cz);
-  void reset_stats();
-
- private:
-  std::int64_t judged_{0};
-  std::int64_t active_{0};
 };
 
 }  // namespace esca::core

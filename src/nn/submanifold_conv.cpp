@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "nn/init.hpp"
 #include "sparse/compute.hpp"
-#include "sparse/rulebook.hpp"
 
 namespace esca::nn {
 
@@ -51,38 +50,6 @@ void SubmanifoldConv3d::add_bias(sparse::SparseTensor& output) const {
       f[static_cast<std::size_t>(c)] += bias_[static_cast<std::size_t>(c)];
     }
   }
-}
-
-sparse::SparseTensor SubmanifoldConv3d::forward_naive(const sparse::SparseTensor& input) const {
-  ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  sparse::SparseTensor output = input.zeros_like(out_channels_);
-  const int volume = kernel_volume();
-  for (std::size_t j = 0; j < input.size(); ++j) {
-    auto out = output.features(j);
-    for (int o = 0; o < volume; ++o) {
-      const Coord3 nb = input.coord(j) + sparse::kernel_offset(o, kernel_size_);
-      const std::int32_t i = input.find(nb);
-      if (i < 0) continue;
-      const auto in = input.features(static_cast<std::size_t>(i));
-      const float* w = weights_.data() + static_cast<std::size_t>(o) *
-                                             static_cast<std::size_t>(in_channels_) *
-                                             static_cast<std::size_t>(out_channels_);
-      for (int ci = 0; ci < in_channels_; ++ci) {
-        const float a = in[static_cast<std::size_t>(ci)];
-        for (int co = 0; co < out_channels_; ++co) {
-          out[static_cast<std::size_t>(co)] +=
-              a * w[static_cast<std::size_t>(ci) * static_cast<std::size_t>(out_channels_) +
-                    static_cast<std::size_t>(co)];
-        }
-      }
-    }
-    if (has_bias_) {
-      for (int co = 0; co < out_channels_; ++co) {
-        out[static_cast<std::size_t>(co)] += bias_[static_cast<std::size_t>(co)];
-      }
-    }
-  }
-  return output;
 }
 
 }  // namespace esca::nn

@@ -1,10 +1,10 @@
 // Submanifold sparse convolution (Sub-Conv), FP32 gold model.
 //
 // Output sites == input sites; each output accumulates weights only over the
-// occupied part of its K^3 neighbourhood (paper Fig. 2(b)). Two execution
-// paths: gather-GEMM-scatter over a prebuilt submanifold LayerGeometry
-// (forward) and a direct neighbourhood walk (forward_naive) used to
-// cross-check it in tests.
+// occupied part of its K^3 neighbourhood (paper Fig. 2(b)). forward runs
+// gather-GEMM-scatter over a prebuilt submanifold LayerGeometry; the direct
+// neighbourhood walk it is cross-checked against lives in
+// sparse/testing/reference.hpp.
 #pragma once
 
 #include <span>
@@ -45,8 +45,6 @@ class SubmanifoldConv3d {
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::LayerGeometry& geometry,
                                sparse::ComputeEngine* engine = nullptr) const;
-  /// Direct per-site neighbourhood accumulation; O(sites * K^3 * Cin * Cout).
-  sparse::SparseTensor forward_naive(const sparse::SparseTensor& input) const;
 
  private:
   void add_bias(sparse::SparseTensor& output) const;

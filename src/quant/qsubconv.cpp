@@ -106,43 +106,12 @@ QSparseTensor QuantizedSubConv::forward(const QSparseTensor& input,
   return requantize_output(input, acc);
 }
 
-QSparseTensor QuantizedSubConv::forward_reference(const QSparseTensor& input,
-                                                  const sparse::RuleBook& rb) const {
-  ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  ESCA_REQUIRE(rb.kernel_volume() == kernel_volume(),
-               "rulebook kernel volume " << rb.kernel_volume() << " != layer "
-                                         << kernel_volume());
-
-  const auto cin = static_cast<std::size_t>(in_channels_);
-  const auto cout = static_cast<std::size_t>(out_channels_);
-  std::vector<std::int64_t> acc(input.size() * cout, 0);
-
-  for (int o = 0; o < rb.kernel_volume(); ++o) {
-    const std::int8_t* w = weights_.data() + static_cast<std::size_t>(o) * cin * cout;
-    for (const sparse::Rule& rule : rb.rules_for(o)) {
-      const auto in = input.features(static_cast<std::size_t>(rule.in_row));
-      std::int64_t* out = acc.data() + static_cast<std::size_t>(rule.out_row) * cout;
-      for (std::size_t ci = 0; ci < cin; ++ci) {
-        const std::int32_t a = in[ci];
-        if (a == 0) continue;
-        const std::int8_t* wrow = w + ci * cout;
-        for (std::size_t co = 0; co < cout; ++co) {
-          out[co] += static_cast<std::int64_t>(a) * wrow[co];
-        }
-      }
-    }
-  }
-  return requantize_output(input, acc);
-}
-
 QSparseTensor QuantizedSubConv::requantize_output(const QSparseTensor& input,
                                                   std::span<const std::int64_t> acc) const {
   const auto cout = static_cast<std::size_t>(out_channels_);
-  QSparseTensor output(input.spatial_extent(), out_channels_, QuantParams{out_scale_});
-  output.reserve(input.size());
+  QSparseTensor output = input.zeros_like(out_channels_, QuantParams{out_scale_});
   for (std::size_t row = 0; row < input.size(); ++row) {
-    const std::int32_t r = output.add_site(input.coord(row));
-    auto dst = output.features(static_cast<std::size_t>(r));
+    auto dst = output.features(row);
     const std::int64_t* src = acc.data() + row * cout;
     for (std::size_t co = 0; co < cout; ++co) {
       dst[co] = requantize(src[co], requant_scale_[co], requant_shift_[co], relu_);

@@ -11,8 +11,8 @@
 //
 // The requantization arithmetic is implemented exactly once (requantize())
 // and shared by the compute-engine forward every backend executes and the
-// retained scalar reference, so the two agree bit for bit whenever their
-// integer accumulators do.
+// scalar reference in sparse/testing/reference.hpp, so the two agree bit for
+// bit whenever their integer accumulators do.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "quant/qtensor.hpp"
 #include "quant/quantizer.hpp"
 #include "sparse/geometry.hpp"
-#include "sparse/rulebook.hpp"
 
 namespace esca::sparse {
 class ComputeEngine;
@@ -63,9 +62,7 @@ class QuantizedSubConv {
   bool relu() const { return relu_; }
   float in_scale() const { return in_scale_; }
   float out_scale() const { return out_scale_; }
-  /// Per-tensor: one value; per-channel: scale of channel 0 (see
-  /// weight_scales() for all).
-  float weight_scale() const { return weight_scales_.front(); }
+  /// Per-tensor: one value; per-channel: one per output channel.
   const std::vector<float>& weight_scales() const { return weight_scales_; }
   WeightGranularity granularity() const { return granularity_; }
 
@@ -91,12 +88,6 @@ class QuantizedSubConv {
   /// allocate nothing in the accumulate path.
   QSparseTensor forward(const QSparseTensor& input, const sparse::LayerGeometry& geometry,
                         sparse::ComputeEngine* engine = nullptr) const;
-  /// Retained scalar triple loop (per-element zero skip, per-call INT64
-  /// accumulator) over `rulebook` (e.g. geometry.rulebook) — the
-  /// order-defining reference the engine is equivalence-tested and
-  /// benchmarked against.
-  QSparseTensor forward_reference(const QSparseTensor& input,
-                                  const sparse::RuleBook& rulebook) const;
 
   /// Total weight bytes (INT8) — DRAM-traffic input for the perf model.
   std::int64_t weight_bytes() const { return static_cast<std::int64_t>(weights_.size()); }

@@ -17,14 +17,12 @@ QSparseTensor::QSparseTensor(Coord3 spatial_extent, int channels, QuantParams pa
 
 QSparseTensor QSparseTensor::from_float(const sparse::SparseTensor& t, QuantParams params) {
   QSparseTensor q(t.spatial_extent(), t.channels(), params);
-  q.reserve(t.size());
-  for (std::size_t row = 0; row < t.size(); ++row) {
-    const std::int32_t r = q.add_site(t.coord(row));
-    auto dst = q.features(static_cast<std::size_t>(r));
-    const auto src = t.features(row);
-    for (std::size_t c = 0; c < src.size(); ++c) {
-      dst[c] = static_cast<std::int16_t>(quantize_value(src[c], params, kInt16Max));
-    }
+  q.coords_ = t.coords();
+  q.index_ = t.index();
+  const std::vector<float>& src = t.raw_features();
+  q.features_.resize(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    q.features_[i] = static_cast<std::int16_t>(quantize_value(src[i], params, kInt16Max));
   }
   return q;
 }
@@ -33,10 +31,12 @@ QSparseTensor QSparseTensor::from_float_calibrated(const sparse::SparseTensor& t
   return from_float(t, calibrate(t.abs_max(), kInt16Max));
 }
 
-void QSparseTensor::reserve(std::size_t n) {
-  coords_.reserve(n);
-  features_.reserve(n * static_cast<std::size_t>(channels_));
-  index_.reserve(n);
+QSparseTensor QSparseTensor::zeros_like(int channels, QuantParams params) const {
+  QSparseTensor out(extent_, channels, params);
+  out.coords_ = coords_;
+  out.index_ = index_;
+  out.features_.assign(coords_.size() * static_cast<std::size_t>(channels), 0);
+  return out;
 }
 
 std::int32_t QSparseTensor::add_site(const Coord3& c) {
@@ -70,16 +70,9 @@ std::span<const std::int16_t> QSparseTensor::features(std::size_t row) const {
 }
 
 sparse::SparseTensor QSparseTensor::to_float() const {
-  sparse::SparseTensor t(extent_, channels_);
-  t.reserve(coords_.size());
-  for (std::size_t row = 0; row < coords_.size(); ++row) {
-    const std::int32_t r = t.add_site(coords_[row]);
-    auto dst = t.features(static_cast<std::size_t>(r));
-    const auto src = features(row);
-    for (std::size_t c = 0; c < src.size(); ++c) {
-      dst[c] = params_.dequantize(src[c]);
-    }
-  }
+  sparse::SparseTensor t = sparse::SparseTensor::from_coords(extent_, channels_, coords_, index_);
+  std::vector<float>& dst = t.raw_features();
+  for (std::size_t i = 0; i < features_.size(); ++i) dst[i] = params_.dequantize(features_[i]);
   return t;
 }
 

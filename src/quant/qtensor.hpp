@@ -18,17 +18,20 @@ class QSparseTensor {
  public:
   QSparseTensor(Coord3 spatial_extent, int channels, QuantParams params);
 
-  /// Quantize a float tensor with the given (or calibrated) params.
+  /// Quantize a float tensor with the given (or calibrated) params. Rows
+  /// and the coordinate index are copied from `t`.
   static QSparseTensor from_float(const sparse::SparseTensor& t, QuantParams params);
   static QSparseTensor from_float_calibrated(const sparse::SparseTensor& t);
+
+  /// A zero tensor over the same coords/extent with `channels` channels and
+  /// `params`. The coordinate index is shared by copy (no per-site
+  /// re-indexing).
+  QSparseTensor zeros_like(int channels, QuantParams params) const;
 
   const Coord3& spatial_extent() const { return extent_; }
   int channels() const { return channels_; }
   std::size_t size() const { return coords_.size(); }
   const QuantParams& params() const { return params_; }
-
-  /// Pre-allocate storage for n sites.
-  void reserve(std::size_t n);
 
   std::int32_t add_site(const Coord3& c);
   std::int32_t find(const Coord3& c) const;
@@ -47,7 +50,8 @@ class QSparseTensor {
   /// insertion. Geometry is shared between the float and integer worlds.
   sparse::SparseTensor sites() const;
 
-  /// Dequantize back to float (for accuracy comparisons).
+  /// Dequantize back to float (for accuracy comparisons); rows and the
+  /// coordinate index are copied.
   sparse::SparseTensor to_float() const;
 
   /// True iff coords, channels and every int16 value match.

@@ -30,15 +30,6 @@ std::vector<std::int8_t> quantize_int8(std::span<const float> values,
   return out;
 }
 
-std::vector<std::int16_t> quantize_int16(std::span<const float> values,
-                                         const QuantParams& params) {
-  std::vector<std::int16_t> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = static_cast<std::int16_t>(quantize_value(values[i], params, kInt16Max));
-  }
-  return out;
-}
-
 float quantization_error(std::span<const float> values, const QuantParams& params,
                          std::int32_t qmax) {
   float max_err = 0.0F;

@@ -28,8 +28,6 @@ QuantParams calibrate(float abs_max, std::int32_t qmax);
 std::int32_t quantize_value(float x, const QuantParams& params, std::int32_t qmax);
 
 std::vector<std::int8_t> quantize_int8(std::span<const float> values, const QuantParams& params);
-std::vector<std::int16_t> quantize_int16(std::span<const float> values,
-                                         const QuantParams& params);
 
 /// Max |x - dequant(quant(x))| over the span (bounded by scale/2 pre-clamp).
 float quantization_error(std::span<const float> values, const QuantParams& params,

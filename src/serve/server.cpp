@@ -61,17 +61,6 @@ RetryResult Client::submit_with_retry(const runtime::FrameBatch& batch,
   });
 }
 
-RetryResult Client::submit_sequence_with_retry(std::uint64_t stream_id,
-                                               std::vector<sparse::SparseTensor> frames,
-                                               const SubmitOptions& options,
-                                               const RetryPolicy& policy) {
-  // Frames are copied per attempt — a retried request must carry the same
-  // payload as the failed one.
-  return server_->retry_loop(options, policy, [&](const SubmitOptions& attempt) {
-    return server_->submit_sequence(stream_id, frames, attempt).get();
-  });
-}
-
 Server::Server(ServerConfig config, runtime::PlanPtr plan)
     : config_(std::move(config)),
       plan_(std::move(plan)),
@@ -375,7 +364,7 @@ void Server::worker_loop(int worker_id) {
       if (response.status == RequestStatus::kFailed &&
           request->kind == RequestKind::kSequence) {
         // Quarantine: an exception mid-advance can leave the stream's
-        // incremental geometry (support counts, occupancy) inconsistent.
+        // per-scale incremental geometry halfway between two frames.
         // Dropping the SequenceSession makes the stream's next request
         // cold-rebuild from the frame it carries — correct by construction.
         if (streams.erase(request->stream_id) > 0) telemetry_.on_stream_quarantined();

@@ -165,10 +165,6 @@ class Client {
   /// retries never fire past it.
   RetryResult submit_with_retry(const runtime::FrameBatch& batch,
                                 const SubmitOptions& options, const RetryPolicy& policy);
-  RetryResult submit_sequence_with_retry(std::uint64_t stream_id,
-                                         std::vector<sparse::SparseTensor> frames,
-                                         const SubmitOptions& options,
-                                         const RetryPolicy& policy);
 
   std::uint64_t id() const { return id_; }
 
@@ -225,7 +221,6 @@ class Server {
   const ServerConfig& config() const { return config_; }
   const runtime::Plan& plan() const { return *plan_; }
   int workers() const { return config_.workers; }
-  std::size_t queue_depth() const { return queue_.depth(); }
   bool running() const { return started_ && !stopped_; }
 
   const Telemetry& telemetry() const { return telemetry_; }

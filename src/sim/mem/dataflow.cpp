@@ -1,7 +1,5 @@
 #include "sim/mem/dataflow.hpp"
 
-#include "common/check.hpp"
-
 namespace esca::sim::mem {
 
 const char* to_string(Dataflow dataflow) {
@@ -10,13 +8,6 @@ const char* to_string(Dataflow dataflow) {
     case Dataflow::kOutputStationary: return "os";
   }
   return "?";
-}
-
-Dataflow parse_dataflow(const std::string& name) {
-  if (name == "ws" || name == "weight_stationary") return Dataflow::kWeightStationary;
-  ESCA_REQUIRE(name == "os" || name == "output_stationary",
-               "unknown dataflow '" << name << "' (want ws|os)");
-  return Dataflow::kOutputStationary;
 }
 
 }  // namespace esca::sim::mem

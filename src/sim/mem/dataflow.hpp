@@ -17,8 +17,6 @@
 // itself lives in MemoryTrafficModel.
 #pragma once
 
-#include <string>
-
 namespace esca::sim::mem {
 
 enum class Dataflow {
@@ -28,9 +26,5 @@ enum class Dataflow {
 
 /// "ws" / "os" (the bench/CLI spelling).
 const char* to_string(Dataflow dataflow);
-
-/// Accepts the short spellings and the long ones
-/// ("weight_stationary" / "output_stationary"); throws InvalidArgument.
-Dataflow parse_dataflow(const std::string& name);
 
 }  // namespace esca::sim::mem

@@ -13,7 +13,7 @@
 //   - parallel shards own disjoint, contiguous output-row ranges — no
 //     atomics, no write sharing;
 //   - per output element, contributions arrive in exactly the offset-major
-//     order of the retained scalar reference (apply_rulebook_reference),
+//     order of the scalar reference (sparse/testing/reference.hpp),
 //     so float results are bit-identical to it for ANY thread count,
 //     including 1 — the same determinism contract as the geometry engine;
 //   - the scalar path's per-element `a == 0` early-out becomes a per-row
@@ -117,7 +117,7 @@ class ComputeEngine {
   /// Float path: out[j] += W[o]^T in[i] for every rule (i -> j) of every
   /// offset o. `rules.num_out_rows()` must equal output.size(); weights are
   /// [kernel_volume][cin][cout] row-major. Bit-identical to
-  /// apply_rulebook_reference for any partition or thread count.
+  /// oracle::apply_rulebook_reference for any partition or thread count.
   void apply(const SparseTensor& input, const BlockedRuleBook& rules,
              std::span<const float> weights, SparseTensor& output);
 

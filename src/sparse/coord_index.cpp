@@ -9,7 +9,20 @@ namespace esca::sparse {
 
 namespace {
 
-/// lower_bound by code over a sorted entry run.
+/// True when every axis of c fits the 21-bit Morton range; codes of other
+/// coordinates alias (morton_encode keeps only the low 21 bits per axis).
+bool in_morton_range(const Coord3& c) {
+  return c.x >= 0 && c.y >= 0 && c.z >= 0 && c.x < voxel::kMortonMaxCoord &&
+         c.y < voxel::kMortonMaxCoord && c.z < voxel::kMortonMaxCoord;
+}
+
+std::uint64_t checked_code(const Coord3& c) {
+  ESCA_REQUIRE(in_morton_range(c),
+               "coordinate " << c << " is outside the Morton range [0, 2^21)");
+  return voxel::morton_encode(c);
+}
+
+/// lower_bound by code over the sorted entry run.
 std::vector<CoordIndex::Entry>::const_iterator lower_bound_code(
     const std::vector<CoordIndex::Entry>& run, std::uint64_t code) {
   return std::lower_bound(run.begin(), run.end(), code,
@@ -18,146 +31,58 @@ std::vector<CoordIndex::Entry>::const_iterator lower_bound_code(
 
 }  // namespace
 
-void CoordIndex::clear() {
-  sorted_.clear();
-  tail_.clear();
-  tombstones_ = 0;
-}
-
-std::size_t CoordIndex::merge_threshold() const {
-  return std::clamp(sorted_.size() / 4, std::size_t{64}, std::size_t{4096});
-}
-
 bool CoordIndex::insert(const Coord3& c, std::int32_t row) {
-  const std::uint64_t code = voxel::morton_encode(c);
-  const auto main_it = lower_bound_code(sorted_, code);
-  if (main_it != sorted_.end() && main_it->code == code) {
-    if (main_it->row != kTombstone) return false;
-    // Revive the erased slot in place — no memmove, no tail entry.
-    sorted_[static_cast<std::size_t>(main_it - sorted_.cbegin())].row = row;
-    --tombstones_;
-    return true;
-  }
-  const auto tail_it = lower_bound_code(tail_, code);
-  if (tail_it != tail_.end() && tail_it->code == code) return false;
-
-  tail_.insert(tail_it, Entry{code, row});
-  if (tail_.size() >= merge_threshold()) compact();
+  const std::uint64_t code = checked_code(c);
+  const auto it = lower_bound_code(entries_, code);
+  if (it != entries_.end() && it->code == code) return false;
+  entries_.insert(it, Entry{code, row});
   return true;
-}
-
-bool CoordIndex::erase(const Coord3& c) {
-  if (c.x < 0 || c.y < 0 || c.z < 0) return false;
-  const std::uint64_t code = voxel::morton_encode(c);
-  const auto main_it = lower_bound_code(sorted_, code);
-  if (main_it != sorted_.end() && main_it->code == code) {
-    if (main_it->row == kTombstone) return false;
-    sorted_[static_cast<std::size_t>(main_it - sorted_.cbegin())].row = kTombstone;
-    if (++tombstones_ >= merge_threshold()) sweep_tombstones();
-    return true;
-  }
-  // The tail is small by construction — a direct erase is cheap.
-  const auto tail_it = lower_bound_code(tail_, code);
-  if (tail_it == tail_.end() || tail_it->code != code) return false;
-  tail_.erase(tail_.begin() + (tail_it - tail_.cbegin()));
-  return true;
-}
-
-std::size_t CoordIndex::erase_many(std::span<const Coord3> coords) {
-  // Mark every hit first, then sweep at most once: a large retired batch
-  // costs one O(n) compaction instead of one per threshold crossing.
-  std::size_t erased = 0;
-  for (const Coord3& c : coords) {
-    if (c.x < 0 || c.y < 0 || c.z < 0) continue;
-    const std::uint64_t code = voxel::morton_encode(c);
-    const auto main_it = lower_bound_code(sorted_, code);
-    if (main_it != sorted_.end() && main_it->code == code) {
-      if (main_it->row == kTombstone) continue;
-      sorted_[static_cast<std::size_t>(main_it - sorted_.cbegin())].row = kTombstone;
-      ++tombstones_;
-      ++erased;
-      continue;
-    }
-    const auto tail_it = lower_bound_code(tail_, code);
-    if (tail_it == tail_.end() || tail_it->code != code) continue;
-    tail_.erase(tail_.begin() + (tail_it - tail_.cbegin()));
-    ++erased;
-  }
-  if (tombstones_ >= merge_threshold()) sweep_tombstones();
-  return erased;
 }
 
 std::int32_t CoordIndex::find(const Coord3& c) const {
-  if (c.x < 0 || c.y < 0 || c.z < 0) return -1;
+  if (!in_morton_range(c)) return -1;
   const std::uint64_t code = voxel::morton_encode(c);
-  const auto it = lower_bound_code(sorted_, code);
-  // kTombstone == -1, so an erased entry reads as "absent" directly (an
-  // erased coordinate can never also live in the tail: insert revives the
-  // tombstoned slot in place).
-  if (it != sorted_.end() && it->code == code) return it->row;
-  const auto tail_it = lower_bound_code(tail_, code);
-  return (tail_it != tail_.end() && tail_it->code == code) ? tail_it->row : -1;
+  const auto it = lower_bound_code(entries_, code);
+  return (it != entries_.end() && it->code == code) ? it->row : -1;
 }
 
 bool CoordIndex::rebuild(std::span<const Coord3> coords) {
-  tail_.clear();
-  sorted_.clear();
-  tombstones_ = 0;
-  sorted_.reserve(coords.size());
+  std::vector<Entry> entries;
+  entries.reserve(coords.size());
   for (std::size_t i = 0; i < coords.size(); ++i) {
-    sorted_.push_back(Entry{voxel::morton_encode(coords[i]), static_cast<std::int32_t>(i)});
+    entries.push_back(Entry{checked_code(coords[i]), static_cast<std::int32_t>(i)});
   }
-  std::sort(sorted_.begin(), sorted_.end());
+  std::sort(entries.begin(), entries.end());
   const auto dup = std::adjacent_find(
-      sorted_.begin(), sorted_.end(),
+      entries.begin(), entries.end(),
       [](const Entry& a, const Entry& b) { return a.code == b.code; });
-  if (dup != sorted_.end()) {
-    sorted_.clear();
+  if (dup != entries.end()) {
+    entries_.clear();
     return false;
   }
+  entries_ = std::move(entries);
   return true;
 }
 
-std::span<const CoordIndex::Entry> CoordIndex::entries() const {
-  ensure_sorted();
-  return sorted_;
-}
-
-void CoordIndex::ensure_sorted() const {
-  if (!tail_.empty()) compact();
-  if (tombstones_ > 0) sweep_tombstones();
-}
-
-std::int32_t CoordIndex::find_sorted(std::uint64_t code) const {
-  ESCA_ASSERT(is_sorted(),
-              "find_sorted on an index with a pending tail/tombstones — call "
-              "ensure_sorted() (or entries()) before sharing it across readers");
-  const auto it = lower_bound_code(sorted_, code);
-  return (it != sorted_.end() && it->code == code) ? it->row : -1;
-}
-
 std::int32_t CoordIndex::find_near(std::uint64_t code, std::size_t& cursor) const {
-  ESCA_ASSERT(is_sorted(),
-              "find_near on an index with a pending tail/tombstones — call "
-              "ensure_sorted() (or entries()) before sharing it across readers");
-  const std::size_t n = sorted_.size();
+  const std::size_t n = entries_.size();
   if (n == 0) return -1;
   if (cursor >= n) cursor = n - 1;
 
   // Bracket [lo, hi) around the query by galloping away from the cursor.
   std::size_t lo = cursor;
   std::size_t hi = cursor;
-  if (sorted_[cursor].code < code) {
+  if (entries_[cursor].code < code) {
     std::size_t step = 1;
     hi = cursor + 1;
-    while (hi < n && sorted_[hi].code < code) {
+    while (hi < n && entries_[hi].code < code) {
       lo = hi;
       hi = std::min(n, hi + step);
       step *= 2;
     }
   } else {
     std::size_t step = 1;
-    while (lo > 0 && sorted_[lo - 1].code >= code) {
+    while (lo > 0 && entries_[lo - 1].code >= code) {
       hi = lo;
       lo = (lo > step) ? lo - step : 0;
       step *= 2;
@@ -165,28 +90,13 @@ std::int32_t CoordIndex::find_near(std::uint64_t code, std::size_t& cursor) cons
     hi = std::max(hi, lo + 1);
   }
 
-  const auto first = sorted_.begin() + static_cast<std::ptrdiff_t>(lo);
-  const auto last = sorted_.begin() + static_cast<std::ptrdiff_t>(std::min(hi, n));
+  const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(lo);
+  const auto last = entries_.begin() + static_cast<std::ptrdiff_t>(std::min(hi, n));
   const auto it = std::lower_bound(
       first, last, code,
       [](const Entry& e, std::uint64_t c) { return e.code < c; });
-  cursor = std::min(static_cast<std::size_t>(it - sorted_.begin()), n - 1);
-  return (it != sorted_.end() && it->code == code) ? it->row : -1;
-}
-
-void CoordIndex::compact() const {
-  if (tail_.empty()) return;
-  const std::size_t old_size = sorted_.size();
-  sorted_.insert(sorted_.end(), tail_.begin(), tail_.end());
-  std::inplace_merge(sorted_.begin(),
-                     sorted_.begin() + static_cast<std::ptrdiff_t>(old_size), sorted_.end());
-  tail_.clear();
-}
-
-void CoordIndex::sweep_tombstones() const {
-  if (tombstones_ == 0) return;
-  std::erase_if(sorted_, [](const Entry& e) { return e.row == kTombstone; });
-  tombstones_ = 0;
+  cursor = std::min(static_cast<std::size_t>(it - entries_.begin()), n - 1);
+  return (it != entries_.end() && it->code == code) ? it->row : -1;
 }
 
 }  // namespace esca::sparse

@@ -1,29 +1,18 @@
 // Morton-ordered coordinate index — the software model of the paper's
 // coordinate-mapping stage (and of PointAcc-style "mapping by sorting").
 //
-// A CoordIndex maps Coord3 -> row through a single sorted array of
+// A CoordIndex maps Coord3 -> row through one sorted array of
 // (morton code, row) entries instead of a hash table. Lookups are binary
 // searches; streaming lookups whose queries are spatially local (kernel
 // offsets enumerated over a Morton-ordered site list) use a galloping
 // cursor (`find_near`) that degenerates to O(1) when locality holds.
 //
-// Incremental inserts land in a small sorted tail that is merged into the
-// main run once it grows past a threshold (amortized O(log n) per insert,
-// bounded memmove); bulk (re)builds sort once. Copying the index is a flat
-// vector copy — no rehash.
+// The array is sorted at all times: bulk (re)builds sort once, and insert()
+// places each entry at its sorted position (an append when sites arrive in
+// Morton order). Copying the index is a flat vector copy — no rehash.
 //
-// Erases tombstone the entry in place (row = kTombstone) and sweep the
-// main run once tombstones pass the same threshold, so streaming workloads
-// that retire a few sites per frame (stream/frame_delta.hpp) pay amortized
-// O(log n) per erase instead of an O(n) memmove each.
-//
-// Thread-safety: find() never mutates and is safe alongside other readers.
-// entries() / ensure_sorted() lazily merge the pending tail — call one of
-// them from a single thread BEFORE sharing the index; afterwards concurrent
-// find_sorted()/find_near() calls are pure reads and safe. This is an
-// enforced contract, not a comment: in debug builds find_sorted()/
-// find_near() assert that no tail or tombstone is pending (the parallel
-// geometry patch fans the index out across workers and relies on it).
+// Thread-safety: every const method is a pure read, so any number of
+// threads may read one index concurrently while nobody inserts.
 #pragma once
 
 #include <cstdint>
@@ -43,76 +32,39 @@ class CoordIndex {
     friend bool operator<(const Entry& a, const Entry& b) { return a.code < b.code; }
   };
 
-  /// Row value marking an erased entry awaiting compaction. Never a valid
-  /// payload row (payload rows are >= 0).
-  static constexpr std::int32_t kTombstone = -1;
-
   CoordIndex() = default;
 
-  std::size_t size() const { return sorted_.size() + tail_.size() - tombstones_; }
-  bool empty() const { return size() == 0; }
+  std::size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
 
-  void reserve(std::size_t n) { sorted_.reserve(n); }
-  void clear();
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
-  /// Insert c -> row. Returns false when c is already present (nothing is
-  /// inserted). Coordinates must be non-negative and below 2^21 per axis.
-  /// Re-inserting an erased coordinate revives its slot in place.
+  /// Insert c -> row at its sorted position. Returns false when c is
+  /// already present (nothing is inserted). Throws InvalidArgument when an
+  /// axis of c lies outside the Morton range [0, 2^21).
   bool insert(const Coord3& c, std::int32_t row);
 
-  /// Remove c from the index. Returns false when c is not present. The
-  /// entry is tombstoned and swept once enough accumulate (amortized
-  /// O(log n)); other rows keep their values — renumbering is the caller's
-  /// responsibility.
-  bool erase(const Coord3& c);
-
-  /// Erase a batch of coordinates (single sweep over the sorted run when
-  /// the batch is large). Returns how many were present and removed.
-  std::size_t erase_many(std::span<const Coord3> coords);
-
-  /// Row of c, or -1. Searches both runs; never mutates.
+  /// Row of c, or -1 (also for coordinates outside the Morton range).
   std::int32_t find(const Coord3& c) const;
 
   /// Rebuild from a coordinate list: row i = coords[i]. Returns false (and
-  /// leaves the index empty) when the list contains a duplicate.
+  /// leaves the index empty) when the list contains a duplicate; throws
+  /// InvalidArgument, leaving the index unchanged, when a coordinate lies
+  /// outside the Morton range.
   bool rebuild(std::span<const Coord3> coords);
 
-  /// The full Morton-sorted entry list (merges the pending tail and sweeps
-  /// tombstones first, so every returned entry is live). The span is
-  /// invalidated by the next insert()/erase().
-  std::span<const Entry> entries() const;
-
-  /// Eagerly absorb the pending tail and sweep tombstones so the index is
-  /// one contiguous sorted run. Call this (or entries()) from a single
-  /// thread before fanning the index out to concurrent find_sorted()/
-  /// find_near() readers; it is what makes them pure reads.
-  void ensure_sorted() const;
-
-  /// True when no tail or tombstone is pending — i.e. find_sorted()/
-  /// find_near() are currently safe for concurrent readers.
-  bool is_sorted() const { return tail_.empty() && tombstones_ == 0; }
-
-  /// Binary search by code over the compacted run. Requires no pending
-  /// tail (call ensure_sorted()/entries() first — asserted in debug
-  /// builds); safe for concurrent readers.
-  std::int32_t find_sorted(std::uint64_t code) const;
+  /// The Morton-sorted entry list. The span is invalidated by the next
+  /// insert()/rebuild().
+  std::span<const Entry> entries() const { return entries_; }
 
   /// Galloping search around a caller-owned cursor: starts at `cursor`
   /// and widens exponentially, then binary-searches the bracketed window.
   /// `cursor` is updated to the match (or insertion point), which makes a
-  /// run of spatially local queries nearly O(1) each. Same preconditions
-  /// as find_sorted().
+  /// run of spatially local queries nearly O(1) each.
   std::int32_t find_near(std::uint64_t code, std::size_t& cursor) const;
 
  private:
-  void compact() const;
-  void sweep_tombstones() const;
-  std::size_t merge_threshold() const;
-
-  // Lazily-merged storage; mutable so const lookups can absorb the tail.
-  mutable std::vector<Entry> sorted_;  ///< Morton-sorted main run
-  mutable std::vector<Entry> tail_;    ///< small sorted overflow run
-  mutable std::size_t tombstones_{0};  ///< erased-but-unswept entries in sorted_
+  std::vector<Entry> entries_;  ///< Morton-sorted, codes unique
 };
 
 }  // namespace esca::sparse

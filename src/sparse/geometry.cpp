@@ -121,10 +121,6 @@ std::uint64_t geometry_builds() {
   return static_cast<std::uint64_t>(geometry_builds_counter().value());
 }
 
-std::uint64_t geometry_transposes() {
-  return static_cast<std::uint64_t>(geometry_transposes_counter().value());
-}
-
 GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s) {
   const std::size_t per = n / static_cast<std::size_t>(shards);
   const std::size_t rem = n % static_cast<std::size_t>(shards);
@@ -156,7 +152,6 @@ LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_s
   std::vector<Coord3> offsets(static_cast<std::size_t>(volume));
   for (int o = 0; o < volume; ++o) offsets[static_cast<std::size_t>(o)] = kernel_offset(o, k);
 
-  // Compact the index on this thread; worker lookups are then pure reads.
   const CoordIndex& index = g.sites.index();
   const auto entries = index.entries();
   const Coord3 extent = input.spatial_extent();
@@ -280,7 +275,6 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
   g.out_extent = target.spatial_extent();
 
   const CoordIndex& index = g.sites.index();
-  (void)index.entries();  // compact before sharing across workers
   const Coord3 in_extent = input.spatial_extent();
 
   const std::size_t n = target.size();

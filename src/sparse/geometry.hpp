@@ -154,17 +154,14 @@ bool geometry_equal(const LayerGeometry& a, const LayerGeometry& b);
 /// Process-wide count of geometry builds (any kind). Monotonic; tests use
 /// it to prove that steady-state frames replay cached geometry instead of
 /// rebuilding it. Rulebook transposes are NOT builds — they are counted by
-/// geometry_transposes(). Back-compat shim over the obs registry counter
-/// `esca_geometry_builds_total` (see geometry_builds_counter()).
+/// geometry_transposes_counter(). Back-compat shim over the obs registry
+/// counter `esca_geometry_builds_total` (see geometry_builds_counter()).
 std::uint64_t geometry_builds();
 
-/// Process-wide count of transpose-derived geometries (registry counter
-/// `esca_geometry_transposes_total`).
-std::uint64_t geometry_transposes();
-
-/// The registry cells behind the shims above — scope test baselines with
-/// obs::CounterGuard(geometry_builds_counter()) instead of hand-copied
-/// before/after snapshots.
+/// The registry cells behind geometry_builds() and the process-wide count
+/// of transpose-derived geometries (`esca_geometry_transposes_total`) —
+/// scope test baselines with obs::CounterGuard(geometry_builds_counter())
+/// instead of hand-copied before/after snapshots.
 obs::Counter& geometry_builds_counter();
 obs::Counter& geometry_transposes_counter();
 

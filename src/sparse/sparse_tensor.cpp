@@ -21,7 +21,7 @@ SparseTensor::SparseTensor(Coord3 spatial_extent, int channels)
 SparseTensor SparseTensor::from_voxel_grid(const voxel::VoxelGrid& grid, int channels) {
   SparseTensor t(grid.extent(), channels);
   // Bulk build: one sort over all sites plus one index rebuild, instead of
-  // per-site sorted-tail inserts followed by a second canonical sort.
+  // per-site sorted inserts followed by a second canonical sort.
   // VoxelGrid::insert already bounds-checks every site against this extent.
   t.coords_ = grid.coords();
   std::sort(t.coords_.begin(), t.coords_.end());

@@ -69,8 +69,7 @@ FrameDelta diff_frames(const sparse::SparseTensor& prev, const sparse::SparseTen
   delta.new_to_old.assign(next.size(), -1);
 
   // Both entry runs are Morton-sorted with unique codes, so one merge walk
-  // classifies every site of either frame. Compact both indexes on this
-  // thread; partition reads are then pure.
+  // classifies every site of either frame.
   const auto old_entries = prev.index().entries();
   const auto new_entries = next.index().entries();
 

@@ -125,16 +125,13 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
   span.arg("removed", delta.removed.size());
 
   // Chaos site: a patch that dies mid-stream leaves the caller's carried
-  // state (IncrementalGeometry / SequenceSession coarse occupancy) halfway
-  // between two frames — exactly what serve's stream quarantine must absorb.
+  // per-scale state halfway between two frames — exactly what serve's
+  // stream quarantine must absorb.
   fault::maybe_throw("stream.patch");
 
   sparse::LayerGeometry g(sparse::GeometryKind::kSubmanifold, k, 1, next.zeros_like(1));
 
-  // Compact both indexes on the calling thread; every partition's read
-  // below is then a pure read of the sorted runs.
   const auto entries = g.sites.index().entries();
-  prev.sites.index().ensure_sorted();
 
   std::vector<Coord3> offsets(static_cast<std::size_t>(volume));
   for (int o = 0; o < volume; ++o) {

@@ -100,11 +100,6 @@ class IncrementalGeometry {
   /// possible. The returned handle is also retained as the new state.
   GeometryUpdate update(const sparse::SparseTensor& frame);
 
-  /// Same, with a caller-computed delta — must be
-  /// diff_frames(current()->sites, frame) and current() must be non-null
-  /// (callers that need the delta themselves avoid diffing twice).
-  GeometryUpdate update(const sparse::SparseTensor& frame, const FrameDelta& delta);
-
   /// The last frame's geometry (null before the first update()).
   const sparse::LayerGeometryPtr& current() const { return current_; }
 
@@ -115,6 +110,10 @@ class IncrementalGeometry {
   std::uint64_t rebuilds() const { return rebuilds_; }
 
  private:
+  /// Patch (or churn-fallback rebuild) from current() through `delta`,
+  /// which is diff_frames(current()->sites, frame).
+  GeometryUpdate update(const sparse::SparseTensor& frame, const FrameDelta& delta);
+
   IncrementalGeometryConfig config_;
   sparse::LayerGeometryPtr current_;
   std::uint64_t patches_{0};

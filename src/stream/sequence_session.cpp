@@ -12,9 +12,24 @@ namespace esca::stream {
 
 namespace {
 
-Coord3 coarse_extent_of(const Coord3& fine, int factor) {
-  return {(fine.x + factor - 1) / factor, (fine.y + factor - 1) / factor,
-          (fine.z + factor - 1) / factor};
+/// The stride-2 coarse frame of `fine`: fine site p falls in cell p / 2 per
+/// axis, whose Morton code is p's code >> 3, so the fine Morton run yields
+/// the cells sorted with equal codes adjacent.
+sparse::SparseTensor downsampled(const sparse::SparseTensor& fine) {
+  std::vector<Coord3> coords;
+  std::uint64_t last = 0;
+  for (const sparse::CoordIndex::Entry& e : fine.index().entries()) {
+    const std::uint64_t code = e.code >> 3;
+    if (!coords.empty() && code == last) continue;
+    coords.push_back(voxel::morton_decode(code));
+    last = code;
+  }
+  sparse::CoordIndex index;
+  ESCA_CHECK(index.rebuild(coords), "duplicate coarse cell");
+  const Coord3 extent = fine.spatial_extent();
+  return sparse::SparseTensor::from_coords(
+      {(extent.x + 1) / 2, (extent.y + 1) / 2, (extent.z + 1) / 2}, 1, std::move(coords),
+      std::move(index));
 }
 
 }  // namespace
@@ -22,15 +37,12 @@ Coord3 coarse_extent_of(const Coord3& fine, int factor) {
 SequenceSession::SequenceSession(runtime::Session& session, SequenceSessionConfig config)
     : session_(&session), config_(config) {
   ESCA_REQUIRE(config_.scales >= 1, "sequence session needs >= 1 scale, got " << config_.scales);
-  ESCA_REQUIRE(config_.downsample_factor >= 2,
-               "downsample factor must be >= 2, got " << config_.downsample_factor);
   IncrementalGeometryConfig per_scale;
   per_scale.kernel_size = config_.kernel_size;
   per_scale.geometry = config_.geometry;
   per_scale.rebuild_fraction = config_.rebuild_fraction;
   scales_.reserve(static_cast<std::size_t>(config_.scales));
   for (int s = 0; s < config_.scales; ++s) scales_.emplace_back(per_scale);
-  coarse_.resize(static_cast<std::size_t>(config_.scales - 1));
 }
 
 SequenceFrameResult SequenceSession::advance(const sparse::SparseTensor& frame,
@@ -53,28 +65,16 @@ SequenceFrameResult SequenceSession::advance(const sparse::SparseTensor& frame,
   const auto t0 = std::chrono::steady_clock::now();
   sparse::SparseTensor cur = frame.zeros_like(1);
   for (std::size_t s = 0; s < scales_.size(); ++s) {
-    // Hold the previous geometry so its site tensor outlives the update —
-    // the coarse-scale maintenance below still needs its coordinates.
-    const sparse::LayerGeometryPtr prev = scales_[s].current();
-    const bool diffable =
-        prev != nullptr && prev->sites.spatial_extent() == cur.spatial_extent();
     obs::Span scale_span("stream.scale");
     scale_span.arg("scale", s);
-    FrameDelta delta;
-    if (diffable) delta = diff_frames(prev->sites, cur, config_.geometry);
-
-    const GeometryUpdate upd =
-        diffable ? scales_[s].update(cur, delta) : scales_[s].update(cur);
+    const GeometryUpdate upd = scales_[s].update(cur);
     scale_span.arg("patched", static_cast<std::int64_t>(upd.patched));
     scale_span.arg("shards", upd.shards);
     result.stats.scales.push_back(
         ScaleUpdate{upd.sites, upd.added, upd.removed, upd.patched, upd.seconds, upd.shards});
     result.geometries.push_back(upd.geometry);
 
-    if (s + 1 < scales_.size()) {
-      cur = downsampled(s, cur, diffable ? &prev->sites : nullptr,
-                        diffable ? &delta : nullptr);
-    }
+    if (s + 1 < scales_.size()) cur = downsampled(cur);
   }
   result.stats.geometry_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -82,59 +82,6 @@ SequenceFrameResult SequenceSession::advance(const sparse::SparseTensor& frame,
   result.run = session_->submit(runtime::FrameBatch::single(std::move(frame_id)), options);
   ++frames_;
   return result;
-}
-
-sparse::SparseTensor SequenceSession::downsampled(std::size_t transition,
-                                                  const sparse::SparseTensor& fine,
-                                                  const sparse::SparseTensor* prev_fine,
-                                                  const FrameDelta* delta) {
-  CoarseState& state = coarse_[transition];
-  const int factor = config_.downsample_factor;
-
-  if (state.valid && prev_fine != nullptr && delta != nullptr) {
-    // Patch the occupancy: only the churned fine sites touch it. A coarse
-    // cell dies when its last supporting fine site disappears and is born
-    // with its first one — CoordIndex::erase/insert keep the Morton-sorted
-    // cell set without re-deriving it.
-    for (const std::int32_t r : delta->removed) {
-      const Coord3 cc = prev_fine->coord(static_cast<std::size_t>(r)).floordiv(factor);
-      const std::uint64_t code = voxel::morton_encode(cc);
-      const auto it = state.support.find(code);
-      ESCA_CHECK(it != state.support.end() && it->second > 0,
-                 "coarse support underflow at " << cc);
-      if (--it->second == 0) {
-        state.support.erase(it);
-        ESCA_CHECK(state.occupied.erase(cc), "occupied set missing coarse cell " << cc);
-      }
-    }
-    for (const std::int32_t a : delta->added) {
-      const Coord3 cc = fine.coord(static_cast<std::size_t>(a)).floordiv(factor);
-      if (state.support[voxel::morton_encode(cc)]++ == 0) {
-        ESCA_CHECK(state.occupied.insert(cc, 0), "occupied set already has " << cc);
-      }
-    }
-  } else {
-    state.support.clear();
-    state.occupied.clear();
-    for (std::size_t row = 0; row < fine.size(); ++row) {
-      const Coord3 cc = fine.coord(row).floordiv(factor);
-      if (state.support[voxel::morton_encode(cc)]++ == 0) state.occupied.insert(cc, 0);
-    }
-    state.valid = true;
-  }
-
-  // Materialize the coarse frame in Morton row order — identical to the
-  // out_coords a downsample geometry build (kernel == stride == factor)
-  // would produce, so the next scale sees exactly the network's coordinate
-  // set.
-  const auto entries = state.occupied.entries();
-  std::vector<Coord3> coords;
-  coords.reserve(entries.size());
-  for (const auto& e : entries) coords.push_back(voxel::morton_decode(e.code));
-  sparse::CoordIndex index;
-  ESCA_CHECK(index.rebuild(coords), "duplicate coarse cell");
-  return sparse::SparseTensor::from_coords(coarse_extent_of(fine.spatial_extent(), factor), 1,
-                                           std::move(coords), std::move(index));
 }
 
 std::uint64_t SequenceSession::patches() const {
@@ -151,11 +98,6 @@ std::uint64_t SequenceSession::rebuilds() const {
 
 void SequenceSession::reset() {
   for (IncrementalGeometry& s : scales_) s.reset();
-  for (CoarseState& c : coarse_) {
-    c.support.clear();
-    c.occupied.clear();
-    c.valid = false;
-  }
 }
 
 }  // namespace esca::stream

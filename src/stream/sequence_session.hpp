@@ -2,17 +2,19 @@
 //
 // A session owns per-scale incremental geometry state for one sensor
 // stream: scale 0 is the voxelized input frame, every further scale is the
-// stride-s downsampling of the previous one (the SS U-Net pyramid). Each
+// stride-2 downsampling of the previous one (the SS U-Net pyramid). Each
 // advance() diffs the new frame against the previous one (stream/
 // frame_delta.hpp), patches every scale's submanifold geometry through
 // stream::IncrementalGeometry, and pushes one frame through the underlying
 // runtime::Session so weight residency and reporting behave exactly like
 // any other streaming workload.
 //
-// The coarse scales are maintained incrementally too: a per-cell support
-// count tracks how many fine sites map into each coarse cell, and the
-// occupied-cell CoordIndex is patched with insert()/erase() — O(churn)
-// instead of re-deriving the pyramid from scratch every frame.
+// Each coarse scale is derived from the finer one in a single pass over
+// its Morton-sorted index: with kernel == stride == 2, a coarse cell's
+// Morton code is the fine code >> 3, so the coarse codes arrive sorted and
+// dedupe in order — the out_coords of build_downsample_geometry(fine, 2, 2)
+// without a geometry build. Only the per-scale submanifold geometry carries
+// state from frame to frame.
 //
 // serve::Server exposes SequenceSessions as a sticky request kind: all
 // requests of one stream id are pinned to one worker, whose SequenceSession
@@ -22,11 +24,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/session.hpp"
-#include "sparse/coord_index.hpp"
 #include "stream/incremental_geometry.hpp"
 
 namespace esca::stream {
@@ -35,10 +35,8 @@ struct SequenceSessionConfig {
   /// Submanifold kernel at every scale (odd).
   int kernel_size{3};
   /// Geometry pyramid depth (>= 1). Scale s is the input downsampled s
-  /// times by `downsample_factor`.
+  /// times with kernel == stride == 2, as in the SS U-Net.
   int scales{1};
-  /// Downsampling kernel == stride between scales (the SS U-Net uses 2).
-  int downsample_factor{2};
   /// Shard configuration for the whole per-frame geometry path: cold
   /// (re)builds, the frame diff and the incremental patch (see
   /// IncrementalGeometryConfig::geometry). Intra-frame parallelism — results
@@ -122,29 +120,11 @@ class SequenceSession {
   /// only the per-frame cost rises — and no incremental state accumulates
   /// while the server is overloaded.
   void set_forced_rebuild(bool forced) { forced_rebuild_ = forced; }
-  bool forced_rebuild() const { return forced_rebuild_; }
 
  private:
-  /// Incrementally maintained occupancy of one coarse scale.
-  struct CoarseState {
-    /// Fine sites supporting each occupied coarse cell, keyed by the
-    /// cell's Morton code.
-    std::unordered_map<std::uint64_t, std::int32_t> support;
-    /// The occupied coarse cells (rows unused — set semantics).
-    sparse::CoordIndex occupied;
-    bool valid{false};
-  };
-
-  /// The coarse frame one level below `fine`, maintained from the fine
-  /// delta when available (O(churn)), else rebuilt (O(sites)).
-  sparse::SparseTensor downsampled(std::size_t transition, const sparse::SparseTensor& fine,
-                                   const sparse::SparseTensor* prev_fine,
-                                   const FrameDelta* delta);
-
   runtime::Session* session_;
   SequenceSessionConfig config_;
   std::vector<IncrementalGeometry> scales_;
-  std::vector<CoarseState> coarse_;  ///< one per scale transition
   std::size_t frames_{0};
   bool forced_rebuild_{false};
 };

@@ -16,8 +16,8 @@
 #include "runtime/runtime.hpp"
 #include "sparse/compute.hpp"
 #include "sparse/geometry.hpp"
-#include "sparse/ops.hpp"
 #include "sparse/rulebook.hpp"
+#include "sparse/testing/reference.hpp"
 #include "test_util.hpp"
 
 namespace esca::sparse {
@@ -92,7 +92,7 @@ TEST(ComputeEngineTest, FloatBitIdenticalToScalarReferenceOnRandomRulebooks) {
     const std::vector<float> weights = random_weights(volume, cin, cout, rng);
 
     SparseTensor expected = dense_rows_tensor(n_out, cout, rng).zeros_like(cout);
-    apply_rulebook_reference(input, rb, weights, expected);
+    oracle::apply_rulebook_reference(input, rb, weights, expected);
 
     SparseTensor got = expected.zeros_like(cout);
     default_compute_engine().apply(input, BlockedRuleBook(rb, got.size()), weights, got);
@@ -110,7 +110,7 @@ TEST(ComputeEngineTest, AnyThreadCountIsBitIdentical) {
   const std::vector<float> weights = random_weights(27, cin, cout, rng);
 
   SparseTensor expected = input.zeros_like(cout);
-  apply_rulebook_reference(input, g.rulebook, weights, expected);
+  oracle::apply_rulebook_reference(input, g.rulebook, weights, expected);
 
   for (const int threads : {1, 2, 3, 4, 5, 16}) {
     ComputeEngine engine{ComputeOptions{.threads = threads}};
@@ -136,7 +136,7 @@ TEST(ComputeEngineTest, QuantizedPathMatchesScalarReference) {
     const LayerGeometry g = geometry_with_rules(
         x, random_rulebook(27, qx.size(), qx.size(), rng.uniform_int(0, 3000), rng));
 
-    const quant::QSparseTensor expected = q.forward_reference(qx, g.rulebook);
+    const quant::QSparseTensor expected = oracle::forward_reference(q, qx, g.rulebook);
     const quant::QSparseTensor got = q.forward(qx, g);
     EXPECT_TRUE(expected == got) << "trial " << trial;
   }
@@ -154,7 +154,7 @@ TEST(ComputeEngineTest, QuantizedGeometryPathMatchesRulebookPath) {
   const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
 
   const LayerGeometry geometry = build_submanifold_geometry(qx.sites(), 3);
-  const quant::QSparseTensor via_reference = q.forward_reference(qx, geometry.rulebook);
+  const quant::QSparseTensor via_reference = oracle::forward_reference(q, qx, geometry.rulebook);
   for (const int threads : {1, 2, 4}) {
     ComputeEngine engine{ComputeOptions{.threads = threads}};
     EXPECT_TRUE(via_reference == q.forward(qx, geometry, &engine)) << "threads=" << threads;
@@ -191,7 +191,7 @@ TEST(ComputeEngineTest, ExtremesDoNotOverflow) {
   EXPECT_LT(acc[centre], std::numeric_limits<std::int32_t>::min());
 
   const quant::QSparseTensor out = q.forward(qx, geometry, &engine);
-  EXPECT_TRUE(out == q.forward_reference(qx, geometry.rulebook));
+  EXPECT_TRUE(out == oracle::forward_reference(q, qx, geometry.rulebook));
   EXPECT_EQ(out.features(centre)[0], -27 * kCin);  // = 27 * 512 * (1.0 * -1.0)
 }
 

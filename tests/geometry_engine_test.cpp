@@ -6,8 +6,11 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/executor.hpp"
 #include "common/rng.hpp"
 #include "nn/unet.hpp"
 #include "sparse/coord_index.hpp"
@@ -30,8 +33,8 @@ TEST(CoordIndexTest, InsertFindAndDuplicates) {
   EXPECT_EQ(idx.find({-1, 0, 0}), -1);  // negative coords never match
 }
 
-TEST(CoordIndexTest, ManyInsertsSurviveTailMerges) {
-  // Enough inserts to force several tail merges; every row stays findable.
+TEST(CoordIndexTest, ManyInsertsStayFindable) {
+  // Many inserts in random order; every row stays findable.
   Rng rng(5);
   CoordIndex idx;
   std::vector<Coord3> coords;
@@ -74,76 +77,9 @@ TEST(CoordIndexTest, EntriesAreMortonSorted) {
   }
 }
 
-TEST(CoordIndexTest, EnsureSortedEnforcesTheSharedReaderContract) {
-  CoordIndex idx;
-  EXPECT_TRUE(idx.is_sorted());  // empty index is trivially compact
-  for (std::int32_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(idx.insert({i, i, 0}, i));
-  }
-  EXPECT_FALSE(idx.is_sorted());  // small inserts sit in the pending tail
-#ifndef NDEBUG
-  // The shared-reader lookups reject a pending tail in debug builds — the
-  // parallel patch path relies on compacting before the worker fan-out.
-  EXPECT_THROW((void)idx.find_sorted(voxel::morton_encode({1, 1, 0})), InternalError);
-  std::size_t cursor = 0;
-  EXPECT_THROW((void)idx.find_near(voxel::morton_encode({1, 1, 0}), cursor), InternalError);
-#endif
-  idx.ensure_sorted();
-  EXPECT_TRUE(idx.is_sorted());
-  EXPECT_EQ(idx.find_sorted(voxel::morton_encode({3, 3, 0})), 3);
-
-  // An erase re-introduces pending state (a tombstone); ensure_sorted()
-  // clears that too.
-  ASSERT_TRUE(idx.erase({3, 3, 0}));
-  EXPECT_FALSE(idx.is_sorted());
-  idx.ensure_sorted();
-  EXPECT_TRUE(idx.is_sorted());
-  EXPECT_EQ(idx.find_sorted(voxel::morton_encode({3, 3, 0})), -1);
-  EXPECT_EQ(idx.entries().size(), 9U);
-}
-
-TEST(CoordIndexTest, EraseRemovesAndReviveReinserts) {
-  CoordIndex idx;
-  EXPECT_TRUE(idx.insert({1, 2, 3}, 0));
-  EXPECT_TRUE(idx.insert({3, 2, 1}, 1));
-  EXPECT_TRUE(idx.insert({4, 4, 4}, 2));
-  (void)idx.entries();  // push everything into the sorted run
-
-  EXPECT_TRUE(idx.erase({3, 2, 1}));
-  EXPECT_FALSE(idx.erase({3, 2, 1}));  // already gone
-  EXPECT_FALSE(idx.erase({9, 9, 9}));  // never present
-  EXPECT_FALSE(idx.erase({-1, 0, 0}));
-  EXPECT_EQ(idx.size(), 2U);
-  EXPECT_EQ(idx.find({3, 2, 1}), -1);
-  EXPECT_EQ(idx.find({1, 2, 3}), 0);
-
-  // Re-inserting an erased coordinate revives it with the new row.
-  EXPECT_TRUE(idx.insert({3, 2, 1}, 7));
-  EXPECT_EQ(idx.find({3, 2, 1}), 7);
-  EXPECT_EQ(idx.size(), 3U);
-
-  // Entries never expose erased slots.
-  EXPECT_TRUE(idx.erase({4, 4, 4}));
-  const auto entries = idx.entries();
-  ASSERT_EQ(entries.size(), 2U);
-  for (const auto& e : entries) EXPECT_NE(e.row, CoordIndex::kTombstone);
-}
-
-TEST(CoordIndexTest, EraseFromPendingTailAndSortedRun) {
-  CoordIndex idx;
-  EXPECT_TRUE(idx.insert({1, 1, 1}, 0));
-  (void)idx.entries();              // {1,1,1} now lives in the sorted run
-  EXPECT_TRUE(idx.insert({2, 2, 2}, 1));  // lands in the tail
-  EXPECT_TRUE(idx.erase({2, 2, 2}));      // tail erase path
-  EXPECT_TRUE(idx.erase({1, 1, 1}));      // sorted-run (tombstone) path
-  EXPECT_TRUE(idx.empty());
-  EXPECT_EQ(idx.find({1, 1, 1}), -1);
-  EXPECT_EQ(idx.find({2, 2, 2}), -1);
-}
-
-TEST(CoordIndexTest, InsertEraseFindInterleavingsMatchOracle) {
-  // Randomized interleavings against a map oracle, heavy enough to cross
-  // both the tail-merge and the tombstone-sweep thresholds repeatedly.
+TEST(CoordIndexTest, InsertFindInterleavingsMatchOracle) {
+  // Randomized insert/find interleavings against a map oracle, then an
+  // audit of the Morton-sorted entry run.
   Rng rng(17);
   CoordIndex idx;
   std::map<Coord3, std::int32_t> oracle;
@@ -157,51 +93,47 @@ TEST(CoordIndexTest, InsertEraseFindInterleavingsMatchOracle) {
   for (int step = 0; step < 12000; ++step) {
     const Coord3& c = universe[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(universe.size()) - 1))];
-    const int op = static_cast<int>(rng.uniform_int(0, 2));
-    if (op == 0) {
+    if (rng.bernoulli(0.5)) {
       const bool fresh = !oracle.contains(c);
       EXPECT_EQ(idx.insert(c, next_row), fresh) << "step " << step;
       if (fresh) oracle[c] = next_row++;
-    } else if (op == 1) {
-      EXPECT_EQ(idx.erase(c), oracle.erase(c) > 0) << "step " << step;
     } else {
       const auto it = oracle.find(c);
       EXPECT_EQ(idx.find(c), it == oracle.end() ? -1 : it->second) << "step " << step;
     }
     ASSERT_EQ(idx.size(), oracle.size());
   }
-  // Full final audit, including the compacted entries() view.
+  // Full final audit, including the entries() view.
   const auto entries = idx.entries();
-  EXPECT_EQ(entries.size(), oracle.size());
+  ASSERT_EQ(entries.size(), oracle.size());
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    EXPECT_LT(entries[i - 1].code, entries[i].code);
+  }
+  for (const auto& e : entries) EXPECT_EQ(oracle.at(voxel::morton_decode(e.code)), e.row);
   for (const auto& [c, row] : oracle) EXPECT_EQ(idx.find(c), row);
 }
 
-TEST(CoordIndexTest, EraseManySweepsOnce) {
-  Rng rng(23);
+TEST(CoordIndexTest, CoordsOutsideTheMortonRangeNeverAlias) {
+  // morton_encode keeps 21 bits per axis, so 2^21 would share the code of
+  // 0: the index must reject such coordinates instead of aliasing them.
+  const std::int32_t big = voxel::kMortonMaxCoord;
   CoordIndex idx;
-  std::vector<Coord3> coords;
-  std::set<Coord3> seen;
-  while (coords.size() < 3000) {
-    const Coord3 c{static_cast<std::int32_t>(rng.uniform_int(0, 63)),
-                   static_cast<std::int32_t>(rng.uniform_int(0, 63)),
-                   static_cast<std::int32_t>(rng.uniform_int(0, 63))};
-    if (!seen.insert(c).second) continue;
-    ASSERT_TRUE(idx.insert(c, static_cast<std::int32_t>(coords.size())));
-    coords.push_back(c);
+  ASSERT_TRUE(idx.insert({0, 0, 0}, 0));
+  EXPECT_EQ(idx.find({big, 0, 0}), -1);
+  EXPECT_EQ(idx.find({0, 0, big}), -1);
+
+  try {
+    (void)idx.insert({big, 5, 0}, 1);
+    ADD_FAILURE() << "insert outside the Morton range did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("(2097152,5,0)"), std::string::npos) << e.what();
   }
-  // Remove the front half in one call; ask for a few misses too.
-  std::vector<Coord3> victims(coords.begin(), coords.begin() + 1500);
-  victims.push_back({127, 127, 127});             // never present
-  victims.push_back(victims.front());             // duplicate victim
-  EXPECT_EQ(idx.erase_many(victims), 1500U);
-  EXPECT_EQ(idx.size(), coords.size() - 1500);
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    EXPECT_EQ(idx.find(coords[i]), i < 1500 ? -1 : static_cast<std::int32_t>(i));
-  }
-  // find_near stays consistent over the swept run.
-  const auto entries = idx.entries();
-  std::size_t cursor = 0;
-  for (const auto& e : entries) EXPECT_EQ(idx.find_near(e.code, cursor), e.row);
+  EXPECT_EQ(idx.find({0, 5, 0}), -1);
+  EXPECT_EQ(idx.size(), 1U);
+
+  const std::vector<Coord3> coords = {{0, 0, 0}, {big, 0, 0}};
+  EXPECT_THROW((void)idx.rebuild(coords), InvalidArgument);
+  EXPECT_EQ(idx.find({0, 0, 0}), 0);  // a rejected rebuild leaves the index as it was
 }
 
 TEST(CoordIndexTest, FindNearAgreesWithFindFromAnyCursor) {
@@ -224,6 +156,45 @@ TEST(CoordIndexTest, FindNearAgreesWithFindFromAnyCursor) {
   if (entries.front().code > 0) {
     EXPECT_EQ(idx.find_near(entries.front().code - 1, cursor), -1);
   }
+}
+
+TEST(CoordIndexTest, ConcurrentReadersOfASharedIndex) {
+  // Sites added one by one in random (non-Morton) order, then read through
+  // a const reference from several executor partitions at once: every read
+  // is pure, so no reader may observe — or cause — a change.
+  Rng rng(29);
+  SparseTensor t({64, 64, 64}, 1);
+  std::set<Coord3> seen;
+  while (t.size() < 3000) {
+    const Coord3 c{static_cast<std::int32_t>(rng.uniform_int(0, 63)),
+                   static_cast<std::int32_t>(rng.uniform_int(0, 63)),
+                   static_cast<std::int32_t>(rng.uniform_int(0, 63))};
+    if (seen.insert(c).second) t.add_site(c);
+  }
+  const SparseTensor& shared = t;
+
+  constexpr int kReaders = 8;
+  std::vector<std::size_t> wrong(kReaders, 0);
+  Executor::global().parallel_for(kReaders, [&](int p) {
+    std::size_t& bad = wrong[static_cast<std::size_t>(p)];
+    const CoordIndex& index = shared.index();
+    const auto entries = index.entries();
+    bad += entries.size() != shared.size() ? 1 : 0;
+    std::size_t cursor = static_cast<std::size_t>(p) * 97;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      // Each reader walks the run from its own offset.
+      const auto& e = entries[(i + static_cast<std::size_t>(p) * 375) % entries.size()];
+      bad += index.find_near(e.code, cursor) != e.row ? 1 : 0;
+      const Coord3 c = shared.coord(static_cast<std::size_t>(e.row));
+      bad += voxel::morton_encode(c) != e.code ? 1 : 0;
+    }
+    for (std::size_t row = 0; row < shared.size(); ++row) {
+      bad += index.find(shared.coord(row)) != static_cast<std::int32_t>(row) ? 1 : 0;
+    }
+    const Coord3 absent{64, 0, 0};  // outside the tensor, never inserted
+    bad += index.find(absent) != -1 ? 1 : 0;
+  });
+  for (int p = 0; p < kReaders; ++p) EXPECT_EQ(wrong[static_cast<std::size_t>(p)], 0U) << p;
 }
 
 TEST(GeometryEngineTest, ShardedBuildsAreBitIdentical) {

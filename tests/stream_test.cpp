@@ -5,6 +5,7 @@
 // carrying over a runtime Session.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -330,46 +331,64 @@ runtime::PlanPtr tiny_plan() {
 }
 
 TEST(StreamSequenceSessionTest, CarriesPerScaleStateAcrossFrames) {
-  runtime::Engine engine;
-  runtime::Session session = engine.open_session(tiny_plan());
-  SequenceSession stream(session, {.kernel_size = 3, .scales = 3, .rebuild_fraction = 2.0});
+  const auto check_stream = [](SparseTensor frame, Rng& rng) {
+    runtime::Engine engine;
+    runtime::Session session = engine.open_session(tiny_plan());
+    SequenceSession stream(session, {.kernel_size = 3, .scales = 3, .rebuild_fraction = 2.0});
+    for (int t = 0; t < 4; ++t) {
+      if (t > 0) frame = mutate_frame(frame, 0.06, rng);
+      const SequenceFrameResult r = stream.advance(frame);
+      ASSERT_EQ(r.stats.scales.size(), 3U);
+      ASSERT_EQ(r.geometries.size(), 3U);
 
-  Rng rng(5);
-  SparseTensor frame = test::random_sparse_tensor({24, 24, 24}, 1, 0.05, rng, 1500);
-  for (int t = 0; t < 4; ++t) {
-    if (t > 0) frame = mutate_frame(frame, 0.06, rng);
-    const SequenceFrameResult r = stream.advance(frame);
-    ASSERT_EQ(r.stats.scales.size(), 3U);
-    ASSERT_EQ(r.geometries.size(), 3U);
-
-    // Scale 0 must be exactly the cold geometry of the submitted frame.
-    EXPECT_TRUE(sparse::geometry_equal(*r.geometries[0],
-                                       sparse::build_submanifold_geometry(frame, 3)));
-    // The incrementally maintained coarse scales must match the coordinate
-    // sets a cold downsample pyramid produces (rows included).
-    SparseTensor fine = frame.zeros_like(1);
-    for (std::size_t s = 1; s < 3; ++s) {
-      const sparse::LayerGeometry down = sparse::build_downsample_geometry(fine, 2, 2);
-      const SparseTensor& coarse_sites = r.geometries[s]->sites;
-      ASSERT_EQ(coarse_sites.size(), down.out_coords.size()) << "scale " << s;
-      for (std::size_t row = 0; row < coarse_sites.size(); ++row) {
-        ASSERT_EQ(coarse_sites.coord(row), down.out_coords[row]) << "scale " << s;
+      // Scale 0 must be exactly the cold geometry of the submitted frame.
+      EXPECT_TRUE(sparse::geometry_equal(*r.geometries[0],
+                                         sparse::build_submanifold_geometry(frame, 3)));
+      // The derived coarse scales must match the coordinate sets a cold
+      // downsample pyramid produces (extent and rows included).
+      SparseTensor fine = frame.zeros_like(1);
+      for (std::size_t s = 1; s < 3; ++s) {
+        const sparse::LayerGeometry down = sparse::build_downsample_geometry(fine, 2, 2);
+        const SparseTensor& coarse_sites = r.geometries[s]->sites;
+        EXPECT_EQ(coarse_sites.spatial_extent(), down.out_extent) << "scale " << s;
+        ASSERT_EQ(coarse_sites.size(), down.out_coords.size()) << "scale " << s;
+        for (std::size_t row = 0; row < coarse_sites.size(); ++row) {
+          ASSERT_EQ(coarse_sites.coord(row), down.out_coords[row]) << "scale " << s;
+        }
+        EXPECT_TRUE(sparse::geometry_equal(
+            *r.geometries[s], sparse::build_submanifold_geometry(coarse_sites, 3)));
+        fine = coarse_sites.zeros_like(1);
       }
-      EXPECT_TRUE(sparse::geometry_equal(
-          *r.geometries[s], sparse::build_submanifold_geometry(coarse_sites, 3)));
-      fine = coarse_sites.zeros_like(1);
+      if (t > 0) {
+        EXPECT_EQ(r.stats.patched_scales(), 3U) << "frame " << t;
+      }
+      ASSERT_EQ(r.run.frames.size(), 1U);
     }
-    if (t > 0) {
-      EXPECT_EQ(r.stats.patched_scales(), 3U) << "frame " << t;
-    }
-    ASSERT_EQ(r.run.frames.size(), 1U);
+    EXPECT_EQ(stream.frames_advanced(), 4U);
+    EXPECT_EQ(stream.rebuilds(), 3U);  // frame 0, once per scale
+    EXPECT_EQ(stream.patches(), 9U);   // frames 1-3, three scales each
+    // The runtime session carried weight residency across the whole stream.
+    EXPECT_TRUE(session.weights_resident());
+    EXPECT_EQ(session.frames_submitted(), 4U);
+  };
+
+  {
+    SCOPED_TRACE("extent 24");
+    Rng rng(5);
+    check_stream(test::random_sparse_tensor({24, 24, 24}, 1, 0.05, rng, 1500), rng);
   }
-  EXPECT_EQ(stream.frames_advanced(), 4U);
-  EXPECT_EQ(stream.rebuilds(), 3U);   // frame 0, once per scale
-  EXPECT_EQ(stream.patches(), 9U);    // frames 1-3, three scales each
-  // The runtime session carried weight residency across the whole stream.
-  EXPECT_TRUE(session.weights_resident());
-  EXPECT_EQ(session.frames_submitted(), 4U);
+  {
+    // Odd extent: the last coarse cell of each axis covers one fine layer,
+    // so sites on the far faces land in cells the stride does not fill.
+    SCOPED_TRACE("extent 23, far faces occupied");
+    Rng rng(6);
+    SparseTensor frame = test::random_sparse_tensor({23, 23, 23}, 1, 0.05, rng, 1500);
+    for (const Coord3& c : {Coord3{22, 22, 22}, Coord3{22, 0, 7}, Coord3{3, 22, 11},
+                            Coord3{16, 5, 22}, Coord3{22, 22, 0}}) {
+      if (!frame.contains(c)) frame.add_site(c);
+    }
+    check_stream(std::move(frame), rng);
+  }
 }
 
 TEST(StreamSequenceSessionTest, ResetDropsCarriedState) {
@@ -391,7 +410,6 @@ TEST(StreamSequenceSessionTest, RejectsBadConfiguration) {
   runtime::Engine engine;
   runtime::Session session = engine.open_session(tiny_plan());
   EXPECT_THROW((void)SequenceSession(session, {.scales = 0}), InvalidArgument);
-  EXPECT_THROW((void)SequenceSession(session, {.downsample_factor = 1}), InvalidArgument);
   EXPECT_THROW((void)SequenceSession(session, {.kernel_size = 4}), InvalidArgument);
 }
 

@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "nn/submanifold_conv.hpp"
 #include "sparse/geometry.hpp"
+#include "sparse/testing/reference.hpp"
 #include "test_util.hpp"
 
 namespace esca::nn {
@@ -40,7 +41,7 @@ TEST(SubConvTest, RulebookPathMatchesNaivePath) {
     SubmanifoldConv3d conv(cin, cout, 3);
     conv.init_kaiming(rng);
     const auto fast = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
-    const auto naive = conv.forward_naive(x);
+    const auto naive = sparse::oracle::forward_naive(conv, x);
     EXPECT_LT(sparse::max_abs_diff(fast, naive), 1e-4F) << "trial " << trial;
   }
 }
@@ -119,7 +120,7 @@ TEST(SubConvTest, BiasAddedPerOutputChannel) {
   const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   EXPECT_FLOAT_EQ(y.feature(0, 0), 0.5F);
   EXPECT_FLOAT_EQ(y.feature(0, 1), -1.0F);
-  const auto ynaive = conv.forward_naive(x);
+  const auto ynaive = sparse::oracle::forward_naive(conv, x);
   EXPECT_FLOAT_EQ(ynaive.feature(0, 1), -1.0F);
 }
 
