@@ -11,7 +11,7 @@
 // (compute-bound); the bench asserts both verdicts occur.
 //
 // Usage: bench_mem_hierarchy [resolution=96] [frames=2] [smoke=0]
-// smoke=1 shrinks the workload for CI and still emits the BENCH lines.
+// smoke=1 shrinks the workload to the one CI runs.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,27 +28,6 @@
 namespace {
 
 using namespace esca;  // NOLINT(google-build-using-namespace): bench main
-
-struct SweepPoint {
-  double buffer_scale{1.0};
-  int banks{8};
-  sim::mem::Dataflow dataflow{sim::mem::Dataflow::kWeightStationary};
-};
-
-core::ArchConfig sweep_config(const SweepPoint& p) {
-  core::ArchConfig cfg;
-  const auto scale = [&](std::int64_t bytes) {
-    return std::max<std::int64_t>(1, static_cast<std::int64_t>(
-                                         static_cast<double>(bytes) * p.buffer_scale));
-  };
-  cfg.activation_buffer_bytes = scale(cfg.activation_buffer_bytes);
-  cfg.weight_buffer_bytes = scale(cfg.weight_buffer_bytes);
-  cfg.mask_buffer_bytes = scale(cfg.mask_buffer_bytes);
-  cfg.output_buffer_bytes = scale(cfg.output_buffer_bytes);
-  cfg.mem.buffer.banks = p.banks;
-  cfg.mem.dataflow = p.dataflow;
-  return cfg;
-}
 
 /// Rebuild every layer's traffic from its reported inputs and require the
 /// backend's DRAM bytes to match the closed form bit for bit.
@@ -91,8 +70,8 @@ int main(int argc, char** argv) {
   const std::vector<int> bank_counts = smoke ? std::vector<int>{1, 16} : std::vector<int>{1, 4, 16};
 
   Table table("MEMORY HIERARCHY: buffer scale x banks x dataflow");
-  table.header({"Dataflow", "Scale", "Banks", "DRAM (MB)", "Bursts", "Bank stalls",
-                "Time (ms)", "GOPS", "Verdict (m/c)"});
+  table.header({"Dataflow", "Scale", "Banks", "DRAM (MB)", "Bursts", "SRAM R/W (MB)",
+                "Bank stalls", "Port stalls", "Time (ms)", "GOPS", "Verdict (m/c)"});
 
   int memory_bound_points = 0;
   int compute_bound_points = 0;
@@ -100,8 +79,8 @@ int main(int argc, char** argv) {
        {sim::mem::Dataflow::kWeightStationary, sim::mem::Dataflow::kOutputStationary}) {
     for (const double scale : scales) {
       for (const int banks : bank_counts) {
-        const SweepPoint point{scale, banks, dataflow};
-        const core::ArchConfig arch = sweep_config(point);
+        const bench::SweepPoint point{scale, banks, dataflow};
+        const core::ArchConfig arch = bench::sweep_config(point);
         runtime::EscaBackend backend(arch);
         const runtime::Plan plan = runtime::make_plan(workload.compiled);
         const runtime::RunReport report =
@@ -111,43 +90,28 @@ int main(int argc, char** argv) {
         const core::MemorySummary mem = report.memory_summary();
         if (mem.memory_bound_layers > 0) ++memory_bound_points;
         if (mem.compute_bound_layers > 0) ++compute_bound_points;
-        const double dram_mb =
-            static_cast<double>(mem.dram_bytes_in + mem.dram_bytes_out) / (1024.0 * 1024.0);
+        const auto mb = [](std::int64_t bytes) {
+          return static_cast<double>(bytes) / (1024.0 * 1024.0);
+        };
         const double ms = report.total_seconds() * 1e3;
 
         table.row({to_string(dataflow), str::format("1/%g", 1.0 / scale),
-                   std::to_string(banks), str::format("%.2f", dram_mb),
-                   str::with_commas(mem.dram_bursts), str::with_commas(mem.bank_conflict_stalls),
+                   std::to_string(banks),
+                   str::format("%.2f", mb(mem.dram_bytes_in + mem.dram_bytes_out)),
+                   str::with_commas(mem.dram_bursts),
+                   str::format("%.2f/%.2f", mb(mem.sram_read_bytes), mb(mem.sram_write_bytes)),
+                   str::with_commas(mem.bank_conflict_stalls), str::with_commas(mem.port_stalls),
                    str::format("%.2f", ms), str::fixed(report.effective_gops(), 2),
                    str::format("%d/%d", mem.memory_bound_layers, mem.compute_bound_layers)});
-        bench::BenchLine("mem_hierarchy")
-            .field("dataflow", to_string(dataflow))
-            .field("buffer_scale", scale, 6)
-            .field("banks", banks)
-            .field("resolution", resolution)
-            .field("frames", frames)
-            .field("dram_bytes", static_cast<std::int64_t>(mem.dram_bytes_in + mem.dram_bytes_out))
-            .field("dram_bursts", static_cast<std::int64_t>(mem.dram_bursts))
-            .field("sram_read_bytes", static_cast<std::int64_t>(mem.sram_read_bytes))
-            .field("sram_write_bytes", static_cast<std::int64_t>(mem.sram_write_bytes))
-            .field("bank_conflict_stalls", static_cast<std::int64_t>(mem.bank_conflict_stalls))
-            .field("port_stalls", static_cast<std::int64_t>(mem.port_stalls))
-            .field("seconds", report.total_seconds(), 6)
-            .field("gops", report.effective_gops(), 3)
-            .field("memory_bound_layers", mem.memory_bound_layers)
-            .field("compute_bound_layers", mem.compute_bound_layers)
-            .emit();
       }
     }
   }
 
-  std::printf("\n");
   table.print();
   ESCA_CHECK(memory_bound_points > 0 && compute_bound_points > 0,
              "sweep did not produce both roofline verdicts (memory-bound points: "
                  << memory_bound_points << ", compute-bound points: " << compute_bound_points
                  << ")");
-  bench::emit_obs_snapshot();
   std::printf(
       "\nReading: at 1/256 buffer capacity the weight-stationary schedule re-streams\n"
       "activations once per weight chunk and tiles overflow the activation buffer —\n"

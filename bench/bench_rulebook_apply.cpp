@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -81,18 +82,6 @@ void emit(Table& table, const char* dtype, int c, std::int64_t rules, const Timi
              ms(t.engine[0]), ms(t.engine[1]), ms(t.engine[2]),
              str::format("%.2fx", t.scalar / t.engine[0]),
              str::format("%.2fx", t.engine[0] / t.engine[2])});
-  bench::BenchLine("rulebook_apply")
-      .field("dtype", dtype)
-      .field("cin", c)
-      .field("cout", c)
-      .field("rules", static_cast<std::int64_t>(rules))
-      .field("scalar_ms", t.scalar * 1e3, 4)
-      .field("engine_x1_ms", t.engine[0] * 1e3, 4)
-      .field("engine_x2_ms", t.engine[1] * 1e3, 4)
-      .field("engine_x4_ms", t.engine[2] * 1e3, 4)
-      .field("speedup_x1", t.scalar / t.engine[0], 3)
-      .field("scaling_x4", t.engine[0] / t.engine[2], 3)
-      .emit();
 }
 
 }  // namespace
@@ -101,6 +90,7 @@ int main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   const int resolution = static_cast<int>(cfg.get_int("resolution", bench::kPaperResolution));
   const int repeats = static_cast<int>(cfg.get_int("repeats", 3));
+  ESCA_REQUIRE(repeats >= 1, "repeats must be >= 1, got " << repeats);
   const auto sample = static_cast<std::size_t>(cfg.get_int("sample", 0));
   const int thread_counts[3] = {1, 2, 4};
 
@@ -174,9 +164,7 @@ int main(int argc, char** argv) {
     emit(table, "int8", c, rules, ti);
   }
 
-  std::printf("\n");
   table.print();
-  bench::emit_obs_snapshot();
   if (!verified) {
     std::printf("\n!! verification FAILED — timings above are not valid datapoints\n");
     return 1;

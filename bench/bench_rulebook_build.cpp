@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -80,23 +81,6 @@ void run_workload(Table& table, const std::string& name, const sparse::SparseTen
              str::with_commas(rules_down), ms(hash_down), ms(engine_down[0]),
              ms(engine_down[1]), ms(engine_down[2]),
              str::format("%.2fx", hash_down / engine_down[0])});
-
-  const auto emit_line = [&](const char* kind, std::int64_t rules, double hash_s,
-                             const double engine_s[3]) {
-    bench::BenchLine("rulebook_build")
-        .field("workload", name)
-        .field("kind", kind)
-        .field("sites", t.size())
-        .field("rules", rules)
-        .field("hash_ms", hash_s * 1e3, 4)
-        .field("engine_x1_ms", engine_s[0] * 1e3, 4)
-        .field("engine_x2_ms", engine_s[1] * 1e3, 4)
-        .field("engine_x4_ms", engine_s[2] * 1e3, 4)
-        .field("speedup_x1", hash_s / engine_s[0], 3)
-        .emit();
-  };
-  emit_line("sub_k3", rules_sub, hash_sub, engine_sub);
-  emit_line("down_k2s2", rules_down, hash_down, engine_down);
 }
 
 }  // namespace
@@ -106,6 +90,7 @@ int main(int argc, char** argv) {
   const int resolution = static_cast<int>(cfg.get_int("resolution", 96));
   const auto samples = static_cast<std::size_t>(cfg.get_int("samples", 2));
   const int repeats = static_cast<int>(cfg.get_int("repeats", 3));
+  ESCA_REQUIRE(repeats >= 1, "repeats must be >= 1, got " << repeats);
 
   std::printf(
       "ESCA bench: rulebook construction — hash oracle vs Morton geometry engine\n"
@@ -122,7 +107,6 @@ int main(int argc, char** argv) {
     run_workload(table, str::format("nyu%zu", i), bench::nyu_tensor(i, resolution), repeats);
   }
   table.print();
-  bench::emit_obs_snapshot();
   if (!g_verified) {
     std::printf("\n!! verification FAILED — timings above are not valid datapoints\n");
     return 1;

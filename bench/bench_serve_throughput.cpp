@@ -13,16 +13,16 @@
 //
 // The run is executed twice — once with the obs span tracer off, once with
 // it recording — so every invocation also reports the tracer's overhead
-// (obs_overhead_pct in the BENCH line). trace=<file> writes the traced
+// (the closing "tracing:" line). trace=<file> writes the traced
 // pass as Chrome trace-event JSON for Perfetto / chrome://tracing;
 // max_overhead_pct (default 5) fails the bench when tracing costs more.
 //
 // Chaos mode: faults=<spec> arms the esca::fault injector (see
 // fault/injector.hpp for the spec grammar) for the whole run, retries=N
 // wraps closed-loop submissions in a serve::RetryPolicy with N attempts,
-// and brownout=1 enables the overload brown-out. The BENCH line then
+// and brownout=1 enables the overload brown-out. The telemetry table then
 // reports failed/retried/brownout_sheds so chaos throughput is trackable;
-// the tracer-overhead gate is skipped (injected delays would drown it).
+// the tracer-overhead check is skipped (injected delays would drown it).
 //
 // Usage: bench_serve_throughput [workers=4] [requests=64] [queue=64]
 //          [clients=8] [frames=1] [resolution=64] [mode=closed] [rate=0]
@@ -187,31 +187,11 @@ int main(int argc, char** argv) {
 
   std::fputs(s.table("Serve throughput — " + mode + " loop").c_str(), stdout);
 
-  // Machine-readable summary for trend tracking.
-  std::printf("\n");
-  bench::BenchLine("serve_throughput")
-      .field("mode", mode)
-      .field("workers", workers)
-      .field("requests", requests)
-      .field("completed", static_cast<std::int64_t>(s.completed))
-      .field("shed", static_cast<std::int64_t>(s.shed))
-      .field("expired", static_cast<std::int64_t>(s.expired))
-      .field("failed", static_cast<std::int64_t>(s.failed))
-      .field("retried", static_cast<std::int64_t>(s.retries))
-      .field("brownout_sheds", static_cast<std::int64_t>(s.brownout_sheds))
-      .field("p50_ms", s.p50_seconds * 1e3, 4)
-      .field("p95_ms", s.p95_seconds * 1e3, 4)
-      .field("p99_ms", s.p99_seconds * 1e3, 4)
-      .field("mean_queue_ms", s.mean_queue_seconds * 1e3, 4)
-      .field("throughput_rps", s.requests_per_second, 2)
-      .field("frames_per_s", s.frames_per_second, 2)
-      .field("trace_events", trace_events)
-      .field("obs_overhead_pct", overhead_pct, 2)
-      .emit();
-  bench::emit_obs_snapshot();
+  std::printf("\ntracing: %zu events, %.2f%% overhead vs untraced (best of %d)\n",
+              trace_events, overhead_pct, reps);
 
   // Injected faults and delays would drown the tracer in the comparison, so
-  // the overhead gate only applies to fault-free runs.
+  // the overhead check only applies to fault-free runs.
   if (faults.empty() && max_overhead_pct > 0.0 && overhead_pct > max_overhead_pct) {
     std::fprintf(stderr, "FAIL: tracing overhead %.2f%% exceeds max_overhead_pct=%.2f\n",
                  overhead_pct, max_overhead_pct);

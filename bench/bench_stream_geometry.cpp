@@ -19,7 +19,7 @@
 //
 // Usage: bench_stream_geometry [resolution=128] [frames=6] [repeats=3]
 //                              [smoke=0]
-// smoke=1 shrinks the workload for CI and still emits the BENCH lines.
+// smoke=1 shrinks the workload to the one CI runs.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -29,11 +29,8 @@
 #include "common/config.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "datasets/sequence.hpp"
-#include "datasets/shapenet_like.hpp"
 #include "sparse/geometry.hpp"
 #include "stream/stream.hpp"
-#include "voxel/voxelizer.hpp"
 
 namespace {
 
@@ -41,24 +38,6 @@ using namespace esca;  // NOLINT(google-build-using-namespace): bench main
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::vector<sparse::SparseTensor> voxelized_sequence(int overlap_pct, int resolution,
-                                                     int frames) {
-  // Consecutive frames differ in ~2x the resample fraction of their points.
-  datasets::SequenceConfig seq;
-  seq.frames = frames;
-  seq.resample_fraction = static_cast<float>(1.0 - overlap_pct / 100.0) / 2.0F;
-  const datasets::ShapeNetLikeDataset objects({}, bench::kSeed);
-  const datasets::SequenceDataset ds(objects.sample(0), seq, bench::kSeed + overlap_pct);
-
-  std::vector<sparse::SparseTensor> tensors;
-  tensors.reserve(static_cast<std::size_t>(frames));
-  for (int t = 0; t < frames; ++t) {
-    const voxel::VoxelGrid grid = voxel::voxelize(ds.frame(t), {resolution, false});
-    tensors.push_back(sparse::SparseTensor::from_voxel_grid(grid, 1));
-  }
-  return tensors;
 }
 
 struct OverlapResult {
@@ -137,6 +116,7 @@ int main(int argc, char** argv) {
   const int frames = static_cast<int>(cfg.get_int("frames", smoke ? 3 : 6));
   const int repeats = static_cast<int>(cfg.get_int("repeats", smoke ? 1 : 3));
   ESCA_REQUIRE(frames >= 2, "need at least 2 frames to stream");
+  ESCA_REQUIRE(repeats >= 1, "repeats must be >= 1, got " << repeats);
   const std::vector<int> thread_sweep = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
 
   std::printf(
@@ -150,7 +130,7 @@ int main(int argc, char** argv) {
   table.header({"Overlap", "Measured", "Sites", "Threads", "Cold/frame", "Incr/frame",
                 "Speedup", "vs 1T", "Patched", "Fallbacks"});
   for (const int overlap_pct : {50, 80, 95}) {
-    const auto tensors = voxelized_sequence(overlap_pct, resolution, frames);
+    const auto tensors = bench::voxelized_sequence(overlap_pct, resolution, frames);
     const OverlapResult r = run_overlap(tensors, repeats, thread_sweep);
     for (std::size_t ti = 0; ti < thread_sweep.size(); ++ti) {
       const double incr_ms = r.incremental_ms[ti];
@@ -163,24 +143,8 @@ int main(int argc, char** argv) {
                  str::format("%.2fx", vs_1t),
                  str::format("%llu", static_cast<unsigned long long>(r.patched)),
                  str::format("%llu", static_cast<unsigned long long>(r.rebuilds))});
-      bench::BenchLine("stream_geometry")
-          .field("overlap_pct", overlap_pct)
-          .field("measured_overlap", r.measured_overlap, 4)
-          .field("resolution", resolution)
-          .field("frames", frames)
-          .field("sites", r.mean_sites)
-          .field("threads", thread_sweep[ti])
-          .field("cold_ms", r.cold_ms, 4)
-          .field("incremental_ms", incr_ms, 4)
-          .field("speedup", r.cold_ms / incr_ms, 3)
-          .field("speedup_vs_1t", vs_1t, 3)
-          .field("patched", static_cast<std::uint64_t>(r.patched))
-          .field("fallbacks", static_cast<std::uint64_t>(r.rebuilds))
-          .emit();
     }
   }
-  std::printf("\n");
   table.print();
-  bench::emit_obs_snapshot();
   return 0;
 }

@@ -1,29 +1,28 @@
-// Shared workload builders for the benchmark harnesses.
+// Shared workload builders for the benches. tests/stable_counts_test.cpp
+// drives the library through the same builders, so the exact counts it
+// asserts are the ones the benches print.
 //
 // The paper's evaluation setup (§IV.A): feature maps voxelized to 192^3,
 // SS U-Net with 3x3x3 Sub-Conv kernels, INT8 weights / INT16 activations,
 // ESCA at 270 MHz with 16x16 compute parallelism and 8^3 tiles.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "common/json.hpp"
+#include "core/arch_config.hpp"
 #include "core/layer_compiler.hpp"
 #include "datasets/nyu_like.hpp"
+#include "datasets/sequence.hpp"
 #include "datasets/shapenet_like.hpp"
 #include "nn/unet.hpp"
-#include "obs/metrics.hpp"
 #include "quant/qsubconv.hpp"
+#include "sim/mem/dataflow.hpp"
 #include "sparse/geometry.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "voxel/voxelizer.hpp"
-#include "xp/record.hpp"
 
 namespace esca::bench {
 
@@ -85,68 +84,49 @@ inline NetworkWorkload benchmark_network(const sparse::SparseTensor& input) {
   return w;
 }
 
-// --- BENCH-line emission ------------------------------------------------------
-//
-// Every bench emits its machine-readable summary through this builder
-// instead of a hand-rolled printf: fields are typed at the call site,
-// strings are JSON-escaped, and each line carries the harness schema
-// version (xp::kBenchLineSchema) — so a typo in one bench is a compile
-// error or a parse failure in bench_gate, never a silently skewed history.
-class BenchLine {
- public:
-  explicit BenchLine(std::string_view bench) {
-    json_ = "{\"bench\":\"";
-    json_ += json::escape(bench);
-    json_ += "\",\"schema\":";
-    json_ += std::to_string(xp::kBenchLineSchema);
-  }
-
-  template <typename T>
-    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
-  BenchLine& field(std::string_view key, T v) {
-    return raw(key, std::to_string(v));
-  }
-  /// Fixed-point double; `digits` matches what the legacy printf emitted.
-  BenchLine& field(std::string_view key, double v, int digits = 4) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-    return raw(key, buf);
-  }
-  BenchLine& field(std::string_view key, std::string_view v) {
-    std::string quoted = "\"";
-    quoted += json::escape(v);
-    quoted += "\"";
-    return raw(key, quoted);
-  }
-  BenchLine& field(std::string_view key, const char* v) {
-    return field(key, std::string_view(v));
-  }
-  BenchLine& field(std::string_view key, bool v) { return raw(key, v ? "true" : "false"); }
-
-  std::string json() const { return json_ + "}"; }
-
-  /// Print the `BENCH {...}` line to stdout.
-  void emit() const { std::printf("BENCH %s\n", json().c_str()); }
-
- private:
-  BenchLine& raw(std::string_view key, std::string_view value) {
-    json_ += ",\"";
-    json_ += json::escape(key);
-    json_ += "\":";
-    json_ += value;
-    return *this;
-  }
-
-  std::string json_;
+/// One point of bench_mem_hierarchy's sweep: on-chip buffer capacity
+/// scaled from the paper's, global-buffer bank count and dataflow.
+struct SweepPoint {
+  double buffer_scale{1.0};
+  int banks{8};
+  sim::mem::Dataflow dataflow{sim::mem::Dataflow::kWeightStationary};
 };
 
-/// Registry snapshot hook for the experiment harness: when the runner arms
-/// ESCA_BENCH_OBS=1, dump the process-wide obs registry as one BENCHOBS
-/// line (Registry::to_json verbatim) so counter-derived metrics ride along
-/// with the BENCH lines. A no-op otherwise — benches stay quiet for humans.
-inline void emit_obs_snapshot() {
-  if (std::getenv("ESCA_BENCH_OBS") == nullptr) return;
-  std::printf("BENCHOBS %s\n", obs::Registry::global().to_json().c_str());
+/// The paper's architecture with every on-chip buffer scaled by
+/// `buffer_scale` (at least one byte) and the point's banking and dataflow.
+inline core::ArchConfig sweep_config(const SweepPoint& p) {
+  core::ArchConfig cfg;
+  const auto scale = [&](std::int64_t bytes) {
+    return std::max<std::int64_t>(1, static_cast<std::int64_t>(
+                                         static_cast<double>(bytes) * p.buffer_scale));
+  };
+  cfg.activation_buffer_bytes = scale(cfg.activation_buffer_bytes);
+  cfg.weight_buffer_bytes = scale(cfg.weight_buffer_bytes);
+  cfg.mask_buffer_bytes = scale(cfg.mask_buffer_bytes);
+  cfg.output_buffer_bytes = scale(cfg.output_buffer_bytes);
+  cfg.mem.buffer.banks = p.banks;
+  cfg.mem.dataflow = p.dataflow;
+  return cfg;
+}
+
+/// A voxelized sensor sequence over ShapeNet-like sample 0 with motion off,
+/// so `overlap_pct` alone sets how much consecutive frames share.
+inline std::vector<sparse::SparseTensor> voxelized_sequence(int overlap_pct, int resolution,
+                                                            int frames) {
+  // Consecutive frames differ in ~2x the resample fraction of their points.
+  datasets::SequenceConfig seq;
+  seq.frames = frames;
+  seq.resample_fraction = static_cast<float>(1.0 - overlap_pct / 100.0) / 2.0F;
+  const datasets::ShapeNetLikeDataset objects({}, kSeed);
+  const datasets::SequenceDataset ds(objects.sample(0), seq, kSeed + overlap_pct);
+
+  std::vector<sparse::SparseTensor> tensors;
+  tensors.reserve(static_cast<std::size_t>(frames));
+  for (int t = 0; t < frames; ++t) {
+    const voxel::VoxelGrid grid = voxel::voxelize(ds.frame(t), {resolution, false});
+    tensors.push_back(sparse::SparseTensor::from_voxel_grid(grid, 1));
+  }
+  return tensors;
 }
 
 }  // namespace esca::bench

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
-#include "common/strings.hpp"
 
 namespace esca {
 
@@ -15,26 +14,6 @@ Config Config::from_args(int argc, const char* const* argv) {
     ESCA_REQUIRE(eq != std::string::npos && eq > 0,
                  "expected key=value argument, got '" << arg << "'");
     cfg.set(arg.substr(0, eq), arg.substr(eq + 1));
-  }
-  return cfg;
-}
-
-Config Config::from_string(const std::string& text) {
-  Config cfg;
-  for (char sep : {'\n', ','}) {
-    (void)sep;
-  }
-  std::string normalized = text;
-  for (auto& c : normalized) {
-    if (c == '\n') c = ',';
-  }
-  for (const auto& entryRaw : str::split(normalized, ',')) {
-    const std::string entry = str::trim(entryRaw);
-    if (entry.empty() || entry[0] == '#') continue;
-    const std::size_t eq = entry.find('=');
-    ESCA_REQUIRE(eq != std::string::npos && eq > 0,
-                 "expected key=value entry, got '" << entry << "'");
-    cfg.set(str::trim(entry.substr(0, eq)), str::trim(entry.substr(eq + 1)));
   }
   return cfg;
 }
@@ -53,7 +32,7 @@ std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) cons
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  ESCA_REQUIRE(end != nullptr && *end == '\0',
+  ESCA_REQUIRE(!it->second.empty() && *end == '\0',
                "config key '" << key << "' is not an integer: '" << it->second << "'");
   return v;
 }
@@ -63,7 +42,7 @@ double Config::get_double(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  ESCA_REQUIRE(end != nullptr && *end == '\0',
+  ESCA_REQUIRE(!it->second.empty() && *end == '\0',
                "config key '" << key << "' is not a number: '" << it->second << "'");
   return v;
 }
@@ -76,13 +55,6 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   ESCA_REQUIRE(false, "config key '" << key << "' is not a boolean: '" << v << "'");
   return fallback;
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
 }
 
 }  // namespace esca

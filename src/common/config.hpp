@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace esca {
 
@@ -18,9 +17,6 @@ class Config {
   /// Parse argv entries of the form `key=value`; other entries throw.
   static Config from_args(int argc, const char* const* argv);
 
-  /// Parse a comma- or newline-separated `key=value` list.
-  static Config from_string(const std::string& text);
-
   void set(const std::string& key, const std::string& value);
   bool has(const std::string& key) const;
 
@@ -28,9 +24,6 @@ class Config {
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
-
-  /// Keys in insertion-independent (sorted) order.
-  std::vector<std::string> keys() const;
 
  private:
   std::map<std::string, std::string> values_;

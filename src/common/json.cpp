@@ -257,13 +257,6 @@ Value Value::make_string(std::string s) {
   return v;
 }
 
-Value Value::make_array(Array a) {
-  Value v;
-  v.kind = Kind::kArray;
-  v.array = std::move(a);
-  return v;
-}
-
 Value Value::make_object(Object o) {
   Value v;
   v.kind = Kind::kObject;
@@ -275,26 +268,6 @@ const Value* Value::get(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
   const auto it = object.find(key);
   return it == object.end() ? nullptr : &it->second;
-}
-
-double Value::number_or(const std::string& key, double fallback) const {
-  const Value* v = get(key);
-  return v != nullptr && v->is_number() ? v->number : fallback;
-}
-
-std::int64_t Value::int_or(const std::string& key, std::int64_t fallback) const {
-  const Value* v = get(key);
-  return v != nullptr && v->is_number() ? static_cast<std::int64_t>(v->number) : fallback;
-}
-
-std::string Value::string_or(const std::string& key, const std::string& fallback) const {
-  const Value* v = get(key);
-  return v != nullptr && v->is_string() ? v->string : fallback;
-}
-
-bool Value::bool_or(const std::string& key, bool fallback) const {
-  const Value* v = get(key);
-  return v != nullptr && v->is_bool() ? v->boolean : fallback;
 }
 
 std::string Value::dump() const {

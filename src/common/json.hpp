@@ -1,20 +1,17 @@
 // Dependency-free JSON: a small value tree, a recursive-descent parser and
 // a writer.
 //
-// Grown out of the obs trace checker's self-contained parser (promoted here
-// so the experiment harness, the BENCH-history reader and the regression
-// comparator all share one implementation instead of three). Just enough
-// JSON for machine-generated documents: objects, arrays, strings, numbers,
-// true/false/null. Numbers are held as doubles — exact for the 53-bit
-// integer range every counter in this codebase lives in; the checker and
-// the comparator only compare timestamps, counters and small ints.
+// The obs trace checker parses with it and benchmark/ writes its result
+// documents with it. Just enough JSON for machine-generated documents:
+// objects, arrays, strings, numbers, true/false/null. Numbers are held as
+// doubles — exact for the 53-bit integer range every counter in this
+// codebase lives in.
 //
 // Parsing reports the first error with its byte offset; dumping emits
 // minified JSON with sorted object keys (Value objects are std::map) and
 // shortest-round-trip number formatting, so dump(parse(x)) is stable.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -34,11 +31,9 @@ struct Value {
   Array array;
   Object object;
 
-  static Value make_null() { return Value{}; }
   static Value make_bool(bool b);
   static Value make_number(double n);
   static Value make_string(std::string s);
-  static Value make_array(Array a = {});
   static Value make_object(Object o = {});
 
   bool is_null() const { return kind == Kind::kNull; }
@@ -50,12 +45,6 @@ struct Value {
 
   /// Object member lookup; nullptr when not an object or the key is absent.
   const Value* get(const std::string& key) const;
-
-  /// Defaulted typed reads for object members (absent/mistyped -> fallback).
-  double number_or(const std::string& key, double fallback) const;
-  std::int64_t int_or(const std::string& key, std::int64_t fallback) const;
-  std::string string_or(const std::string& key, const std::string& fallback) const;
-  bool bool_or(const std::string& key, bool fallback) const;
 
   /// Minified JSON text (sorted object keys, round-trip numbers).
   std::string dump() const;

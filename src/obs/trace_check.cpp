@@ -13,11 +13,6 @@ namespace esca::obs {
 
 namespace {
 
-// The JSON parsing this checker carried originally now lives in
-// common/json.{hpp,cpp} (promoted in PR 10 so the experiment harness and
-// the BENCH comparator share it); this file keeps only the trace-event
-// rules. Behavior is bit-identical: same parse errors, same verdicts.
-
 struct OpenSpan {
   std::string name;
   double ts{0.0};
