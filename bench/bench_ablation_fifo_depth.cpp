@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   std::printf("ESCA bench: ablation — FIFO group depth (Sub-Conv %d->%d)\n\n", cin, cout);
 
   const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
-  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "fifo");
+  const quant::QuantizedConv layer = bench::subconv_layer(cin, cout, 3, "fifo");
 
   Table table("Ablation: per-column FIFO depth — paper-style design point is 16");
   table.header({"Depth", "Cycles", "Fetch stalls", "Scan stalls", "MUX idle", "High water",

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   for (const int k : {1, 3, 5}) {
     const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample, k);
-    const quant::QuantizedSubConv layer =
+    const quant::QuantizedConv layer =
         bench::subconv_layer(cin, cout, k, str::format("k%d", k));
 
     core::ArchConfig cfg;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   std::printf("ESCA bench: ablation — compute parallelism (Sub-Conv %d->%d)\n\n", cin, cout);
 
   const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
-  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "par");
+  const quant::QuantizedConv layer = bench::subconv_layer(cin, cout, 3, "par");
 
   Table table("Ablation: (IC, OC) parallelism — paper uses 16x16");
   table.header({"IC x OC", "Cycles", "GOPS", "Array util.", "DSP", "LUT (model)",

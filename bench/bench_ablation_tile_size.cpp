@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
               cout);
 
   const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
-  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "abl");
+  const quant::QuantizedConv layer = bench::subconv_layer(cin, cout, 3, "abl");
 
   Table table("Ablation: tile size (8^3 is the paper's choice)");
   table.header({"Tile", "Active tiles", "Removing ratio", "Halo dup.", "Cycles", "Time (ms)",

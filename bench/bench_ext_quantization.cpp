@@ -15,7 +15,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "nn/unet.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 
 namespace {
 
@@ -25,16 +25,15 @@ using namespace esca;  // NOLINT(google-build-using-namespace): bench main
 /// quantized/dequantized at `bits`, activations INT16) vs the FP32 layer.
 float fake_quant_error(const nn::TraceEntry& e, int bits) {
   const auto qmax = static_cast<std::int32_t>((1 << (bits - 1)) - 1);
-  nn::SubmanifoldConv3d conv(e.subconv->in_channels(), e.subconv->out_channels(),
-                             e.subconv->kernel_size());
+  nn::SparseConv3d conv = *e.conv;
   float abs_max = 0.0F;
-  for (const float w : e.subconv->weights()) abs_max = std::max(abs_max, std::fabs(w));
+  for (const float w : e.conv->weights()) abs_max = std::max(abs_max, std::fabs(w));
   const quant::QuantParams params = quant::calibrate(abs_max, qmax);
   auto w = conv.weights();
   for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] = params.dequantize(quant::quantize_value(e.subconv->weights()[i], params, qmax));
+    w[i] = params.dequantize(quant::quantize_value(e.conv->weights()[i], params, qmax));
   }
-  const sparse::SparseTensor ref = e.subconv->forward(e.input, *e.geometry);
+  const sparse::SparseTensor ref = e.conv->forward(e.input, *e.geometry);
   const sparse::SparseTensor approx = conv.forward(e.input, *e.geometry);
   const float err = sparse::max_abs_diff(ref, approx);
   const float signal = std::max(ref.abs_max(), 1e-12F);
@@ -81,8 +80,8 @@ int main(int argc, char** argv) {
     const auto qx = quant::QSparseTensor::from_float(e.input, quant::QuantParams{in_scale});
     const float signal = std::max(e.output.abs_max(), 1e-12F);
     auto relative_error = [&](quant::WeightGranularity g) {
-      const auto layer = quant::QuantizedSubConv::from_float(*e.subconv, e.bn, e.relu,
-                                                             in_scale, out_scale, e.name, g);
+      const auto layer = quant::QuantizedConv::from_float(*e.conv, e.bn, e.relu, in_scale,
+                                                          out_scale, e.name, g);
       return sparse::max_abs_diff(e.output, layer.forward(qx, *e.geometry).to_float()) /
              signal;
     };

@@ -19,7 +19,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "runtime/engine.hpp"
 
 namespace {
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   Rng rng(bench::kSeed);
   for (float& v : x.raw_features()) v = rng.uniform_f(-1.0F, 1.0F);
 
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
   conv.init_kaiming(rng);
 
   // One Plan, two ESCA engines (ideal and port-limited mask read; see

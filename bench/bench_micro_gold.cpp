@@ -9,7 +9,7 @@
 #include "nn/init.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "sparse/compute.hpp"
 #include "sparse/geometry.hpp"
 
@@ -39,7 +39,7 @@ void BM_GoldSubConvForward(benchmark::State& state) {
   const int channels = static_cast<int>(state.range(0));
   const sparse::SparseTensor x = workload_tensor(channels);
   Rng rng(2);
-  nn::SubmanifoldConv3d conv(channels, channels, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, channels, channels, 3);
   conv.init_kaiming(rng);
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   std::int64_t macs = 0;

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   const sparse::LayerGeometry geometry = bench::shapenet_geometry(sample);
   const sparse::SparseTensor& x = geometry.sites;
-  const quant::QuantizedSubConv layer = bench::subconv_layer(cin, cout, 3, "mot");
+  const quant::QuantizedConv layer = bench::subconv_layer(cin, cout, 3, "mot");
 
   core::Accelerator accel{core::ArchConfig{}};
   const core::LayerRunStats esca = accel.run_layer(layer, geometry);

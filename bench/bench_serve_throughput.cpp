@@ -43,7 +43,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "fault/fault.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "obs/obs.hpp"
 #include "serve/serve.hpp"
 
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   // once; every worker replica replays the shared Plan.
   const sparse::SparseTensor input = bench::shapenet_tensor(0, resolution);
   Rng rng(bench::kSeed);
-  nn::SubmanifoldConv3d conv(1, 8, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 8, 3);
   conv.init_kaiming(rng);
 
   serve::ServerConfig cfg;

@@ -18,7 +18,7 @@
 #include "datasets/sequence.hpp"
 #include "datasets/shapenet_like.hpp"
 #include "nn/unet.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "sim/mem/dataflow.hpp"
 #include "sparse/geometry.hpp"
 #include "sparse/sparse_tensor.hpp"
@@ -52,10 +52,10 @@ inline sparse::LayerGeometry shapenet_geometry(std::size_t index, int kernel_siz
 
 /// A Cin -> Cout Sub-Conv layer at unit scales. The cycle simulator reads
 /// only its shape (channels, kernel, weight bytes), never its weights.
-inline quant::QuantizedSubConv subconv_layer(int cin, int cout, int kernel_size,
+inline quant::QuantizedConv subconv_layer(int cin, int cout, int kernel_size,
                                              std::string name) {
-  const nn::SubmanifoldConv3d conv(cin, cout, kernel_size);
-  return quant::QuantizedSubConv::from_float(conv, nullptr, false, 1.0F, 1.0F, std::move(name));
+  const nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, kernel_size);
+  return quant::QuantizedConv::from_float(conv, nullptr, false, 1.0F, 1.0F, std::move(name));
 }
 
 /// The benchmark network: SS U-Net with m = 16 (paper §IV.A).

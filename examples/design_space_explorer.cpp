@@ -18,7 +18,7 @@
 #include "core/resource_model.hpp"
 #include "core/zero_removing.hpp"
 #include "datasets/shapenet_like.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "runtime/engine.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "voxel/voxelizer.hpp"
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   sparse::SparseTensor x = geometry.zeros_like(channels);
   Rng rng(1);
   for (float& v : x.raw_features()) v = rng.uniform_f(-1.0F, 1.0F);
-  nn::SubmanifoldConv3d conv(channels, channels, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, channels, channels, 3);
   conv.init_kaiming(rng);
 
   // One Plan, many engines: Plans are backend- and architecture-agnostic,

@@ -26,7 +26,7 @@
 #include "core/zero_removing.hpp"
 #include "datasets/nyu_like.hpp"
 #include "datasets/shapenet_like.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "pointcloud/io.hpp"
 #include "pointcloud/ply.hpp"
 #include "runtime/engine.hpp"
@@ -78,7 +78,7 @@ int cmd_run(const Config& args) {
   const sparse::SparseTensor x = load_tensor(args, cin);
 
   Rng rng(11);
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
   conv.init_kaiming(rng);
 
   runtime::RuntimeConfig rt_cfg;

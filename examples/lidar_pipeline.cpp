@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "datasets/depth_camera.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "pointcloud/io.hpp"
 #include "runtime/engine.hpp"
 #include "sparse/sparse_tensor.hpp"
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
   // One 1 -> 8 feature-extraction Sub-Conv, compiled and run through the
   // runtime Engine on the simulated accelerator.
-  nn::SubmanifoldConv3d conv(1, 8, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 8, 3);
   conv.init_kaiming(rng);
   runtime::Engine engine;
   const runtime::Plan plan =

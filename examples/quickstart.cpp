@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "datasets/shapenet_like.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "runtime/engine.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "voxel/voxelizer.hpp"
@@ -40,7 +40,7 @@ int main() {
   //    Sub-Conv layer: scale calibration, INT8 weights / INT16 activations,
   //    integer gold output.
   runtime::Engine engine;
-  nn::SubmanifoldConv3d conv(1, 16, /*kernel_size=*/3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 16, /*kernel_size=*/3);
   conv.init_kaiming(rng);
   const runtime::Plan plan =
       engine.compile_layer(conv, input, {.name = "quickstart"});

@@ -28,7 +28,7 @@
 #include "core/report.hpp"
 #include "datasets/nyu_like.hpp"
 #include "datasets/sequence.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "obs/obs.hpp"
 #include "pointcloud/point_cloud.hpp"
 #include "serve/serve.hpp"
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   std::printf("scene: %zu points -> %zu sites (%.4f%% density)\n", cloud.size(), input.size(),
               100.0 * grid.density());
 
-  nn::SubmanifoldConv3d conv(1, 8, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 8, 3);
   conv.init_kaiming(rng);
 
   serve::ServerConfig cfg;

@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "datasets/sequence.hpp"
 #include "datasets/shapenet_like.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "serve/serve.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "stream/stream.hpp"
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   // A single-layer Plan calibrated on frame 0 (steady-state replay).
   Rng rng(99);
-  nn::SubmanifoldConv3d conv(1, 8, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 8, 3);
   conv.init_kaiming(rng);
   runtime::Engine engine;
   const runtime::PlanPtr plan = runtime::share_plan(

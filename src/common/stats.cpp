@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
-#include "common/strings.hpp"
 
 namespace esca {
 
@@ -24,26 +22,6 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets) : lo_(lo), hi_(hi) {
-  ESCA_REQUIRE(hi > lo, "Histogram: hi must exceed lo");
-  ESCA_REQUIRE(buckets > 0, "Histogram: needs at least one bucket");
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
 
 namespace {
 
@@ -74,13 +52,6 @@ bool quantile_bucket(const std::vector<std::int64_t>& counts, std::int64_t total
 }
 
 }  // namespace
-
-double Histogram::quantile(double q) const {
-  std::size_t bucket = 0;
-  double fraction = 0.0;
-  if (!quantile_bucket(counts_, total_, q, bucket, fraction)) return 0.0;
-  return bucket_lo(bucket) + (bucket_hi(bucket) - bucket_lo(bucket)) * fraction;
-}
 
 LogHistogram::LogHistogram(double lo, double hi, std::size_t buckets_per_decade) {
   ESCA_REQUIRE(lo > 0.0 && hi > lo, "LogHistogram: needs 0 < lo < hi");
@@ -137,18 +108,6 @@ void LogHistogram::merge(const LogHistogram& other) {
                "LogHistogram::merge: bucketing differs");
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
-}
-
-std::string Histogram::to_string(const std::string& label) const {
-  std::ostringstream os;
-  os << label << " (n=" << total_ << ")\n";
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double frac = total_ > 0 ? static_cast<double>(counts_[i]) / static_cast<double>(total_) : 0.0;
-    os << "  [" << str::fixed(bucket_lo(i), 1) << ", " << str::fixed(bucket_hi(i), 1)
-       << "): " << counts_[i] << " (" << str::percent(frac, 1) << ")\n";
-  }
-  return os.str();
 }
 
 }  // namespace esca

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace esca {
@@ -28,33 +27,6 @@ class RunningStat {
   double sum_{0.0};
   double min_{std::numeric_limits<double>::infinity()};
   double max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket. Used for FIFO-occupancy and match-group-size profiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::int64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size(); }
-  std::int64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  /// Value at quantile q in [0, 1], linearly interpolated inside the
-  /// bucket that crosses the target rank. 0 while empty.
-  double quantile(double q) const;
-
-  /// Multi-line ASCII rendering (one row per non-empty bucket).
-  std::string to_string(const std::string& label) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_{0};
 };
 
 /// Log-spaced histogram over [lo, hi): bucket edges grow geometrically, so

@@ -139,12 +139,14 @@ Accelerator::Accelerator(ArchConfig config)
   config_.validate();
 }
 
-LayerRunStats Accelerator::run_layer(const quant::QuantizedSubConv& layer,
+LayerRunStats Accelerator::run_layer(const quant::QuantizedConv& layer,
                                      const sparse::LayerGeometry& geometry,
                                      const RunOptions& options) {
-  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kSubmanifold,
-               "the accelerator runs Sub-Conv layers, got " << sparse::to_string(geometry.kind)
-                                                            << " geometry");
+  ESCA_REQUIRE(layer.kind() == sparse::GeometryKind::kSubmanifold &&
+                   geometry.kind == sparse::GeometryKind::kSubmanifold,
+               "the accelerator runs Sub-Conv layers, got a "
+                   << sparse::to_string(layer.kind()) << " layer on "
+                   << sparse::to_string(geometry.kind) << " geometry");
   ESCA_REQUIRE(geometry.kernel_size == layer.kernel_size() &&
                    layer.kernel_size() == config_.kernel_size,
                "geometry kernel " << geometry.kernel_size << ", layer kernel "

@@ -22,7 +22,7 @@
 #include "core/encoding.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "sim/energy.hpp"
 #include "sim/mem/global_buffer.hpp"
 #include "sim/mem/traffic_model.hpp"
@@ -108,9 +108,9 @@ class Accelerator {
   /// Simulate one Sub-Conv layer over its compiled submanifold geometry
   /// (the site tensor and rulebook; e.g. the Plan-cached LayerGeometry).
   /// `layer` supplies only the shape: channels, kernel and weight bytes.
-  /// Throws esca::InvalidArgument unless geometry.kind is kSubmanifold and
-  /// its kernel equals both the layer's and the architecture's.
-  LayerRunStats run_layer(const quant::QuantizedSubConv& layer,
+  /// Throws esca::InvalidArgument unless the layer and the geometry are both
+  /// kSubmanifold and their kernels equal the architecture's.
+  LayerRunStats run_layer(const quant::QuantizedConv& layer,
                           const sparse::LayerGeometry& geometry, const RunOptions& options = {});
 
   /// Energy accumulated across every run_layer() call (power-model input).

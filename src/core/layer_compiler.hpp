@@ -13,14 +13,14 @@
 #include <vector>
 
 #include "nn/unet.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "quant/qtensor.hpp"
 #include "sparse/geometry.hpp"
 
 namespace esca::core {
 
 struct CompiledLayer {
-  quant::QuantizedSubConv layer;
+  quant::QuantizedConv layer;
   quant::QSparseTensor input;
   quant::QSparseTensor gold_output;
   std::int64_t gold_macs{0};  ///< rulebook MACs from the float trace
@@ -53,13 +53,13 @@ struct LayerCompileOptions {
 
 class LayerCompiler {
  public:
-  /// Compile every Sub-Conv entry of a forward trace.
+  /// Compile every Sub-Conv entry of a forward trace, reusing the geometry
+  /// each one executed with (InvalidArgument when an entry has none).
   static CompiledNetwork compile(const std::vector<nn::TraceEntry>& trace);
 
   /// Compile one float Sub-Conv layer on a float input: runs the float model
-  /// to calibrate activation scales, quantizes (folding BN/ReLU) and
-  /// precomputes the integer gold output.
-  static CompiledLayer compile_layer(const nn::SubmanifoldConv3d& conv,
+  /// on a fresh submanifold geometry, then compiles that one-entry trace.
+  static CompiledLayer compile_layer(const nn::SparseConv3d& conv,
                                      const sparse::SparseTensor& input,
                                      const LayerCompileOptions& options = {});
 };

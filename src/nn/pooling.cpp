@@ -16,9 +16,7 @@ sparse::SparseTensor MaxPool3d::forward(const sparse::SparseTensor& input,
                                         const sparse::LayerGeometry& geometry) const {
   sparse::require_geometry(geometry, sparse::GeometryKind::kDownsample, kernel_size_, stride_,
                            input.size(), "pooling");
-  sparse::SparseTensor output(geometry.out_extent, input.channels());
-  output.reserve(geometry.out_coords.size());
-  for (const Coord3& c : geometry.out_coords) output.add_site(c);
+  sparse::SparseTensor output = geometry.zero_output(input.channels());
 
   // Initialize active outputs to -inf so maxing over contributors is exact,
   // then take channelwise maxima over every (in -> out) rule.

@@ -21,7 +21,7 @@ class MaxPool3d {
 
   /// Run over `geometry`, the downsample geometry of `input`'s sites at
   /// this kernel and stride (pooling shares the strided-conv output rule,
-  /// so the same LayerGeometry drives both).
+  /// so the same LayerGeometry and its output sites drive both).
   sparse::SparseTensor forward(const sparse::SparseTensor& input,
                                const sparse::LayerGeometry& geometry) const;
 

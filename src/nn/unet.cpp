@@ -13,11 +13,7 @@ SSUNet::SSUNet(SSUNetConfig config, std::uint64_t seed) : config_(config) {
 
   Rng rng(seed);
 
-  stem_ = std::make_unique<SubmanifoldConv3d>(config.in_channels, planes_at(0),
-                                              config.kernel_size);
-  stem_->init_kaiming(rng);
-  stem_bn_ = std::make_unique<BatchNorm>(planes_at(0));
-  stem_bn_->randomize(rng);
+  stem_ = make_block(config.in_channels, planes_at(0), rng);
 
   levels_.resize(static_cast<std::size_t>(config.levels));
   for (int l = 0; l < config.levels; ++l) {
@@ -25,31 +21,22 @@ SSUNet::SSUNet(SSUNetConfig config, std::uint64_t seed) : config_(config) {
     const int planes = planes_at(l);
 
     for (int r = 0; r < config.reps_per_level; ++r) {
-      Block b;
-      b.conv = std::make_unique<SubmanifoldConv3d>(planes, planes, config.kernel_size);
-      b.conv->init_kaiming(rng);
-      b.bn = std::make_unique<BatchNorm>(planes);
-      b.bn->randomize(rng);
-      level.encoder_blocks.push_back(std::move(b));
+      level.encoder_blocks.push_back(make_block(planes, planes, rng));
     }
 
     if (l + 1 < config.levels) {
       const int next = planes_at(l + 1);
-      level.down = std::make_unique<SparseConv3d>(planes, next, /*kernel=*/2, /*stride=*/2);
+      level.down = std::make_unique<SparseConv3d>(sparse::GeometryKind::kDownsample, planes,
+                                                  next, /*kernel=*/2, /*stride=*/2);
       level.down->init_kaiming(rng);
-      level.up = std::make_unique<InverseConv3d>(next, planes, /*kernel=*/2, /*stride=*/2);
+      level.up = std::make_unique<SparseConv3d>(sparse::GeometryKind::kInverse, next, planes,
+                                                /*kernel=*/2, /*stride=*/2);
       level.up->init_kaiming(rng);
 
       // Decoder: first block consumes the skip concat (2*planes), the rest
       // stay at `planes`.
       for (int r = 0; r < config.reps_per_level; ++r) {
-        const int cin = (r == 0) ? 2 * planes : planes;
-        Block b;
-        b.conv = std::make_unique<SubmanifoldConv3d>(cin, planes, config.kernel_size);
-        b.conv->init_kaiming(rng);
-        b.bn = std::make_unique<BatchNorm>(planes);
-        b.bn->randomize(rng);
-        level.decoder_blocks.push_back(std::move(b));
+        level.decoder_blocks.push_back(make_block(r == 0 ? 2 * planes : planes, planes, rng));
       }
     }
   }
@@ -58,26 +45,29 @@ SSUNet::SSUNet(SSUNetConfig config, std::uint64_t seed) : config_(config) {
   head_->init_kaiming(rng);
 }
 
-sparse::SparseTensor SSUNet::run_block(const Block& block, const sparse::SparseTensor& x,
-                                       const sparse::LayerGeometryPtr& geometry,
-                                       const std::string& name,
-                                       std::vector<TraceEntry>* trace) const {
-  sparse::SparseTensor y = block.conv->forward(x, *geometry);
-  block.bn->forward_inplace(y);
-  relu_inplace(y);
+SSUNet::Block SSUNet::make_block(int in_channels, int out_channels, Rng& rng) const {
+  Block b;
+  b.conv = std::make_unique<SparseConv3d>(sparse::GeometryKind::kSubmanifold, in_channels,
+                                          out_channels, config_.kernel_size);
+  b.conv->init_kaiming(rng);
+  b.bn = std::make_unique<BatchNorm>(out_channels);
+  b.bn->randomize(rng);
+  return b;
+}
+
+sparse::SparseTensor SSUNet::run_conv(const SparseConv3d& conv, const BatchNorm* bn,
+                                      const sparse::SparseTensor& x,
+                                      const sparse::LayerGeometryPtr& geometry,
+                                      std::string name, std::vector<TraceEntry>* trace) const {
+  sparse::SparseTensor y = conv.forward(x, *geometry);
+  if (bn != nullptr) {
+    bn->forward_inplace(y);
+    relu_inplace(y);
+  }
   if (trace != nullptr) {
-    TraceEntry e{name,
-                 LayerKind::kSubmanifoldConv,
-                 block.conv->in_channels(),
-                 block.conv->out_channels(),
-                 geometry->macs(block.conv->in_channels(), block.conv->out_channels()),
-                 x,
-                 y,
-                 block.conv.get(),
-                 block.bn.get(),
-                 /*relu=*/true,
-                 geometry};
-    trace->push_back(std::move(e));
+    trace->push_back(TraceEntry{std::move(name), conv.in_channels(), conv.out_channels(),
+                                geometry->macs(conv.in_channels(), conv.out_channels()), x, y,
+                                &conv, bn, /*relu=*/bn != nullptr, geometry});
   }
   return y;
 }
@@ -94,16 +84,8 @@ sparse::SparseTensor SSUNet::forward(const sparse::SparseTensor& input,
   sparse::LayerGeometryPtr scale_geo =
       sparse::make_submanifold_geometry(input, config_.kernel_size);
 
-  // Stem.
-  sparse::SparseTensor x = stem_->forward(input, *scale_geo);
-  stem_bn_->forward_inplace(x);
-  relu_inplace(x);
-  if (trace != nullptr) {
-    trace->push_back(TraceEntry{"stem", LayerKind::kSubmanifoldConv, stem_->in_channels(),
-                                stem_->out_channels(),
-                                scale_geo->macs(stem_->in_channels(), stem_->out_channels()),
-                                input, x, stem_.get(), stem_bn_.get(), true, scale_geo});
-  }
+  sparse::SparseTensor x =
+      run_conv(*stem_.conv, stem_.bn.get(), input, scale_geo, "stem", trace);
 
   // Encoder: keep each level's output (and geometries) for the skip path —
   // the decoder replays the Sub-Conv geometry and derives the inverse-conv
@@ -114,58 +96,45 @@ sparse::SparseTensor SSUNet::forward(const sparse::SparseTensor& input,
   for (int l = 0; l < config_.levels; ++l) {
     const Level& level = levels_[static_cast<std::size_t>(l)];
     for (std::size_t r = 0; r < level.encoder_blocks.size(); ++r) {
-      x = run_block(level.encoder_blocks[r], x, scale_geo,
-                    str::format("enc%d.block%d", l, static_cast<int>(r)), trace);
+      const Block& b = level.encoder_blocks[r];
+      x = run_conv(*b.conv, b.bn.get(), x, scale_geo,
+                   str::format("enc%d.block%d", l, static_cast<int>(r)), trace);
     }
     skips.push_back(x);
     skip_geos.push_back(scale_geo);
     if (level.down) {
       const sparse::LayerGeometryPtr down_geo =
           sparse::make_downsample_geometry(x, level.down->kernel_size(), level.down->stride());
-      sparse::SparseTensor y = level.down->forward(x, *down_geo);
-      if (trace != nullptr) {
-        trace->push_back(
-            TraceEntry{str::format("down%d", l), LayerKind::kDownsampleConv,
-                       level.down->in_channels(), level.down->out_channels(),
-                       down_geo->macs(level.down->in_channels(), level.down->out_channels()),
-                       x, y, nullptr, nullptr, false, down_geo});
-      }
-      x = std::move(y);
+      x = run_conv(*level.down, nullptr, x, down_geo, str::format("down%d", l), trace);
       down_geos.push_back(down_geo);
       scale_geo = sparse::make_submanifold_geometry(x, config_.kernel_size);
     }
   }
 
-  // Decoder: the inverse conv restores the encoder scale, so its blocks
-  // replay the encoder geometry recorded above; the inverse-conv geometry
-  // is the transpose of the recorded downsample geometry (no extra build).
+  // Decoder: the inverse conv restores the encoder scale (its geometry
+  // carries the skip's sites), so its blocks replay the encoder geometry
+  // recorded above; the inverse-conv geometry is the transpose of the
+  // recorded downsample geometry (no extra build).
   for (int l = config_.levels - 2; l >= 0; --l) {
     const Level& level = levels_[static_cast<std::size_t>(l)];
     const sparse::SparseTensor& skip = skips[static_cast<std::size_t>(l)];
     const sparse::LayerGeometryPtr up_geo = sparse::make_transposed_inverse_geometry(
         *down_geos[static_cast<std::size_t>(l)], x, skip);
-    sparse::SparseTensor y = level.up->forward(x, skip, *up_geo);
-    if (trace != nullptr) {
-      trace->push_back(
-          TraceEntry{str::format("up%d", l), LayerKind::kInverseConv,
-                     level.up->in_channels(), level.up->out_channels(),
-                     up_geo->macs(level.up->in_channels(), level.up->out_channels()), x, y,
-                     nullptr, nullptr, false, up_geo});
-    }
-    x = concat_channels(y, skip);
+    x = concat_channels(run_conv(*level.up, nullptr, x, up_geo, str::format("up%d", l), trace),
+                        skip);
     scale_geo = skip_geos[static_cast<std::size_t>(l)];
     for (std::size_t r = 0; r < level.decoder_blocks.size(); ++r) {
-      x = run_block(level.decoder_blocks[r], x, scale_geo,
-                    str::format("dec%d.block%d", l, static_cast<int>(r)), trace);
+      const Block& b = level.decoder_blocks[r];
+      x = run_conv(*b.conv, b.bn.get(), x, scale_geo,
+                   str::format("dec%d.block%d", l, static_cast<int>(r)), trace);
     }
   }
 
   // Head.
   sparse::SparseTensor logits = head_->forward(x);
   if (trace != nullptr) {
-    trace->push_back(TraceEntry{"head", LayerKind::kLinear, head_->in_channels(),
-                                head_->out_channels(), head_->macs(x), x, logits, nullptr,
-                                nullptr, false});
+    trace->push_back(TraceEntry{"head", head_->in_channels(), head_->out_channels(),
+                                head_->macs(x), x, logits});
   }
   return logits;
 }
@@ -180,20 +149,20 @@ std::int64_t SSUNet::total_macs(const sparse::SparseTensor& input) const {
 
 std::int64_t SSUNet::parameter_count() const {
   std::int64_t n = 0;
-  auto add_conv = [&n](const SubmanifoldConv3d& c) {
-    n += static_cast<std::int64_t>(c.weights().size());
-    if (c.has_bias()) n += static_cast<std::int64_t>(c.bias().size());
+  auto add_conv = [&n](const std::unique_ptr<SparseConv3d>& c) {
+    if (!c) return;
+    n += static_cast<std::int64_t>(c->weights().size());
+    if (c->has_bias()) n += static_cast<std::int64_t>(c->bias().size());
   };
   auto add_block = [&](const Block& b) {
-    add_conv(*b.conv);
+    add_conv(b.conv);
     n += 4LL * b.bn->channels();
   };
-  add_conv(*stem_);
-  n += 4LL * stem_bn_->channels();
+  add_block(stem_);
   for (const Level& level : levels_) {
     for (const Block& b : level.encoder_blocks) add_block(b);
-    if (level.down) n += static_cast<std::int64_t>(level.down->weights().size());
-    if (level.up) n += static_cast<std::int64_t>(level.up->weights().size());
+    add_conv(level.down);
+    add_conv(level.up);
     for (const Block& b : level.decoder_blocks) add_block(b);
   }
   n += static_cast<std::int64_t>(head_->weights().size()) + head_->out_channels();
@@ -203,7 +172,8 @@ std::int64_t SSUNet::parameter_count() const {
 std::vector<std::size_t> subconv_entries(const std::vector<TraceEntry>& trace) {
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].kind == LayerKind::kSubmanifoldConv) idx.push_back(i);
+    const SparseConv3d* conv = trace[i].conv;
+    if (conv != nullptr && conv->kind() == sparse::GeometryKind::kSubmanifold) idx.push_back(i);
   }
   return idx;
 }

@@ -3,6 +3,7 @@
 // strided convolutions; decoder restores each scale with inverse
 // convolutions and channel-concatenated skip connections.
 //
+// Every convolution is one nn::SparseConv3d of the kind its geometry has.
 // forward() optionally records a per-layer trace: the accelerator compiler
 // replays every Sub-Conv layer (with its folded BN/ReLU) on the simulated
 // hardware, and benches read per-layer MAC counts from the same trace.
@@ -18,7 +19,6 @@
 #include "nn/batch_norm.hpp"
 #include "nn/linear.hpp"
 #include "nn/sparse_conv.hpp"
-#include "nn/submanifold_conv.hpp"
 #include "sparse/geometry.hpp"
 #include "sparse/sparse_tensor.hpp"
 
@@ -33,30 +33,24 @@ struct SSUNetConfig {
   int kernel_size{3};  ///< Sub-Conv kernel (paper: 3x3x3)
 };
 
-enum class LayerKind : std::uint8_t {
-  kSubmanifoldConv,
-  kDownsampleConv,
-  kInverseConv,
-  kLinear,
-};
-
 /// One recorded layer execution. BN and ReLU are folded into the preceding
 /// conv's record (deployment view), matching the accelerator's requantize
 /// stage.
 struct TraceEntry {
   std::string name;
-  LayerKind kind{LayerKind::kSubmanifoldConv};
   int in_channels{0};
   int out_channels{0};
   std::int64_t macs{0};
-  sparse::SparseTensor input;   ///< tensor entering the conv
-  sparse::SparseTensor output;  ///< tensor after conv (+BN/ReLU if folded)
-  const SubmanifoldConv3d* subconv{nullptr};  ///< set for kSubmanifoldConv
-  const BatchNorm* bn{nullptr};               ///< folded BN, may be null
-  bool relu{false};                           ///< folded ReLU
-  /// Geometry the layer executed with — shared across every layer at the
-  /// same scale; the layer compiler caches it into the Plan. Null for
-  /// kLinear entries.
+  sparse::SparseTensor input;   ///< tensor entering the layer
+  sparse::SparseTensor output;  ///< tensor after the layer (+BN/ReLU if folded)
+  /// The conv the entry executed — its kind is the entry's kind. Null for
+  /// the linear head.
+  const SparseConv3d* conv{nullptr};
+  const BatchNorm* bn{nullptr};  ///< folded BN, may be null
+  bool relu{false};              ///< folded ReLU
+  /// Geometry the conv executed with — a Sub-Conv geometry is shared
+  /// across every layer at the same scale; the layer compiler caches it
+  /// into the Plan. Null for the head.
   sparse::LayerGeometryPtr geometry{};
 };
 
@@ -80,25 +74,29 @@ class SSUNet {
   int planes_at(int level) const { return config_.base_planes * (level + 1); }
 
  private:
+  /// A Sub-Conv block (the stem too): conv + BN + ReLU.
   struct Block {
-    std::unique_ptr<SubmanifoldConv3d> conv;
+    std::unique_ptr<SparseConv3d> conv;
     std::unique_ptr<BatchNorm> bn;
   };
   struct Level {
     std::vector<Block> encoder_blocks;
-    std::unique_ptr<SparseConv3d> down;         // null at the deepest level
-    std::unique_ptr<InverseConv3d> up;          // null at the deepest level
-    std::vector<Block> decoder_blocks;          // empty at the deepest level
+    std::unique_ptr<SparseConv3d> down;  // strided; null at the deepest level
+    std::unique_ptr<SparseConv3d> up;    // inverse; null at the deepest level
+    std::vector<Block> decoder_blocks;   // empty at the deepest level
   };
 
-  sparse::SparseTensor run_block(const Block& block, const sparse::SparseTensor& x,
-                                 const sparse::LayerGeometryPtr& geometry,
-                                 const std::string& name,
-                                 std::vector<TraceEntry>* trace) const;
+  Block make_block(int in_channels, int out_channels, Rng& rng) const;
+
+  /// Run `conv` over `geometry`; a given `bn` and a ReLU follow it (a
+  /// block). Appends the trace entry when `trace` is non-null.
+  sparse::SparseTensor run_conv(const SparseConv3d& conv, const BatchNorm* bn,
+                                const sparse::SparseTensor& x,
+                                const sparse::LayerGeometryPtr& geometry, std::string name,
+                                std::vector<TraceEntry>* trace) const;
 
   SSUNetConfig config_;
-  std::unique_ptr<SubmanifoldConv3d> stem_;
-  std::unique_ptr<BatchNorm> stem_bn_;
+  Block stem_;
   std::vector<Level> levels_;
   std::unique_ptr<Linear> head_;
 };

@@ -1,4 +1,4 @@
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -13,24 +13,26 @@ namespace esca::quant {
 std::int16_t requantize(std::int64_t acc, float scale, float shift, bool relu) {
   float y = static_cast<float>(acc) * scale + shift;
   if (relu && y < 0.0F) y = 0.0F;
-  const auto q = static_cast<std::int32_t>(std::nearbyint(y));
-  return static_cast<std::int16_t>(std::clamp(q, -kInt16Max, kInt16Max));
+  // Saturate before the cast: converting a float beyond the target range
+  // is undefined behaviour.
+  constexpr auto kLimit = static_cast<float>(kInt16Max);
+  return static_cast<std::int16_t>(std::clamp(std::nearbyint(y), -kLimit, kLimit));
 }
 
-QuantizedSubConv QuantizedSubConv::from_float(const nn::SubmanifoldConv3d& conv,
-                                              const nn::BatchNorm* bn, bool relu,
-                                              float in_scale, float out_scale,
-                                              std::string name,
-                                              WeightGranularity granularity) {
+QuantizedConv QuantizedConv::from_float(const nn::SparseConv3d& conv, const nn::BatchNorm* bn,
+                                        bool relu, float in_scale, float out_scale,
+                                        std::string name, WeightGranularity granularity) {
   ESCA_REQUIRE(in_scale > 0.0F && out_scale > 0.0F, "activation scales must be positive");
   ESCA_REQUIRE(!conv.has_bias() || bn == nullptr,
                "bias+BN folding is not supported; fold the bias into BN shift first");
 
-  QuantizedSubConv q;
+  QuantizedConv q;
   q.name_ = std::move(name);
+  q.kind_ = conv.kind();
   q.in_channels_ = conv.in_channels();
   q.out_channels_ = conv.out_channels();
   q.kernel_size_ = conv.kernel_size();
+  q.stride_ = conv.stride();
   q.relu_ = relu;
   q.in_scale_ = in_scale;
   q.out_scale_ = out_scale;
@@ -91,26 +93,21 @@ QuantizedSubConv QuantizedSubConv::from_float(const nn::SubmanifoldConv3d& conv,
   return q;
 }
 
-QSparseTensor QuantizedSubConv::forward(const QSparseTensor& input,
-                                        const sparse::LayerGeometry& geometry,
-                                        sparse::ComputeEngine* engine) const {
+QSparseTensor QuantizedConv::forward(const QSparseTensor& input,
+                                     const sparse::LayerGeometry& geometry,
+                                     sparse::ComputeEngine* engine) const {
   ESCA_REQUIRE(input.channels() == in_channels_, "input channel mismatch");
-  sparse::require_geometry(geometry, sparse::GeometryKind::kSubmanifold, kernel_size_, 1,
-                           input.size(), "quantized Sub-Conv");
-  ESCA_REQUIRE(geometry.out_rows == input.size(),
-               "geometry covers " << geometry.out_rows << " rows, input has " << input.size());
+  sparse::require_geometry(geometry, kind_, kernel_size_, stride_, input.size(),
+                           "quantized conv");
   sparse::ComputeEngine& e = engine != nullptr ? *engine : sparse::default_compute_engine();
   const std::span<const std::int64_t> acc =
       e.accumulate(input.raw_features(), in_channels_, geometry.blocked, weights_,
                    out_channels_);
-  return requantize_output(input, acc);
-}
-
-QSparseTensor QuantizedSubConv::requantize_output(const QSparseTensor& input,
-                                                  std::span<const std::int64_t> acc) const {
   const auto cout = static_cast<std::size_t>(out_channels_);
-  QSparseTensor output = input.zeros_like(out_channels_, QuantParams{out_scale_});
-  for (std::size_t row = 0; row < input.size(); ++row) {
+  QSparseTensor output =
+      QSparseTensor::from_coords(geometry.out_extent, out_channels_, QuantParams{out_scale_},
+                                 geometry.out_coords, geometry.out_index);
+  for (std::size_t row = 0; row < output.size(); ++row) {
     auto dst = output.features(row);
     const std::int64_t* src = acc.data() + row * cout;
     for (std::size_t co = 0; co < cout; ++co) {

@@ -1,4 +1,5 @@
-// Quantized submanifold convolution — the bit-exact integer gold model.
+// Quantized sparse convolution — the bit-exact integer gold model, for
+// every sparse::GeometryKind (Sub-Conv, strided, inverse).
 //
 // This is the functional contract every backend's layer outputs are
 // verified against: INT16 activations x INT8 weights, 64-bit accumulation
@@ -9,6 +10,8 @@
 //   y        = acc * (s_in * s_w * bn_scale[co]) + bn_shift[co]   (float)
 //   q_out    = clamp(round(y / s_out)), ReLU clamps at 0 first
 //
+// The kinds differ only in the rulebook and the output sites, both of which
+// the LayerGeometry carries, so one accumulate + requantize runs them all.
 // The requantization arithmetic is implemented exactly once (requantize())
 // and shared by the compute-engine forward every backend executes and the
 // scalar reference in sparse/testing/reference.hpp, so the two agree bit for
@@ -20,7 +23,7 @@
 #include <vector>
 
 #include "nn/batch_norm.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "quant/qtensor.hpp"
 #include "quant/quantizer.hpp"
 #include "sparse/geometry.hpp"
@@ -31,7 +34,8 @@ class ComputeEngine;
 
 namespace esca::quant {
 
-/// Shared requantization primitive (see file comment).
+/// Shared requantization primitive (see file comment). Saturates to
+/// [-kInt16Max, kInt16Max] for any accumulator.
 std::int16_t requantize(std::int64_t acc, float scale, float shift, bool relu);
 
 /// Weight quantization granularity. Per-tensor is what the paper deploys;
@@ -40,24 +44,25 @@ std::int16_t requantize(std::int64_t acc, float scale, float shift, bool relu);
 /// untouched (the CC already requantizes per output channel).
 enum class WeightGranularity : std::uint8_t { kPerTensor, kPerChannel };
 
-class QuantizedSubConv {
+class QuantizedConv {
  public:
-  /// Quantize a float Sub-Conv layer, folding the optional following
-  /// BatchNorm and ReLU.
+  /// Quantize a float sparse conv of any kind, folding the optional
+  /// following BatchNorm and ReLU.
   ///
   /// @param in_scale   activation scale of the layer input.
   /// @param out_scale  activation scale of the layer output (calibrated on
   ///                   the float model's post-BN/ReLU output).
-  static QuantizedSubConv from_float(const nn::SubmanifoldConv3d& conv,
-                                     const nn::BatchNorm* bn, bool relu, float in_scale,
-                                     float out_scale, std::string name = {},
-                                     WeightGranularity granularity =
-                                         WeightGranularity::kPerTensor);
+  static QuantizedConv from_float(const nn::SparseConv3d& conv, const nn::BatchNorm* bn,
+                                  bool relu, float in_scale, float out_scale,
+                                  std::string name = {},
+                                  WeightGranularity granularity = WeightGranularity::kPerTensor);
 
   const std::string& name() const { return name_; }
+  sparse::GeometryKind kind() const { return kind_; }
   int in_channels() const { return in_channels_; }
   int out_channels() const { return out_channels_; }
   int kernel_size() const { return kernel_size_; }
+  int stride() const { return stride_; }
   int kernel_volume() const { return kernel_size_ * kernel_size_ * kernel_size_; }
   bool relu() const { return relu_; }
   float in_scale() const { return in_scale_; }
@@ -80,9 +85,10 @@ class QuantizedSubConv {
   const std::vector<float>& requant_scale() const { return requant_scale_; }
   const std::vector<float>& requant_shift() const { return requant_shift_; }
 
-  /// Integer gold forward over `geometry`, the submanifold geometry of
-  /// `input`'s sites at this kernel size (e.g. the Plan-cached LayerGeometry
-  /// built on the same coordinate set). Executes gather-GEMM-scatter on
+  /// Integer gold forward over `geometry`, a geometry of this layer's kind,
+  /// kernel and stride built on `input`'s sites (e.g. the Plan-cached
+  /// LayerGeometry). The output covers the geometry's output sites and
+  /// extent at this layer's out_scale. Executes gather-GEMM-scatter on
   /// `engine` (nullptr = the calling thread's default engine): the INT64
   /// accumulator lives in the engine's arena, so steady-state frames
   /// allocate nothing in the accumulate path.
@@ -93,17 +99,14 @@ class QuantizedSubConv {
   std::int64_t weight_bytes() const { return static_cast<std::int64_t>(weights_.size()); }
 
  private:
-  QuantizedSubConv() = default;
-
-  /// Requantize the INT64 accumulator [input rows x Cout] into the output
-  /// tensor (same coordinate set as the input — submanifold).
-  QSparseTensor requantize_output(const QSparseTensor& input,
-                                  std::span<const std::int64_t> acc) const;
+  QuantizedConv() = default;
 
   std::string name_;
+  sparse::GeometryKind kind_{sparse::GeometryKind::kSubmanifold};
   int in_channels_{0};
   int out_channels_{0};
   int kernel_size_{0};
+  int stride_{1};
   bool relu_{false};
   float in_scale_{1.0F};
   float out_scale_{1.0F};

@@ -1,5 +1,7 @@
 #include "quant/qtensor.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 #include "voxel/morton.hpp"
 
@@ -31,11 +33,15 @@ QSparseTensor QSparseTensor::from_float_calibrated(const sparse::SparseTensor& t
   return from_float(t, calibrate(t.abs_max(), kInt16Max));
 }
 
-QSparseTensor QSparseTensor::zeros_like(int channels, QuantParams params) const {
-  QSparseTensor out(extent_, channels, params);
-  out.coords_ = coords_;
-  out.index_ = index_;
-  out.features_.assign(coords_.size() * static_cast<std::size_t>(channels), 0);
+QSparseTensor QSparseTensor::from_coords(Coord3 spatial_extent, int channels,
+                                         QuantParams params, std::vector<Coord3> coords,
+                                         sparse::CoordIndex index) {
+  ESCA_REQUIRE(index.size() == coords.size(),
+               "index covers " << index.size() << " sites, coords " << coords.size());
+  QSparseTensor out(spatial_extent, channels, params);
+  out.coords_ = std::move(coords);
+  out.index_ = std::move(index);
+  out.features_.assign(out.coords_.size() * static_cast<std::size_t>(channels), 0);
   return out;
 }
 
@@ -77,7 +83,10 @@ sparse::SparseTensor QSparseTensor::to_float() const {
 }
 
 bool operator==(const QSparseTensor& a, const QSparseTensor& b) {
-  if (a.channels_ != b.channels_ || a.coords_.size() != b.coords_.size()) return false;
+  if (!(a.extent_ == b.extent_) || a.params_.scale != b.params_.scale ||
+      a.channels_ != b.channels_ || a.coords_.size() != b.coords_.size()) {
+    return false;
+  }
   for (std::size_t i = 0; i < a.coords_.size(); ++i) {
     const std::int32_t j = b.find(a.coords_[i]);
     if (j < 0) return false;

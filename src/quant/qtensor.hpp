@@ -23,10 +23,11 @@ class QSparseTensor {
   static QSparseTensor from_float(const sparse::SparseTensor& t, QuantParams params);
   static QSparseTensor from_float_calibrated(const sparse::SparseTensor& t);
 
-  /// A zero tensor over the same coords/extent with `channels` channels and
-  /// `params`. The coordinate index is shared by copy (no per-site
-  /// re-indexing).
-  QSparseTensor zeros_like(int channels, QuantParams params) const;
+  /// Zero tensor over an externally owned coordinate set and its prebuilt
+  /// index (flat copies/moves — no re-sorting, no per-site insertion).
+  /// `index` must map exactly coords[i] -> i; rows keep the given order.
+  static QSparseTensor from_coords(Coord3 spatial_extent, int channels, QuantParams params,
+                                   std::vector<Coord3> coords, sparse::CoordIndex index);
 
   const Coord3& spatial_extent() const { return extent_; }
   int channels() const { return channels_; }
@@ -54,7 +55,7 @@ class QSparseTensor {
   /// coordinate index are copied.
   sparse::SparseTensor to_float() const;
 
-  /// True iff coords, channels and every int16 value match.
+  /// True iff extent, scale, coords, channels and every int16 value match.
   friend bool operator==(const QSparseTensor& a, const QSparseTensor& b);
 
  private:

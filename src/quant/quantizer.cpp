@@ -16,9 +16,11 @@ QuantParams calibrate(float abs_max, std::int32_t qmax) {
 
 std::int32_t quantize_value(float x, const QuantParams& params, std::int32_t qmax) {
   ESCA_ASSERT(params.scale > 0.0F, "scale must be positive");
-  const float scaled = x / params.scale;
-  const auto q = static_cast<std::int32_t>(std::nearbyint(scaled));
-  return std::clamp(q, -qmax, qmax);
+  // Saturate before the cast (in double, which holds any qmax exactly):
+  // converting a float beyond the int32 range is undefined behaviour.
+  const double q = std::nearbyint(static_cast<double>(x / params.scale));
+  const auto limit = static_cast<double>(qmax);
+  return static_cast<std::int32_t>(std::clamp(q, -limit, limit));
 }
 
 std::vector<std::int8_t> quantize_int8(std::span<const float> values,

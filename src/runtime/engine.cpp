@@ -42,7 +42,7 @@ Plan Engine::compile(const std::vector<nn::TraceEntry>& trace) const {
   return backend_->compile(trace);
 }
 
-Plan Engine::compile_layer(const nn::SubmanifoldConv3d& conv,
+Plan Engine::compile_layer(const nn::SparseConv3d& conv,
                            const sparse::SparseTensor& input,
                            const core::LayerCompileOptions& options) const {
   core::CompiledNetwork network;

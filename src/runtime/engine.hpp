@@ -56,7 +56,7 @@ class Engine {
   Plan compile(const std::vector<nn::TraceEntry>& trace) const;
 
   /// Lower one standalone float Sub-Conv layer (calibrate + quantize + gold).
-  Plan compile_layer(const nn::SubmanifoldConv3d& conv, const sparse::SparseTensor& input,
+  Plan compile_layer(const nn::SparseConv3d& conv, const sparse::SparseTensor& input,
                      const core::LayerCompileOptions& options = {}) const;
 
   /// One-shot batched execution: the first frame pays the weight DRAM

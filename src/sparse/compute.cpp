@@ -324,10 +324,6 @@ obs::Counter& compute_arena_grows_counter() {
   return counter;
 }
 
-std::uint64_t compute_arena_grows() {
-  return static_cast<std::uint64_t>(compute_arena_grows_counter().value());
-}
-
 // --- ComputeEngine ------------------------------------------------------------
 
 ComputeEngine::ComputeEngine(ComputeOptions options) : threads_(options.threads) {}

@@ -73,7 +73,8 @@ class ScratchArena {
 
   /// Number of heap allocations this arena has performed — the
   /// steady-state-allocation test hook: after a warmup frame, the count
-  /// must stay flat. Mirrored into the process-wide compute_arena_grows().
+  /// must stay flat. Mirrored into the process-wide
+  /// compute_arena_grows_counter().
   std::uint64_t grows() const { return grows_; }
 
  private:
@@ -96,11 +97,9 @@ struct ComputeOptions {
   int threads{0};
 };
 
-/// Process-wide count of ScratchArena heap allocations (every arena).
-/// Back-compat shim over registry counter `esca_compute_arena_grows_total`.
-std::uint64_t compute_arena_grows();
-
-/// The registry cell behind the shim above (obs::CounterGuard baselines).
+/// Process-wide count of ScratchArena heap allocations (every arena), the
+/// registry counter `esca_compute_arena_grows_total` (obs::CounterGuard
+/// baselines).
 obs::Counter& compute_arena_grows_counter();
 
 class ComputeEngine {

@@ -35,11 +35,18 @@ struct Candidate {
   std::int32_t in_row;
 };
 
-/// Freeze the geometry's output-row count and bucket the finished rulebook
-/// for the compute engine (sparse/compute.hpp) — once, at build time.
-void finalize_blocked(LayerGeometry& g, std::size_t out_rows) {
-  g.out_rows = out_rows;
-  g.blocked = BlockedRuleBook(g.rulebook, out_rows);
+/// Bucket the finished rulebook for the compute engine (sparse/compute.hpp)
+/// over the recorded output sites — once, at build time.
+void finalize_blocked(LayerGeometry& g) {
+  g.blocked = BlockedRuleBook(g.rulebook, g.out_coords.size());
+}
+
+/// Record `target`'s sites as the output of an inverse geometry: flat
+/// copies of its coordinates and index.
+void restore_sites(LayerGeometry& g, const SparseTensor& target) {
+  g.out_extent = target.spatial_extent();
+  g.out_coords = target.coords();
+  g.out_index = target.index();
 }
 
 }  // namespace
@@ -64,7 +71,8 @@ void require_geometry(const LayerGeometry& geometry, GeometryKind kind, int kern
                    geometry.stride == stride,
                to_string(geometry.kind) << " geometry k" << geometry.kernel_size << "/s"
                                         << geometry.stride << " does not match " << layer
-                                        << " k" << kernel_size << "/s" << stride);
+                                        << " (" << to_string(kind) << " k" << kernel_size
+                                        << "/s" << stride << ")");
   ESCA_REQUIRE(geometry.sites.size() == input_rows,
                layer << " input has " << input_rows << " rows, geometry was built on "
                      << geometry.sites.size());
@@ -72,7 +80,7 @@ void require_geometry(const LayerGeometry& geometry, GeometryKind kind, int kern
 
 bool geometry_equal(const LayerGeometry& a, const LayerGeometry& b) {
   if (a.kind != b.kind || a.kernel_size != b.kernel_size || a.stride != b.stride ||
-      !(a.out_extent == b.out_extent) || a.out_rows != b.out_rows) {
+      !(a.out_extent == b.out_extent)) {
     return false;
   }
   if (a.sites.size() != b.sites.size() ||
@@ -88,7 +96,7 @@ bool geometry_equal(const LayerGeometry& a, const LayerGeometry& b) {
   for (int o = 0; o < volume; ++o) {
     if (a.rulebook.rules_for(o) != b.rulebook.rules_for(o)) return false;
   }
-  // The blocked form is a deterministic function of (rulebook, out_rows),
+  // The blocked form is a deterministic function of (rulebook, out_coords),
   // but compare it anyway — it is what the compute engine executes.
   if (a.blocked.num_blocks() != b.blocked.num_blocks() ||
       a.blocked.kernel_volume() != b.blocked.kernel_volume() ||
@@ -115,10 +123,6 @@ obs::Counter& geometry_transposes_counter() {
   static obs::Counter& counter = obs::Registry::global().counter(
       "esca_geometry_transposes_total", "inverse geometries derived by rulebook transpose");
   return counter;
-}
-
-std::uint64_t geometry_builds() {
-  return static_cast<std::uint64_t>(geometry_builds_counter().value());
 }
 
 GeometryShardRange geometry_shard_range(std::size_t n, int shards, int s) {
@@ -180,7 +184,7 @@ LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_s
     }
   });
   merge_shards(shard_rules, g.rulebook);
-  finalize_blocked(g, g.sites.size());
+  finalize_blocked(g);
   return g;
 }
 
@@ -242,6 +246,7 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
   out_codes.erase(std::unique(out_codes.begin(), out_codes.end()), out_codes.end());
   g.out_coords.reserve(out_codes.size());
   for (const std::uint64_t code : out_codes) g.out_coords.push_back(voxel::morton_decode(code));
+  ESCA_CHECK(g.out_index.rebuild(g.out_coords), "duplicate downsample output cell");
 
   // Pass 3 — resolve candidates to output rows (binary search over the
   // sorted code list) and emit rules in candidate order.
@@ -257,7 +262,7 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
     }
   });
   merge_shards(shard_rules, g.rulebook);
-  finalize_blocked(g, g.out_coords.size());
+  finalize_blocked(g);
   return g;
 }
 
@@ -272,7 +277,7 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
   const int k = kernel_size;
   const int volume = k * k * k;
   LayerGeometry g(GeometryKind::kInverse, k, stride, input.zeros_like(1));
-  g.out_extent = target.spatial_extent();
+  restore_sites(g, target);
 
   const CoordIndex& index = g.sites.index();
   const Coord3 in_extent = input.spatial_extent();
@@ -314,7 +319,7 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
     }
   });
   merge_shards(shard_rules, g.rulebook);
-  finalize_blocked(g, target.size());
+  finalize_blocked(g);
   return g;
 }
 
@@ -343,7 +348,7 @@ LayerGeometry transpose_downsample_geometry(const LayerGeometry& down,
 
   LayerGeometry g(GeometryKind::kInverse, down.kernel_size, down.stride,
                   coarse.zeros_like(1));
-  g.out_extent = target.spatial_extent();
+  restore_sites(g, target);
   // Both builders walk fine rows in ascending order with the kernel-cell
   // loop innermost, so swapping in/out per rule reproduces the sequence
   // build_inverse_geometry would emit — not just the same rule set.
@@ -353,7 +358,7 @@ LayerGeometry transpose_downsample_geometry(const LayerGeometry& down,
       g.rulebook.add(o, Rule{r.out_row, r.in_row});
     }
   }
-  finalize_blocked(g, target.size());
+  finalize_blocked(g);
   return g;
 }
 

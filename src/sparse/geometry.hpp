@@ -27,6 +27,7 @@
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
+#include "sparse/coord_index.hpp"
 #include "sparse/rulebook.hpp"
 #include "sparse/sparse_tensor.hpp"
 
@@ -53,34 +54,39 @@ struct GeometryOptions {
 /// sets it indexes into. Immutable after construction; share via
 /// LayerGeometryPtr (plan caching, per-scale reuse inside a network).
 struct LayerGeometry {
+  /// A kSubmanifold geometry's outputs are its sites, recorded here; the
+  /// strided and inverse builders record theirs once they are known.
   LayerGeometry(GeometryKind kind_, int kernel_size_, int stride_, SparseTensor sites_)
       : kind(kind_),
         kernel_size(kernel_size_),
         stride(stride_),
         out_extent(sites_.spatial_extent()),
         sites(std::move(sites_)),
-        rulebook(kernel_size_ * kernel_size_ * kernel_size_) {}
+        rulebook(kernel_size_ * kernel_size_ * kernel_size_) {
+    if (kind == GeometryKind::kSubmanifold) {
+      out_coords = sites.coords();
+      out_index = sites.index();
+    }
+  }
 
   GeometryKind kind;
   int kernel_size;
   int stride;
-  Coord3 out_extent;  ///< kDownsample: ceil(extent / stride); else sites extent
+  Coord3 out_extent;  ///< kDownsample: ceil(extent / stride); kInverse: the restored extent
 
   /// Coordinate-only (1-channel) tensor of the layer's input domain; row r
   /// here is row r of the layer input. Backends reuse it for zero removing,
   /// tile encoding and SDMU matching instead of rebuilding per frame.
   SparseTensor sites;
 
-  /// Output coordinate set (kDownsample only, Morton-ordered; rulebook
-  /// out_rows index into it). Empty for kSubmanifold (outputs == sites) and
-  /// kInverse (outputs == the recorded target rows).
+  /// The output site set, for every kind; rulebook out_rows index into
+  /// out_coords, and out_index maps each of them back to its row.
+  /// kSubmanifold: the input sites. kDownsample: the covered cells, Morton-
+  /// ordered. kInverse: the restored coordinate set, in its recorded order.
   std::vector<Coord3> out_coords;
+  CoordIndex out_index;
 
   RuleBook rulebook;
-
-  /// Number of output rows the rulebook indexes into (kSubmanifold: the
-  /// site count; kDownsample: out_coords; kInverse: the target row count).
-  std::size_t out_rows{0};
 
   /// The same rules bucketed by out-row block (compute-engine execution
   /// order), built once here so per-frame application never sorts. Content
@@ -90,6 +96,12 @@ struct LayerGeometry {
   std::int64_t total_rules() const { return rulebook.total_rules(); }
   /// Effective MACs of executing this geometry at the given channel widths.
   std::int64_t macs(int in_channels, int out_channels) const;
+
+  /// A zero tensor over the output sites: flat copies of out_coords and
+  /// out_index — no re-sorting, no per-site insertion.
+  SparseTensor zero_output(int channels) const {
+    return SparseTensor::from_coords(out_extent, channels, out_coords, out_index);
+  }
 };
 
 using LayerGeometryPtr = std::shared_ptr<const LayerGeometry>;
@@ -107,7 +119,8 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
 
 /// Inverse (transposed) geometry restoring `target`'s coordinate set from
 /// `input` (the matching downsampled scale): rule direction is flipped
-/// relative to the forward strided conv.
+/// relative to the forward strided conv. Its output sites are `target`'s
+/// coordinates and index, in `target`'s row order.
 LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTensor& target,
                                      int kernel_size, int stride,
                                      const GeometryOptions& options = {});
@@ -145,23 +158,19 @@ void require_geometry(const LayerGeometry& geometry, GeometryKind kind, int kern
                       int stride, std::size_t input_rows, const char* layer);
 
 /// Bit-level equality of two compiled geometries: kind/kernel/stride, the
-/// site tensor's coordinate rows (order included), out_coords, out_rows,
-/// every per-offset rule sequence, and the blocked re-bucketing. This is
-/// the contract the incremental stream engine (stream/) is property-tested
-/// against: a patched geometry must be indistinguishable from a cold build.
+/// site tensor's coordinate rows (order included), the output extent and
+/// out_coords, every per-offset rule sequence, and the blocked
+/// re-bucketing. This is the contract the incremental stream engine
+/// (stream/) is property-tested against: a patched geometry must be
+/// indistinguishable from a cold build.
 bool geometry_equal(const LayerGeometry& a, const LayerGeometry& b);
 
-/// Process-wide count of geometry builds (any kind). Monotonic; tests use
-/// it to prove that steady-state frames replay cached geometry instead of
-/// rebuilding it. Rulebook transposes are NOT builds — they are counted by
-/// geometry_transposes_counter(). Back-compat shim over the obs registry
-/// counter `esca_geometry_builds_total` (see geometry_builds_counter()).
-std::uint64_t geometry_builds();
-
-/// The registry cells behind geometry_builds() and the process-wide count
-/// of transpose-derived geometries (`esca_geometry_transposes_total`) —
-/// scope test baselines with obs::CounterGuard(geometry_builds_counter())
-/// instead of hand-copied before/after snapshots.
+/// Process-wide registry counts of cold geometry builds of any kind
+/// (`esca_geometry_builds_total`; monotonic, so tests prove that steady-
+/// state frames replay cached geometry instead of rebuilding it) and of
+/// transpose-derived inverse geometries (`esca_geometry_transposes_total`),
+/// which are not builds. Scope test baselines with
+/// obs::CounterGuard(geometry_builds_counter()).
 obs::Counter& geometry_builds_counter();
 obs::Counter& geometry_transposes_counter();
 

@@ -42,8 +42,8 @@ SparseTensor SparseTensor::from_coords(Coord3 spatial_extent, int channels,
   t.coords_ = std::move(coords);
   t.index_ = std::move(index);
   t.features_.assign(t.coords_.size() * static_cast<std::size_t>(channels), 0.0F);
-  // Row order is the caller's; don't claim canonical (z, y, x) order.
-  t.canonically_sorted_ = t.coords_.empty();
+  // Row order is the caller's: canonical exactly when it already is.
+  t.canonically_sorted_ = std::is_sorted(t.coords_.begin(), t.coords_.end());
   return t;
 }
 

@@ -73,7 +73,8 @@ class SparseTensor {
   void sort_canonical();
 
   /// True when rows are in canonical (z, y, x) order — set by
-  /// sort_canonical() and preserved by in-order add_site()/zeros_like().
+  /// sort_canonical(), checked by from_coords() and preserved by in-order
+  /// add_site()/zeros_like().
   bool canonically_sorted() const { return canonically_sorted_; }
 
   /// Max |feature| over all sites/channels (quantization calibration).

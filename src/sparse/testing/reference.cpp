@@ -46,7 +46,10 @@ void apply_rulebook_reference(const SparseTensor& input, const RuleBook& ruleboo
   }
 }
 
-SparseTensor forward_naive(const nn::SubmanifoldConv3d& conv, const SparseTensor& input) {
+SparseTensor forward_naive(const nn::SparseConv3d& conv, const SparseTensor& input) {
+  ESCA_REQUIRE(conv.kind() == GeometryKind::kSubmanifold,
+               "the neighbourhood walk is Sub-Conv's, got a " << to_string(conv.kind())
+                                                              << " conv");
   ESCA_REQUIRE(input.channels() == conv.in_channels(), "input channel mismatch");
   const auto cin = static_cast<std::size_t>(conv.in_channels());
   const auto cout = static_cast<std::size_t>(conv.out_channels());
@@ -71,17 +74,17 @@ SparseTensor forward_naive(const nn::SubmanifoldConv3d& conv, const SparseTensor
   return output;
 }
 
-quant::QSparseTensor forward_reference(const quant::QuantizedSubConv& layer,
+quant::QSparseTensor forward_reference(const quant::QuantizedConv& layer,
                                        const quant::QSparseTensor& input,
-                                       const RuleBook& rulebook) {
+                                       const LayerGeometry& geometry) {
   ESCA_REQUIRE(input.channels() == layer.in_channels(), "input channel mismatch");
-  ESCA_REQUIRE(rulebook.kernel_volume() == layer.kernel_volume(),
-               "rulebook kernel volume " << rulebook.kernel_volume() << " != layer "
-                                         << layer.kernel_volume());
+  require_geometry(geometry, layer.kind(), layer.kernel_size(), layer.stride(), input.size(),
+                   "reference conv");
 
+  const RuleBook& rulebook = geometry.rulebook;
   const auto cin = static_cast<std::size_t>(layer.in_channels());
   const auto cout = static_cast<std::size_t>(layer.out_channels());
-  std::vector<std::int64_t> acc(input.size() * cout, 0);
+  std::vector<std::int64_t> acc(geometry.out_coords.size() * cout, 0);
   for (int o = 0; o < rulebook.kernel_volume(); ++o) {
     const std::int8_t* w = layer.weights().data() + static_cast<std::size_t>(o) * cin * cout;
     for (const Rule& rule : rulebook.rules_for(o)) {
@@ -98,9 +101,10 @@ quant::QSparseTensor forward_reference(const quant::QuantizedSubConv& layer,
     }
   }
 
-  quant::QSparseTensor output =
-      input.zeros_like(layer.out_channels(), quant::QuantParams{layer.out_scale()});
-  for (std::size_t row = 0; row < input.size(); ++row) {
+  quant::QSparseTensor output = quant::QSparseTensor::from_coords(
+      geometry.out_extent, layer.out_channels(), quant::QuantParams{layer.out_scale()},
+      geometry.out_coords, geometry.out_index);
+  for (std::size_t row = 0; row < output.size(); ++row) {
     auto dst = output.features(row);
     for (std::size_t co = 0; co < cout; ++co) {
       dst[co] = quant::requantize(acc[row * cout + co], layer.requant_scale()[co],

@@ -8,9 +8,10 @@
 
 #include <span>
 
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "quant/qtensor.hpp"
+#include "sparse/geometry.hpp"
 #include "sparse/rulebook.hpp"
 #include "sparse/sparse_tensor.hpp"
 
@@ -26,15 +27,15 @@ namespace esca::sparse::oracle {
 void apply_rulebook_reference(const SparseTensor& input, const RuleBook& rulebook,
                               std::span<const float> weights, SparseTensor& output);
 
-/// `conv` by direct per-site neighbourhood accumulation (coordinate lookups
-/// instead of a rulebook); O(sites * K^3 * Cin * Cout).
-SparseTensor forward_naive(const nn::SubmanifoldConv3d& conv, const SparseTensor& input);
+/// Sub-Conv `conv` by direct per-site neighbourhood accumulation
+/// (coordinate lookups instead of a rulebook); O(sites * K^3 * Cin * Cout).
+SparseTensor forward_naive(const nn::SparseConv3d& conv, const SparseTensor& input);
 
-/// `layer`'s integer forward as a scalar triple loop over `rulebook` (e.g.
-/// a geometry's rulebook): per-element zero skip, per-call INT64
-/// accumulator, then the layer's requantization.
-quant::QSparseTensor forward_reference(const quant::QuantizedSubConv& layer,
+/// `layer`'s integer forward as a scalar triple loop over `geometry`'s
+/// rulebook, any kind: per-element zero skip, per-call INT64 accumulator,
+/// then the layer's requantization onto the geometry's output sites.
+quant::QSparseTensor forward_reference(const quant::QuantizedConv& layer,
                                        const quant::QSparseTensor& input,
-                                       const RuleBook& rulebook);
+                                       const LayerGeometry& geometry);
 
 }  // namespace esca::sparse::oracle

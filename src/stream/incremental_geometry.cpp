@@ -166,8 +166,7 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
       }
       for (; f < fo.size(); ++f) g.rulebook.add(o, fo[f].rule);
     }
-    g.out_rows = next.size();
-    g.blocked = sparse::BlockedRuleBook(g.rulebook, g.out_rows);
+    g.blocked = sparse::BlockedRuleBook(g.rulebook, g.out_coords.size());
     return g;
   }
 
@@ -271,8 +270,7 @@ sparse::LayerGeometry patch_submanifold_geometry(const sparse::LayerGeometry& pr
     }
   });
 
-  g.out_rows = next.size();
-  g.blocked = sparse::BlockedRuleBook(g.rulebook, g.out_rows);
+  g.blocked = sparse::BlockedRuleBook(g.rulebook, g.out_coords.size());
   return g;
 }
 

@@ -15,7 +15,7 @@
 //      output site, which is precisely the cold builder's emission order.
 //
 // The result is bit-identical to build_submanifold_geometry() on the new
-// frame — rule sequences, site rows, out_rows and the blocked re-bucketing
+// frame — rule sequences, site rows, output sites and the blocked re-bucketing
 // (property-tested; see sparse::geometry_equal). IncrementalGeometry wraps
 // the patch with state carrying and a churn threshold: when a frame changes
 // more than `rebuild_fraction` of its sites, patching would touch most

@@ -4,9 +4,9 @@
 #include "core/accelerator.hpp"
 #include "core/layer_compiler.hpp"
 #include "core/perf_model.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
@@ -14,7 +14,7 @@ namespace esca::core {
 namespace {
 
 struct Fixture {
-  quant::QuantizedSubConv layer;
+  quant::QuantizedConv layer;
   quant::QSparseTensor input;
   sparse::LayerGeometryPtr geometry;  ///< the input's submanifold geometry
 };
@@ -22,14 +22,14 @@ struct Fixture {
 Fixture make_fixture(int cin, int cout, Rng& rng, Coord3 extent = {24, 24, 24},
                      int points = 300) {
   const auto x = test::clustered_tensor(extent, cin, rng, extent.x / 3, points);
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
   conv.init_kaiming(rng);
   sparse::LayerGeometryPtr geometry = sparse::make_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
   const auto fy = conv.forward(x, *geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
-  quant::QuantizedSubConv layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "acc");
+  quant::QuantizedConv layer =
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "acc");
   quant::QSparseTensor qx =
       quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
   return {std::move(layer), std::move(qx), std::move(geometry)};
@@ -179,6 +179,11 @@ TEST(AcceleratorTest, RejectsGeometryItCannotRun) {
   // A K=5 rulebook under a K=3 layer and architecture.
   EXPECT_THROW((void)acc.run_layer(fx.layer, sparse::build_submanifold_geometry(sites, 5)),
                InvalidArgument);
+  // A strided layer, even over a Sub-Conv geometry of its kernel.
+  const nn::SparseConv3d strided(sparse::GeometryKind::kDownsample, 4, 4, 3, 1);
+  const quant::QuantizedConv strided_layer =
+      quant::QuantizedConv::from_float(strided, nullptr, false, 1.0F, 1.0F, "strided");
+  EXPECT_THROW((void)acc.run_layer(strided_layer, *fx.geometry), InvalidArgument);
 }
 
 // The match check replaces the output compare: the SDMU's match stream must

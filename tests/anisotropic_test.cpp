@@ -10,8 +10,8 @@
 #include "core/accelerator.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
@@ -74,14 +74,14 @@ TEST(AnisotropicTest, AnisotropicTilesMatchingIsExact) {
 TEST(AnisotropicTest, AcceleratorBitExactOnAnisotropicTiles) {
   Rng rng(803);
   const auto x = test::clustered_tensor({24, 24, 24}, 3, rng, 6, 200);
-  nn::SubmanifoldConv3d conv(3, 5, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 3, 5, 3);
   conv.init_kaiming(rng);
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
   const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "a");
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "a");
 
   for (const Coord3 tile : {Coord3{4, 8, 16}, Coord3{16, 4, 8}, Coord3{3, 5, 7}}) {
     SCOPED_TRACE(testing::Message() << "tile " << tile);

@@ -5,7 +5,7 @@
 #include "baseline/device_models.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "test_util.hpp"
 
 namespace esca::baseline {
@@ -43,7 +43,7 @@ TEST(DenseConvTest, MatchesSparseGoldWhereNeighbourhoodsAreFull) {
       }
     }
   }
-  nn::SubmanifoldConv3d conv(2, 3, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 3, 3);
   conv.init_kaiming(rng);
   const auto sparse_y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   const DenseTensor dense_y = dense_conv3d(densify(x), conv.weights(), 3, 3);

@@ -174,17 +174,6 @@ TEST(StatsTest, RunningStatMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 10.0);
 }
 
-TEST(StatsTest, HistogramBucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamps into first bucket
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps into last bucket
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(4), 2);
-}
-
 TEST(TableTest, RendersAlignedColumns) {
   Table t("TEST");
   t.header({"A", "Col"}).row({"1", "x"}).separator().row({"22", "yy"});

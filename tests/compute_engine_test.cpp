@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "quant/qtensor.hpp"
 #include "runtime/runtime.hpp"
 #include "sparse/compute.hpp"
@@ -66,8 +66,7 @@ std::vector<float> random_weights(int volume, int cin, int cout, Rng& rng) {
 /// layer forwards on rulebooks the geometry builders would never emit.
 LayerGeometry geometry_with_rules(const SparseTensor& sites, RuleBook rb) {
   LayerGeometry g(GeometryKind::kSubmanifold, 3, 1, sites.zeros_like(1));
-  g.out_rows = sites.size();
-  g.blocked = BlockedRuleBook(rb, g.out_rows);
+  g.blocked = BlockedRuleBook(rb, sites.size());
   g.rulebook = std::move(rb);
   return g;
 }
@@ -125,10 +124,10 @@ TEST(ComputeEngineTest, QuantizedPathMatchesScalarReference) {
   for (int trial = 0; trial < 8; ++trial) {
     const int cin = 1 + static_cast<int>(rng.uniform_int(0, 12));
     const int cout = 1 + static_cast<int>(rng.uniform_int(0, 12));
-    nn::SubmanifoldConv3d conv(cin, cout, 3);
+    nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
     conv.init_kaiming(rng);
-    const quant::QuantizedSubConv q =
-        quant::QuantizedSubConv::from_float(conv, nullptr, trial % 2 == 0, 0.01F, 0.01F, "t");
+    const quant::QuantizedConv q =
+        quant::QuantizedConv::from_float(conv, nullptr, trial % 2 == 0, 0.01F, 0.01F, "t");
 
     const SparseTensor x = dense_rows_tensor(1 + rng.uniform_int(0, 400), cin, rng);
     const quant::QSparseTensor qx =
@@ -136,7 +135,7 @@ TEST(ComputeEngineTest, QuantizedPathMatchesScalarReference) {
     const LayerGeometry g = geometry_with_rules(
         x, random_rulebook(27, qx.size(), qx.size(), rng.uniform_int(0, 3000), rng));
 
-    const quant::QSparseTensor expected = oracle::forward_reference(q, qx, g.rulebook);
+    const quant::QSparseTensor expected = oracle::forward_reference(q, qx, g);
     const quant::QSparseTensor got = q.forward(qx, g);
     EXPECT_TRUE(expected == got) << "trial " << trial;
   }
@@ -146,18 +145,54 @@ TEST(ComputeEngineTest, QuantizedGeometryPathMatchesRulebookPath) {
   Rng rng(314);
   const int cin = 6;
   const int cout = 9;
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
   conv.init_kaiming(rng);
-  const quant::QuantizedSubConv q =
-      quant::QuantizedSubConv::from_float(conv, nullptr, true, 0.01F, 0.01F, "geo");
+  const quant::QuantizedConv q =
+      quant::QuantizedConv::from_float(conv, nullptr, true, 0.01F, 0.01F, "geo");
   const SparseTensor x = dense_rows_tensor(333, cin, rng);
   const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
 
   const LayerGeometry geometry = build_submanifold_geometry(qx.sites(), 3);
-  const quant::QSparseTensor via_reference = oracle::forward_reference(q, qx, geometry.rulebook);
+  const quant::QSparseTensor via_reference = oracle::forward_reference(q, qx, geometry);
   for (const int threads : {1, 2, 4}) {
     ComputeEngine engine{ComputeOptions{.threads = threads}};
     EXPECT_TRUE(via_reference == q.forward(qx, geometry, &engine)) << "threads=" << threads;
+  }
+}
+
+// The integer conv runs strided and inverse geometries through the same
+// accumulate + requantize: outputs land on the geometry's output sites and
+// equal the scalar reference at any engine thread count.
+TEST(ComputeEngineTest, QuantizedStridedAndInverseConvsMatchScalarReference) {
+  Rng rng(315);
+  const int cin = 5;
+  const int cout = 11;
+  const SparseTensor fine = dense_rows_tensor(700, cin, rng);
+  const LayerGeometry down = build_downsample_geometry(fine, 2, 2);
+  const LayerGeometry up = build_inverse_geometry(down.zero_output(1), fine, 2, 2);
+  nn::SparseConv3d down_conv(GeometryKind::kDownsample, cin, cout, 2, 2);
+  nn::SparseConv3d up_conv(GeometryKind::kInverse, cout, cin, 2, 2);
+  down_conv.init_kaiming(rng);
+  up_conv.init_kaiming(rng);
+  const SparseTensor coarse = down_conv.forward(fine, down);
+  const auto scale = [](const SparseTensor& t) {
+    return quant::calibrate(t.abs_max(), quant::kInt16Max).scale;
+  };
+  const quant::QuantizedConv qdown = quant::QuantizedConv::from_float(
+      down_conv, nullptr, false, scale(fine), scale(coarse), "down");
+  const quant::QuantizedConv qup = quant::QuantizedConv::from_float(
+      up_conv, nullptr, true, scale(coarse), scale(up_conv.forward(coarse, up)), "up");
+
+  const quant::QSparseTensor qfine = quant::QSparseTensor::from_float(fine, {scale(fine)});
+  const quant::QSparseTensor qcoarse = oracle::forward_reference(qdown, qfine, down);
+  const quant::QSparseTensor qrestored = oracle::forward_reference(qup, qcoarse, up);
+  EXPECT_EQ(qcoarse.coords(), down.out_coords);
+  EXPECT_EQ(qcoarse.spatial_extent(), down.out_extent);
+  EXPECT_EQ(qrestored.coords(), fine.coords());
+  for (const int threads : {1, 2, 4}) {
+    ComputeEngine engine{ComputeOptions{.threads = threads}};
+    EXPECT_TRUE(qdown.forward(qfine, down, &engine) == qcoarse) << "threads=" << threads;
+    EXPECT_TRUE(qup.forward(qcoarse, up, &engine) == qrestored) << "threads=" << threads;
   }
 }
 
@@ -171,11 +206,11 @@ TEST(ComputeEngineTest, ExtremesDoNotOverflow) {
     for (int c = 0; c < kCin; ++c) x.set_feature(row, c, 1.0F);
   }
   x.sort_canonical();
-  nn::SubmanifoldConv3d conv(kCin, 1, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, kCin, 1, 3);
   for (float& w : conv.weights()) w = -1.0F;
   const float in_scale = 1.0F / static_cast<float>(quant::kInt16Max);
-  const quant::QuantizedSubConv q =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, 1.0F, "extreme");
+  const quant::QuantizedConv q =
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, 1.0F, "extreme");
   const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
   ASSERT_EQ(qx.features(0)[0], quant::kInt16Max);
   ASSERT_EQ(q.weight(0, 0, 0), -quant::kInt8Max);
@@ -191,7 +226,7 @@ TEST(ComputeEngineTest, ExtremesDoNotOverflow) {
   EXPECT_LT(acc[centre], std::numeric_limits<std::int32_t>::min());
 
   const quant::QSparseTensor out = q.forward(qx, geometry, &engine);
-  EXPECT_TRUE(out == oracle::forward_reference(q, qx, geometry.rulebook));
+  EXPECT_TRUE(out == oracle::forward_reference(q, qx, geometry));
   EXPECT_EQ(out.features(centre)[0], -27 * kCin);  // = 27 * 512 * (1.0 * -1.0)
 }
 
@@ -275,7 +310,7 @@ TEST(BlockedRuleBookTest, BucketsAreStablePartitionsOfTheOffsetLists) {
     const BlockedRuleBook& blocked = g->blocked;
     ASSERT_EQ(blocked.kernel_volume(), g->rulebook.kernel_volume());
     EXPECT_EQ(blocked.total_rules(), g->rulebook.total_rules());
-    EXPECT_EQ(blocked.num_out_rows(), g->out_rows);
+    EXPECT_EQ(blocked.num_out_rows(), g->out_coords.size());
     for (int o = 0; o < blocked.kernel_volume(); ++o) {
       const auto& original = g->rulebook.rules_for(o);
       for (int b = 0; b < blocked.num_blocks(); ++b) {

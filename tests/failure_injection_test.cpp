@@ -6,9 +6,9 @@
 #include "common/rng.hpp"
 #include "core/accelerator.hpp"
 #include "core/encoding.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "runtime/runtime.hpp"
 #include "test_util.hpp"
 
@@ -16,21 +16,21 @@ namespace esca::core {
 namespace {
 
 struct Fixture {
-  quant::QuantizedSubConv layer;
+  quant::QuantizedConv layer;
   quant::QSparseTensor input;
   sparse::LayerGeometryPtr geometry;
 };
 
 Fixture make_fixture(Rng& rng) {
   const auto x = test::clustered_tensor({24, 24, 24}, 4, rng, 6, 250);
-  nn::SubmanifoldConv3d conv(4, 4, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 4, 4, 3);
   conv.init_kaiming(rng);
   auto geometry = sparse::make_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
   const auto fy = conv.forward(x, *geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "fi");
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "fi");
   auto qx = quant::QSparseTensor::from_float(x, quant::QuantParams{in_scale});
   return {std::move(layer), std::move(qx), std::move(geometry)};
 }

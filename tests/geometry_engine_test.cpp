@@ -329,8 +329,8 @@ TEST(GeometryEngineTest, UNetTraceSharesOneGeometryPerScale) {
   (void)net.forward(x, &trace);
 
   const LayerGeometryPtr* scale0 = nullptr;
-  for (const nn::TraceEntry& e : trace) {
-    if (e.kind != nn::LayerKind::kSubmanifoldConv) continue;
+  for (const std::size_t i : nn::subconv_entries(trace)) {
+    const nn::TraceEntry& e = trace[i];
     ASSERT_NE(e.geometry, nullptr) << e.name;
     if (e.input.size() == x.size()) {
       if (scale0 == nullptr) {

@@ -11,8 +11,8 @@
 #include "core/encoding.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
@@ -60,14 +60,14 @@ TEST_P(KernelSizeProperty, AcceleratorBitExact) {
   Rng rng(400 + static_cast<std::uint64_t>(k));
   const auto x = test::clustered_tensor({20, 20, 20}, 3, rng, 5, 120);
 
-  nn::SubmanifoldConv3d conv(3, 5, k);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 3, 5, k);
   conv.init_kaiming(rng);
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, k);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
   const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "k");
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "k");
 
   ArchConfig cfg;
   cfg.kernel_size = k;

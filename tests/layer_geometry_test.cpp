@@ -12,8 +12,7 @@
 #include "common/rng.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sparse_conv.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "test_util.hpp"
 
 namespace esca {
@@ -43,22 +42,30 @@ TEST(LayerGeometryTest, EveryLayerRejectsAGeometryItCannotRun) {
   const sparse::SparseTensor big = test::random_sparse_tensor({32, 32, 32}, 2, 0.1, rng);
   ASSERT_LT(x.size(), big.size());
 
-  nn::SubmanifoldConv3d sub(2, 3, 3);
+  nn::SparseConv3d sub(GeometryKind::kSubmanifold, 2, 3, 3);
   sub.init_kaiming(rng);
-  nn::SparseConv3d down(2, 3, 2, 2);
+  nn::SparseConv3d down(GeometryKind::kDownsample, 2, 3, 2, 2);
   down.init_kaiming(rng);
-  nn::InverseConv3d up(3, 2, 2, 2);
+  nn::SparseConv3d up(GeometryKind::kInverse, 3, 2, 2, 2);
   up.init_kaiming(rng);
   const nn::MaxPool3d pool(2, 2);
-  const quant::QuantizedSubConv qsub =
-      quant::QuantizedSubConv::from_float(sub, nullptr, false, 0.01F, 0.01F, "q");
+  const auto quantized = [](const nn::SparseConv3d& conv) {
+    return quant::QuantizedConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "q");
+  };
+  const quant::QuantizedConv qsub = quantized(sub);
+  const quant::QuantizedConv qdown = quantized(down);
+  const quant::QuantizedConv qup = quantized(up);
   const quant::QSparseTensor qx = quant::QSparseTensor::from_float(x, quant::QuantParams{0.01F});
 
   const LayerGeometry x_down = sparse::build_downsample_geometry(x, 2, 2);
   const LayerGeometry big_down = sparse::build_downsample_geometry(big, 2, 2);
   const sparse::SparseTensor coarse = down.forward(x, x_down);
-  sparse::SparseTensor big_coarse(big_down.out_extent, 1);
-  for (const Coord3& c : big_down.out_coords) big_coarse.add_site(c);
+  const quant::QSparseTensor qcoarse =
+      quant::QSparseTensor::from_float(coarse, quant::QuantParams{0.01F});
+  // The other-input inverse geometry restores x's own sites, so only its
+  // input domain (big's coarse cells) differs from the good one.
+  const LayerGeometry x_up = sparse::build_inverse_geometry(coarse, x, 2, 2);
+  const LayerGeometry big_up = sparse::build_inverse_geometry(big_down.zero_output(1), x, 2, 2);
 
   std::vector<LayerCase> layers;
   layers.push_back({"Sub-Conv", sparse::build_submanifold_geometry(x, 3),
@@ -66,17 +73,17 @@ TEST(LayerGeometryTest, EveryLayerRejectsAGeometryItCannotRun) {
                     [&](const LayerGeometry& g) { (void)sub.forward(x, g); }});
   layers.push_back({"strided conv", x_down, big_down, GeometryKind::kSubmanifold,
                     [&](const LayerGeometry& g) { (void)down.forward(x, g); }});
-  // The other-input inverse geometry restores x's own sites, so only its
-  // input domain (big's coarse cells) differs from the good one.
-  layers.push_back({"inverse conv", sparse::build_inverse_geometry(coarse, x, 2, 2),
-                    sparse::build_inverse_geometry(big_coarse, x, 2, 2),
-                    GeometryKind::kDownsample,
-                    [&](const LayerGeometry& g) { (void)up.forward(coarse, x, g); }});
+  layers.push_back({"inverse conv", x_up, big_up, GeometryKind::kDownsample,
+                    [&](const LayerGeometry& g) { (void)up.forward(coarse, g); }});
   layers.push_back({"max pool", x_down, big_down, GeometryKind::kSubmanifold,
                     [&](const LayerGeometry& g) { (void)pool.forward(x, g); }});
   layers.push_back({"quantized Sub-Conv", sparse::build_submanifold_geometry(x, 3),
                     sparse::build_submanifold_geometry(big, 3), GeometryKind::kDownsample,
                     [&](const LayerGeometry& g) { (void)qsub.forward(qx, g); }});
+  layers.push_back({"quantized strided conv", x_down, big_down, GeometryKind::kSubmanifold,
+                    [&](const LayerGeometry& g) { (void)qdown.forward(qx, g); }});
+  layers.push_back({"quantized inverse conv", x_up, big_up, GeometryKind::kDownsample,
+                    [&](const LayerGeometry& g) { (void)qup.forward(qcoarse, g); }});
 
   const std::vector<Mismatch> mismatches = {
       {"kind",

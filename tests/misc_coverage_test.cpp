@@ -14,9 +14,9 @@
 #include "datasets/shapenet_like.hpp"
 #include "geometry/primitives.hpp"
 #include "geometry/transforms.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
-#include "quant/qsubconv.hpp"
+#include "quant/qconv.hpp"
 #include "test_util.hpp"
 
 namespace esca {
@@ -47,29 +47,17 @@ TEST(UnitsTest, SubKiloRates) {
   EXPECT_EQ(units::seconds(2.5e-8), "25.0 ns");
 }
 
-TEST(HistogramTest, BucketEdgesAndRendering) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  h.add(1.0);
-  h.add(9.0);
-  const std::string s = h.to_string("match-group sizes");
-  EXPECT_NE(s.find("match-group sizes"), std::string::npos);
-  EXPECT_NE(s.find("n=2"), std::string::npos);
-}
-
 TEST(OverlapDramTest, OverlapNeverSlowerThanSerial) {
   Rng rng(901);
   const auto x = test::clustered_tensor({24, 24, 24}, 8, rng, 6, 250);
-  nn::SubmanifoldConv3d conv(8, 8, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 8, 8, 3);
   conv.init_kaiming(rng);
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
   const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "ov");
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "ov");
 
   core::ArchConfig serial;
   serial.overlap_dram = false;

@@ -17,7 +17,7 @@ namespace {
 TEST(SparseConvTest, DownsampleHalvesCoordinates) {
   Rng rng(51);
   const auto x = test::random_sparse_tensor({16, 16, 16}, 2, 0.05, rng);
-  SparseConv3d down(2, 4, 2, 2);
+  SparseConv3d down(sparse::GeometryKind::kDownsample, 2, 4, 2, 2);
   down.init_kaiming(rng);
   const auto y = down.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   EXPECT_EQ(y.channels(), 4);
@@ -30,7 +30,7 @@ TEST(SparseConvTest, DownsampleHalvesCoordinates) {
 }
 
 TEST(SparseConvTest, SingleInputSumsThroughItsKernelCell) {
-  SparseConv3d down(1, 1, 2, 2);
+  SparseConv3d down(sparse::GeometryKind::kDownsample, 1, 1, 2, 2);
   // Input at (1,0,1) lies in kernel cell (1,0,1) of output (0,0,0):
   // offset index o = (kz*2 + ky)*2 + kx = (2+0)*2+1 = 5.
   for (std::size_t i = 0; i < down.weights().size(); ++i) down.weights()[i] = 0.0F;
@@ -47,7 +47,7 @@ TEST(SparseConvTest, SingleInputSumsThroughItsKernelCell) {
 TEST(SparseConvTest, MacsCountsRules) {
   Rng rng(52);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 3, 0.1, rng);
-  const SparseConv3d down(3, 5, 2, 2);
+  const SparseConv3d down(sparse::GeometryKind::kDownsample, 3, 5, 2, 2);
   // K=2, s=2: each input site has exactly one covering output -> one rule.
   EXPECT_EQ(sparse::build_downsample_geometry(x, down.kernel_size(), down.stride())
                 .macs(down.in_channels(), down.out_channels()),
@@ -57,18 +57,19 @@ TEST(SparseConvTest, MacsCountsRules) {
 TEST(InverseConvTest, RestoresTargetCoordinateSet) {
   Rng rng(53);
   const auto fine = test::random_sparse_tensor({12, 12, 12}, 2, 0.06, rng);
-  SparseConv3d down(2, 4, 2, 2);
+  SparseConv3d down(sparse::GeometryKind::kDownsample, 2, 4, 2, 2);
   down.init_kaiming(rng);
   const auto coarse = down.forward(fine, sparse::build_downsample_geometry(fine, 2, 2));
 
-  InverseConv3d up(4, 2, 2, 2);
+  SparseConv3d up(sparse::GeometryKind::kInverse, 4, 2, 2, 2);
   up.init_kaiming(rng);
-  const auto restored =
-      up.forward(coarse, fine, sparse::build_inverse_geometry(coarse, fine, 2, 2));
-  EXPECT_EQ(restored.size(), fine.size());
+  // The output sites come from the geometry: fine's rows, in fine's order.
+  const auto restored = up.forward(coarse, sparse::build_inverse_geometry(coarse, fine, 2, 2));
+  EXPECT_EQ(restored.spatial_extent(), fine.spatial_extent());
   EXPECT_EQ(restored.channels(), 2);
+  EXPECT_EQ(restored.coords(), fine.coords());
   for (std::size_t i = 0; i < fine.size(); ++i) {
-    EXPECT_GE(restored.find(fine.coord(i)), 0);
+    EXPECT_EQ(restored.find(fine.coord(i)), static_cast<std::int32_t>(i));
   }
 }
 
@@ -80,16 +81,15 @@ TEST(InverseConvTest, RoundTripWithIdentityWeights) {
   const float fa[] = {5.0F};
   x.add_site({0, 0, 0}, fa);
 
-  SparseConv3d down(1, 1, 2, 2);
+  SparseConv3d down(sparse::GeometryKind::kDownsample, 1, 1, 2, 2);
   for (std::size_t i = 0; i < down.weights().size(); ++i) down.weights()[i] = 1.0F;
   const auto coarse = down.forward(x, sparse::build_downsample_geometry(x, 2, 2));
   ASSERT_EQ(coarse.size(), 1U);
   EXPECT_FLOAT_EQ(coarse.feature(0, 0), 5.0F);
 
-  InverseConv3d up(1, 1, 2, 2);
+  SparseConv3d up(sparse::GeometryKind::kInverse, 1, 1, 2, 2);
   for (std::size_t i = 0; i < up.weights().size(); ++i) up.weights()[i] = 1.0F;
-  const auto restored =
-      up.forward(coarse, x, sparse::build_inverse_geometry(coarse, x, 2, 2));
+  const auto restored = up.forward(coarse, sparse::build_inverse_geometry(coarse, x, 2, 2));
   ASSERT_EQ(restored.size(), 1U);
   EXPECT_FLOAT_EQ(restored.feature(0, 0), 5.0F);
 }

@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "test_util.hpp"
 
 namespace esca::quant {
@@ -15,8 +15,8 @@ namespace {
 
 /// Conv with deliberately imbalanced per-channel weight magnitudes (channel
 /// c scaled by 4^-c) — the case per-channel quantization exists for.
-nn::SubmanifoldConv3d imbalanced_conv(int cin, int cout, Rng& rng) {
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
+nn::SparseConv3d imbalanced_conv(int cin, int cout, Rng& rng) {
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
   conv.init_kaiming(rng);
   auto w = conv.weights();
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -44,7 +44,7 @@ float channel_error(const sparse::SparseTensor& ref, const sparse::SparseTensor&
   return m;
 }
 
-Errors compare_granularities(const sparse::SparseTensor& x, const nn::SubmanifoldConv3d& conv,
+Errors compare_granularities(const sparse::SparseTensor& x, const nn::SparseConv3d& conv,
                              int channel) {
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const sparse::SparseTensor fy = conv.forward(x, geometry);
@@ -53,8 +53,8 @@ Errors compare_granularities(const sparse::SparseTensor& x, const nn::Submanifol
   const QSparseTensor qx = QSparseTensor::from_float(x, QuantParams{in_scale});
 
   auto run = [&](WeightGranularity g) {
-    const QuantizedSubConv layer =
-        QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "g", g);
+    const QuantizedConv layer =
+        QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "g", g);
     return channel_error(fy, layer.forward(qx, geometry).to_float(), channel);
   };
   return {run(WeightGranularity::kPerTensor), run(WeightGranularity::kPerChannel)};
@@ -86,8 +86,8 @@ TEST(PerChannelQuantTest, ScalesVectorHasOneEntryPerChannel) {
   Rng rng(603);
   const auto conv = imbalanced_conv(3, 5, rng);
   const auto per_tensor =
-      QuantizedSubConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "t");
-  const auto per_channel = QuantizedSubConv::from_float(
+      QuantizedConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "t");
+  const auto per_channel = QuantizedConv::from_float(
       conv, nullptr, false, 0.01F, 0.01F, "c", WeightGranularity::kPerChannel);
   EXPECT_EQ(per_tensor.weight_scales().size(), 1U);
   EXPECT_EQ(per_channel.weight_scales().size(), 5U);
@@ -100,13 +100,13 @@ TEST(PerChannelQuantTest, ScalesVectorHasOneEntryPerChannel) {
 TEST(PerChannelQuantTest, PerChannelWeightsSaturateIndependently) {
   // Channel 0 huge, channel 1 tiny: per-tensor flushes channel 1 to zero,
   // per-channel preserves it.
-  nn::SubmanifoldConv3d conv(1, 2, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 2, 3);
   auto w = conv.weights();
   for (std::size_t i = 0; i < w.size(); i += 2) w[i] = 100.0F;      // co = 0
   for (std::size_t i = 1; i < w.size(); i += 2) w[i] = 0.001F;      // co = 1
   const auto per_tensor =
-      QuantizedSubConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "t");
-  const auto per_channel = QuantizedSubConv::from_float(
+      QuantizedConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "t");
+  const auto per_channel = QuantizedConv::from_float(
       conv, nullptr, false, 1.0F, 1.0F, "c", WeightGranularity::kPerChannel);
   EXPECT_EQ(per_tensor.weight(13, 0, 1), 0);    // flushed
   EXPECT_EQ(per_channel.weight(13, 0, 1), 127); // full resolution

@@ -11,8 +11,8 @@
 #include "core/encoding.hpp"
 #include "core/sdmu.hpp"
 #include "core/zero_removing.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
@@ -112,14 +112,14 @@ TEST_P(AcceleratorBitExactProperty, OutputEqualsGold) {
   Rng rng(3000 + static_cast<std::uint64_t>(cin * 100 + cout));
   const auto x = test::clustered_tensor({20, 20, 20}, cin, rng, 5, 150);
 
-  nn::SubmanifoldConv3d conv(cin, cout, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
   conv.init_kaiming(rng);
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   const float in_scale = quant::calibrate(x.abs_max(), quant::kInt16Max).scale;
   const auto fy = conv.forward(x, geometry);
   const float out_scale = quant::calibrate(fy.abs_max(), quant::kInt16Max).scale;
   const auto layer =
-      quant::QuantizedSubConv::from_float(conv, nullptr, false, in_scale, out_scale, "p");
+      quant::QuantizedConv::from_float(conv, nullptr, false, in_scale, out_scale, "p");
 
   const core::ArchConfig cfg;
   core::Accelerator acc{cfg};

@@ -6,8 +6,8 @@
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/batch_norm.hpp"
-#include "nn/submanifold_conv.hpp"
-#include "quant/qsubconv.hpp"
+#include "nn/sparse_conv.hpp"
+#include "quant/qconv.hpp"
 #include "test_util.hpp"
 
 namespace esca::quant {
@@ -31,9 +31,24 @@ TEST(RequantizeTest, SaturatesToInt16) {
   EXPECT_EQ(requantize(-1'000'000'000, 1.0F, 0.0F, false), -kInt16Max);
 }
 
+// Values past the int32 range saturate with their sign, in requantize and
+// in quantize_value alike: a float-to-int cast ahead of the clamp is
+// undefined there (INT_MIN on x86, which clamps to -qmax).
+TEST(RequantizeTest, SaturatesPastTheInt32RangeWithItsSign) {
+  constexpr std::int64_t kHuge = std::int64_t{1} << 40;
+  EXPECT_EQ(requantize(kHuge, 1.0F, 0.0F, false), kInt16Max);
+  EXPECT_EQ(requantize(-kHuge, 1.0F, 0.0F, false), -kInt16Max);
+  EXPECT_EQ(requantize(3'000'000'000, 1.0F, 0.0F, true), kInt16Max);  // ReLU stays >= 0
+  EXPECT_EQ(requantize(-kHuge, 1.0F, 0.0F, true), 0);
+  EXPECT_EQ(quantize_value(1e6F, QuantParams{1e-5F}, kInt16Max), kInt16Max);
+  EXPECT_EQ(quantize_value(-1e6F, QuantParams{1e-5F}, kInt16Max), -kInt16Max);
+  EXPECT_EQ(quantize_value(3e38F, QuantParams{1.0F}, kInt8Max), kInt8Max);
+  EXPECT_EQ(quantize_value(-3e38F, QuantParams{1.0F}, kInt8Max), -kInt8Max);
+}
+
 /// Builds a quantized layer + input from float parts; returns max |float -
 /// dequantized| over all outputs.
-float quantized_vs_float_error(const sparse::SparseTensor& x, nn::SubmanifoldConv3d& conv,
+float quantized_vs_float_error(const sparse::SparseTensor& x, nn::SparseConv3d& conv,
                                const nn::BatchNorm* bn, bool relu) {
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   sparse::SparseTensor fy = conv.forward(x, geometry);
@@ -42,20 +57,20 @@ float quantized_vs_float_error(const sparse::SparseTensor& x, nn::SubmanifoldCon
 
   const float in_scale = calibrate(x.abs_max(), kInt16Max).scale;
   const float out_scale = calibrate(fy.abs_max(), kInt16Max).scale;
-  const QuantizedSubConv qconv =
-      QuantizedSubConv::from_float(conv, bn, relu, in_scale, out_scale, "test");
+  const QuantizedConv qconv =
+      QuantizedConv::from_float(conv, bn, relu, in_scale, out_scale, "test");
   const QSparseTensor qx = QSparseTensor::from_float(x, QuantParams{in_scale});
   const QSparseTensor qy = qconv.forward(qx, geometry);
   return sparse::max_abs_diff(fy, qy.to_float());
 }
 
-TEST(QuantizedSubConvTest, TracksFloatModelWithinQuantError) {
+TEST(QuantizedConvTest, TracksFloatModelWithinQuantError) {
   Rng rng(81);
   for (int trial = 0; trial < 4; ++trial) {
     const int cin = 2 + trial;
     const int cout = 3 + trial;
     const auto x = test::random_sparse_tensor({10, 10, 10}, cin, 0.08, rng);
-    nn::SubmanifoldConv3d conv(cin, cout, 3);
+    nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
     conv.init_kaiming(rng);
     const sparse::SparseTensor fy = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
     // Error budget: INT8 weight error accumulates over the receptive field
@@ -67,10 +82,10 @@ TEST(QuantizedSubConvTest, TracksFloatModelWithinQuantError) {
   }
 }
 
-TEST(QuantizedSubConvTest, BnAndReluFoldCorrectly) {
+TEST(QuantizedConvTest, BnAndReluFoldCorrectly) {
   Rng rng(82);
   const auto x = test::random_sparse_tensor({10, 10, 10}, 3, 0.08, rng);
-  nn::SubmanifoldConv3d conv(3, 4, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 3, 4, 3);
   conv.init_kaiming(rng);
   nn::BatchNorm bn(4);
   bn.randomize(rng);
@@ -82,14 +97,14 @@ TEST(QuantizedSubConvTest, BnAndReluFoldCorrectly) {
   EXPECT_LT(err, 0.03F * (fy.abs_max() + 1.0F));
 }
 
-TEST(QuantizedSubConvTest, ReluOutputsNonNegative) {
+TEST(QuantizedConvTest, ReluOutputsNonNegative) {
   Rng rng(83);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 2, 0.12, rng);
-  nn::SubmanifoldConv3d conv(2, 3, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 3, 3);
   conv.init_kaiming(rng);
   const float in_scale = calibrate(x.abs_max(), kInt16Max).scale;
-  const QuantizedSubConv q =
-      QuantizedSubConv::from_float(conv, nullptr, true, in_scale, 0.01F, "relu");
+  const QuantizedConv q =
+      QuantizedConv::from_float(conv, nullptr, true, in_scale, 0.01F, "relu");
   const QSparseTensor qy = q.forward(QSparseTensor::from_float(x, QuantParams{in_scale}),
                                      sparse::build_submanifold_geometry(x, 3));
   for (std::size_t i = 0; i < qy.size(); ++i) {
@@ -97,12 +112,12 @@ TEST(QuantizedSubConvTest, ReluOutputsNonNegative) {
   }
 }
 
-TEST(QuantizedSubConvTest, WeightLayoutAccessor) {
+TEST(QuantizedConvTest, WeightLayoutAccessor) {
   Rng rng(84);
-  nn::SubmanifoldConv3d conv(2, 3, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 3, 3);
   conv.init_kaiming(rng);
-  const QuantizedSubConv q =
-      QuantizedSubConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "w");
+  const QuantizedConv q =
+      QuantizedConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "w");
   // weight(o, ci, co) must agree with the flat layout [o][ci][co].
   for (int o = 0; o < 27; ++o) {
     for (int ci = 0; ci < 2; ++ci) {
@@ -117,13 +132,13 @@ TEST(QuantizedSubConvTest, WeightLayoutAccessor) {
   EXPECT_EQ(q.weight_bytes(), 27 * 2 * 3);
 }
 
-TEST(QuantizedSubConvTest, OutputCoordsMatchInput) {
+TEST(QuantizedConvTest, OutputCoordsMatchInput) {
   Rng rng(85);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 2, 0.1, rng);
-  nn::SubmanifoldConv3d conv(2, 2, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 2, 3);
   conv.init_kaiming(rng);
-  const QuantizedSubConv q =
-      QuantizedSubConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "coords");
+  const QuantizedConv q =
+      QuantizedConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "coords");
   const QSparseTensor qx = QSparseTensor::from_float(x, QuantParams{0.01F});
   const QSparseTensor qy = q.forward(qx, sparse::build_submanifold_geometry(x, 3));
   EXPECT_EQ(qy.size(), qx.size());
@@ -132,26 +147,26 @@ TEST(QuantizedSubConvTest, OutputCoordsMatchInput) {
   }
 }
 
-TEST(QuantizedSubConvTest, RejectsBadScalesAndChannelMismatch) {
+TEST(QuantizedConvTest, RejectsBadScalesAndChannelMismatch) {
   Rng rng(86);
-  nn::SubmanifoldConv3d conv(2, 2, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 2, 3);
   conv.init_kaiming(rng);
-  EXPECT_THROW((void)QuantizedSubConv::from_float(conv, nullptr, false, 0.0F, 1.0F),
+  EXPECT_THROW((void)QuantizedConv::from_float(conv, nullptr, false, 0.0F, 1.0F),
                InvalidArgument);
-  const QuantizedSubConv q =
-      QuantizedSubConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "q");
+  const QuantizedConv q =
+      QuantizedConv::from_float(conv, nullptr, false, 1.0F, 1.0F, "q");
   QSparseTensor wrong({4, 4, 4}, 3, QuantParams{1.0F});
   wrong.add_site({0, 0, 0});
   EXPECT_THROW((void)q.forward(wrong, sparse::build_submanifold_geometry(wrong.sites(), 3)),
                InvalidArgument);
 }
 
-TEST(QuantizedSubConvTest, BnChannelMismatchThrows) {
+TEST(QuantizedConvTest, BnChannelMismatchThrows) {
   Rng rng(87);
-  nn::SubmanifoldConv3d conv(2, 3, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 3, 3);
   conv.init_kaiming(rng);
   nn::BatchNorm bn(5);  // wrong channel count
-  EXPECT_THROW((void)QuantizedSubConv::from_float(conv, &bn, false, 1.0F, 1.0F),
+  EXPECT_THROW((void)QuantizedConv::from_float(conv, &bn, false, 1.0F, 1.0F),
                InvalidArgument);
 }
 

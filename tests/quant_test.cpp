@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -89,6 +90,25 @@ TEST(QTensorTest, EqualityDetectsValueDifferences) {
     b.features(0)[0] = static_cast<std::int16_t>(b.features(0)[0] + 1);
     EXPECT_FALSE(a == b);
   }
+}
+
+TEST(QTensorTest, EqualityComparesScaleAndExtent) {
+  Rng rng(75);
+  const auto t = test::random_sparse_tensor({8, 8, 8}, 2, 0.1, rng);
+  const QSparseTensor a = QSparseTensor::from_float(t, QuantParams{0.01F});
+  // The same sites and int16 values under another scale, and in a larger
+  // extent: bit-exact checks must not pass a wrong scale or extent.
+  QSparseTensor rescaled =
+      QSparseTensor::from_coords({8, 8, 8}, 2, QuantParams{0.02F}, a.coords(), t.index());
+  QSparseTensor grown =
+      QSparseTensor::from_coords({9, 9, 9}, 2, a.params(), a.coords(), t.index());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    std::ranges::copy(a.features(r), rescaled.features(r).begin());
+    std::ranges::copy(a.features(r), grown.features(r).begin());
+  }
+  EXPECT_TRUE(a == a);
+  EXPECT_FALSE(a == rescaled);
+  EXPECT_FALSE(a == grown);
 }
 
 TEST(QTensorTest, EqualityDetectsCoordDifferences) {

@@ -7,7 +7,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
 #include "runtime/runtime.hpp"
 #include "sparse/geometry.hpp"
@@ -65,7 +65,7 @@ TEST(RuntimeParityTest, DenseBackendIsFunctionallyGoldAndFullGridIsSlower) {
   // tiles empty, which is the regime the two dense modes differ in.
   Rng rng(311);
   const auto x = test::clustered_tensor({48, 48, 48}, 2, rng, 5, 300);
-  nn::SubmanifoldConv3d conv(2, 4, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 4, 3);
   conv.init_kaiming(rng);
   const Plan plan = dense_engine.compile_layer(conv, x, {.name = "dense-modes"});
 
@@ -285,7 +285,7 @@ TEST(RuntimeValidationTest, TamperedGoldIsCaughtByEveryBackend) {
 TEST(RuntimeCompileTest, SingleLayerPlanRunsOnEveryBackend) {
   Rng rng(77);
   const auto x = test::clustered_tensor({16, 16, 16}, 2, rng, 4, 80);
-  nn::SubmanifoldConv3d conv(2, 4, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 4, 3);
   conv.init_kaiming(rng);
 
   Engine esca_engine;

@@ -18,7 +18,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "runtime/runtime.hpp"
 #include "serve/serve.hpp"
 #include "sparse/geometry.hpp"
@@ -36,7 +36,7 @@ using runtime::RunOptions;
 runtime::PlanPtr small_plan() {
   Rng rng(411);
   const auto x = test::clustered_tensor({16, 16, 16}, 2, rng, 4, 100);
-  nn::SubmanifoldConv3d conv(2, 4, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 4, 3);
   conv.init_kaiming(rng);
   runtime::Engine engine;
   return runtime::share_plan(engine.compile_layer(conv, x, {.relu = true, .name = "serve"}));

@@ -19,7 +19,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/esca_backend.hpp"
@@ -222,7 +222,7 @@ TEST(StableCountsTest, ServeThroughput) {
   constexpr int kClients = 4;
   const sparse::SparseTensor input = bench::shapenet_tensor(0, 48);
   Rng rng(bench::kSeed);
-  nn::SubmanifoldConv3d conv(1, 8, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 8, 3);
   conv.init_kaiming(rng);
 
   serve::ServerConfig cfg;

@@ -11,7 +11,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "runtime/runtime.hpp"
 #include "sparse/geometry.hpp"
 #include "stream/stream.hpp"
@@ -155,7 +155,7 @@ TEST(FrameDeltaTest, ShardedDiffHandlesEmptyAndBoundaryFrames) {
 
 // Direct sharded-patch property: patch_submanifold_geometry at 2/4 shards is
 // bit-identical to the serial patch AND to the cold build — rule sequences,
-// row numbering, out_rows and the blocked re-bucketing.
+// row numbering, output sites and the blocked re-bucketing.
 TEST(StreamGeometryEquivalenceTest, ShardedPatchBitIdenticalToSerialPatchAndCold) {
   for (const double churn : {0.02, 0.1, 0.3}) {
     Rng rng(4000 + static_cast<int>(churn * 100));
@@ -179,7 +179,7 @@ TEST(StreamGeometryEquivalenceTest, ShardedPatchBitIdenticalToSerialPatchAndCold
 // The tentpole property: for random streams at several churn levels and for
 // every geometry shard count CI exercises, the patched geometry is
 // indistinguishable from a cold rebuild of the same frame — rule sequences,
-// row numbering, out_rows and the blocked re-bucketing.
+// row numbering, output sites and the blocked re-bucketing.
 TEST(StreamGeometryEquivalenceTest, PatchedGeometryBitIdenticalToColdRebuild) {
   for (const int shards : {1, 2, 4}) {
     for (const double churn : {0.02, 0.1, 0.3}) {
@@ -324,7 +324,7 @@ TEST(StreamIncrementalGeometryTest, RejectsNegativeRebuildFraction) {
 runtime::PlanPtr tiny_plan() {
   Rng rng(77);
   const SparseTensor x = test::clustered_tensor({16, 16, 16}, 2, rng, 4, 80);
-  nn::SubmanifoldConv3d conv(2, 4, 3);
+  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 4, 3);
   conv.init_kaiming(rng);
   runtime::Engine engine;
   return runtime::share_plan(engine.compile_layer(conv, x, {.relu = true, .name = "stream"}));

@@ -3,7 +3,7 @@
 #include "baseline/dense_conv.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "nn/submanifold_conv.hpp"
+#include "nn/sparse_conv.hpp"
 #include "sparse/geometry.hpp"
 #include "sparse/testing/reference.hpp"
 #include "test_util.hpp"
@@ -12,17 +12,18 @@ namespace esca::nn {
 namespace {
 
 TEST(SubConvTest, ConstructionValidation) {
-  EXPECT_NO_THROW(SubmanifoldConv3d(4, 8, 3));
-  EXPECT_THROW(SubmanifoldConv3d(0, 8, 3), InvalidArgument);
-  EXPECT_THROW(SubmanifoldConv3d(4, 8, 2), InvalidArgument);  // even kernel
-  const SubmanifoldConv3d conv(4, 8, 3);
+  EXPECT_NO_THROW(SparseConv3d(sparse::GeometryKind::kSubmanifold, 4, 8, 3));
+  EXPECT_THROW(SparseConv3d(sparse::GeometryKind::kSubmanifold, 0, 8, 3), InvalidArgument);
+  EXPECT_THROW(SparseConv3d(sparse::GeometryKind::kSubmanifold, 4, 8, 2),
+               InvalidArgument);  // even kernel
+  const SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 4, 8, 3);
   EXPECT_EQ(conv.weights().size(), 27U * 4U * 8U);
 }
 
 TEST(SubConvTest, OutputCoordsEqualInputCoords) {
   Rng rng(41);
   const auto x = test::random_sparse_tensor({12, 12, 12}, 3, 0.05, rng);
-  SubmanifoldConv3d conv(3, 5, 3);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 3, 5, 3);
   conv.init_kaiming(rng);
   const auto y = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
   ASSERT_EQ(y.size(), x.size());
@@ -38,7 +39,7 @@ TEST(SubConvTest, RulebookPathMatchesNaivePath) {
     const int cin = 1 + trial % 3;
     const int cout = 2 + trial % 4;
     const auto x = test::random_sparse_tensor({10, 10, 10}, cin, 0.08, rng);
-    SubmanifoldConv3d conv(cin, cout, 3);
+    SparseConv3d conv(sparse::GeometryKind::kSubmanifold, cin, cout, 3);
     conv.init_kaiming(rng);
     const auto fast = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
     const auto naive = sparse::oracle::forward_naive(conv, x);
@@ -47,7 +48,7 @@ TEST(SubConvTest, RulebookPathMatchesNaivePath) {
 }
 
 TEST(SubConvTest, IsolatedSiteUsesOnlyCenterWeight) {
-  SubmanifoldConv3d conv(1, 1, 3);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 1, 3);
   // All weights zero except the center tap.
   conv.weights()[13] = 2.0F;
   sparse::SparseTensor x({9, 9, 9}, 1);
@@ -58,7 +59,7 @@ TEST(SubConvTest, IsolatedSiteUsesOnlyCenterWeight) {
 }
 
 TEST(SubConvTest, NeighbourContributesThroughItsOffsetWeight) {
-  SubmanifoldConv3d conv(1, 1, 3);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 1, 3);
   // Input neighbour at offset (+1, 0, 0) relative to the output: index 14.
   conv.weights()[static_cast<std::size_t>(sparse::kernel_offset_index({1, 0, 0}, 3))] = 1.0F;
   sparse::SparseTensor x({9, 9, 9}, 1);
@@ -89,7 +90,7 @@ TEST(SubConvTest, AgreesWithDenseConvOnActiveSites) {
       }
     }
   }
-  SubmanifoldConv3d conv(2, 3, 3);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 3, 3);
   conv.init_kaiming(rng);
   const auto sparse_out = conv.forward(x, sparse::build_submanifold_geometry(x, 3));
 
@@ -112,7 +113,7 @@ TEST(SubConvTest, AgreesWithDenseConvOnActiveSites) {
 
 TEST(SubConvTest, BiasAddedPerOutputChannel) {
   Rng rng(45);
-  SubmanifoldConv3d conv(1, 2, 3, /*bias=*/true);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 2, 3, /*stride=*/1, /*bias=*/true);
   conv.bias()[0] = 0.5F;
   conv.bias()[1] = -1.0F;
   sparse::SparseTensor x({5, 5, 5}, 1);
@@ -127,7 +128,7 @@ TEST(SubConvTest, BiasAddedPerOutputChannel) {
 TEST(SubConvTest, MacsEqualsRulebookTimesChannels) {
   Rng rng(46);
   const auto x = test::random_sparse_tensor({10, 10, 10}, 4, 0.1, rng);
-  const SubmanifoldConv3d conv(4, 6, 3);
+  const SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 4, 6, 3);
   const sparse::LayerGeometry geometry = sparse::build_submanifold_geometry(x, 3);
   EXPECT_EQ(geometry.macs(conv.in_channels(), conv.out_channels()),
             geometry.rulebook.total_rules() * 4 * 6);
@@ -136,14 +137,14 @@ TEST(SubConvTest, MacsEqualsRulebookTimesChannels) {
 TEST(SubConvTest, ChannelMismatchThrows) {
   Rng rng(47);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 3, 0.1, rng);
-  SubmanifoldConv3d conv(4, 6, 3);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 4, 6, 3);
   EXPECT_THROW((void)conv.forward(x, sparse::build_submanifold_geometry(x, 3)), InvalidArgument);
 }
 
 TEST(SubConvTest, LinearityInInput) {
   Rng rng(48);
   const auto x = test::random_sparse_tensor({8, 8, 8}, 2, 0.1, rng);
-  SubmanifoldConv3d conv(2, 2, 3);
+  SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 2, 3);
   conv.init_kaiming(rng);
   // Scale input by 2 -> output scales by 2 (no bias).
   sparse::SparseTensor x2 = x;

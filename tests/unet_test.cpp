@@ -55,12 +55,12 @@ TEST(SSUNetTest, TraceCoversAllLayers) {
                        (cfg.levels - 1) * cfg.reps_per_level + 1;
   EXPECT_EQ(static_cast<int>(trace.size()), expected);
   EXPECT_EQ(trace.front().name, "stem");
-  EXPECT_EQ(trace.back().kind, LayerKind::kLinear);
+  EXPECT_EQ(trace.back().conv, nullptr);  // the linear head
 
   // Sub-Conv entries carry conv/BN pointers and fold ReLU.
   for (const auto idx : subconv_entries(trace)) {
     const TraceEntry& e = trace[idx];
-    EXPECT_NE(e.subconv, nullptr) << e.name;
+    EXPECT_EQ(e.conv->kind(), sparse::GeometryKind::kSubmanifold) << e.name;
     EXPECT_NE(e.bn, nullptr) << e.name;
     EXPECT_TRUE(e.relu) << e.name;
     EXPECT_GT(e.macs, 0) << e.name;
@@ -152,8 +152,8 @@ TEST(SSUNetTest, SingleLevelNetworkHasNoDownUp) {
   const auto y = net.forward(x, &trace);
   EXPECT_EQ(y.size(), x.size());
   for (const auto& e : trace) {
-    EXPECT_NE(e.kind, LayerKind::kDownsampleConv);
-    EXPECT_NE(e.kind, LayerKind::kInverseConv);
+    if (e.conv == nullptr) continue;
+    EXPECT_EQ(e.conv->kind(), sparse::GeometryKind::kSubmanifold) << e.name;
   }
 }
 
