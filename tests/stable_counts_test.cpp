@@ -7,8 +7,11 @@
 // prints. The counts are deterministic at any ESCA_THREADS: a mismatch is a
 // behaviour change in rule matching, the memory model, stream patching or
 // serving, never noise. Wall-clock time is measured by benchmark/ instead.
+// StableCountsTest.Simulator pins the cycle simulator's per-layer counts the
+// same way.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -213,6 +216,128 @@ TEST(StableCountsTest, MemHierarchy) {
   EXPECT_EQ(global_counter("esca_sim_buffer_bank_conflict_stalls_total") - bank_stalls_before,
             67712);
   EXPECT_EQ(global_counter("esca_sim_buffer_port_stalls_total") - port_stalls_before, 165744);
+}
+
+/// The counts StableCountsTest.Simulator pins per layer, in this order:
+/// total_cycles, then every SdmuStats field (cycles, srf_total, srf_active,
+/// srf_skipped, matches, scan / fetch stalls, MUX idle cycles, FIFO high
+/// water), stored and core sites, active tiles, and the banked buffer's
+/// cycles, bank-conflict stalls and port stalls.
+using SimulatorCounts = std::array<std::int64_t, 16>;
+
+SimulatorCounts simulator_counts(const core::LayerRunStats& l) {
+  const core::SdmuStats& s = l.sdmu;
+  return {l.total_cycles,
+          s.cycles,
+          s.srf_total,
+          s.srf_active,
+          s.srf_skipped,
+          s.matches,
+          s.scan_stall_cycles,
+          s.fetch_stall_cycles,
+          s.mux_idle_cycles,
+          static_cast<std::int64_t>(s.fifo_high_water),
+          l.encoding.stored_sites,
+          l.encoding.core_sites,
+          l.encoding.tiles,
+          l.buffer_sim.cycles,
+          l.buffer_sim.bank_conflict_stalls,
+          l.buffer_sim.port_stalls};
+}
+
+// Per-layer counts of the smoke SS U-Net's 11 Sub-Conv layers.
+constexpr std::array<SimulatorCounts, 11> kShapenetPaper = {{
+    {{7700, 7700, 2560, 92, 2468, 1010, 0, 0, 36, 9, 128, 92, 5, 515, 158, 1299}},
+    {{7700, 7700, 2560, 92, 2468, 1010, 0, 0, 36, 9, 128, 92, 5, 515, 158, 1299}},
+    {{7700, 7700, 2560, 92, 2468, 1010, 0, 0, 36, 9, 128, 92, 5, 515, 158, 1299}},
+    {{4742, 4742, 1536, 38, 1498, 408, 0, 308, 4, 16, 52, 38, 3, 208, 52, 728}},
+    {{4742, 4742, 1536, 38, 1498, 408, 0, 308, 4, 16, 52, 38, 3, 208, 52, 728}},
+    {{2299, 2299, 512, 18, 494, 186, 2, 360, 1, 16, 18, 18, 1, 96, 28, 298}},
+    {{2299, 2299, 512, 18, 494, 186, 2, 360, 1, 16, 18, 18, 1, 96, 28, 298}},
+    {{6334, 6334, 1536, 38, 1498, 408, 967, 4697, 4, 16, 52, 38, 3, 208, 52, 728}},
+    {{4742, 4742, 1536, 38, 1498, 408, 0, 308, 4, 16, 52, 38, 3, 208, 52, 728}},
+    {{7926, 7926, 2560, 92, 2468, 1010, 0, 175, 22, 16, 128, 92, 5, 515, 158, 1299}},
+    {{7700, 7700, 2560, 92, 2468, 1010, 0, 0, 36, 9, 128, 92, 5, 515, 158, 1299}},
+}};
+constexpr std::array<SimulatorCounts, 11> kShapenetStressed = {{
+    {{10498, 10498, 1152, 92, 1060, 1010, 1, 121, 84, 2, 424, 92, 18, 532, 87, 1300}},
+    {{10498, 10498, 1152, 92, 1060, 1010, 1, 121, 84, 2, 424, 92, 18, 532, 87, 1300}},
+    {{10498, 10498, 1152, 92, 1060, 1010, 1, 121, 84, 2, 424, 92, 18, 532, 87, 1300}},
+    {{3599, 3599, 320, 38, 282, 408, 592, 3672, 7, 2, 68, 38, 5, 212, 48, 733}},
+    {{3599, 3599, 320, 38, 282, 408, 592, 3672, 7, 2, 68, 38, 5, 212, 48, 733}},
+    {{2781, 2781, 192, 18, 174, 186, 913, 3394, 3, 2, 35, 18, 3, 99, 23, 324}},
+    {{2781, 2781, 192, 18, 174, 186, 913, 3394, 3, 2, 35, 18, 3, 99, 23, 324}},
+    {{5100, 5100, 320, 38, 282, 408, 1916, 8479, 7, 2, 68, 38, 5, 212, 48, 733}},
+    {{3599, 3599, 320, 38, 282, 408, 592, 3672, 7, 2, 68, 38, 5, 212, 48, 733}},
+    {{10591, 10591, 1152, 92, 1060, 1010, 38, 408, 80, 2, 424, 92, 18, 532, 87, 1300}},
+    {{10498, 10498, 1152, 92, 1060, 1010, 1, 121, 84, 2, 424, 92, 18, 532, 87, 1300}},
+}};
+constexpr std::array<SimulatorCounts, 11> kNyuPaper = {{
+    {{46531, 46531, 15360, 539, 14821, 4811, 275, 908, 222, 16, 1307, 539, 30, 2489, 761, 5616}},
+    {{46531, 46531, 15360, 539, 14821, 4811, 275, 908, 222, 16, 1307, 539, 30, 2489, 761, 5616}},
+    {{46531, 46531, 15360, 539, 14821, 4811, 275, 908, 222, 16, 1307, 539, 30, 2489, 761, 5616}},
+    {{17842, 17842, 5632, 164, 5468, 1388, 716, 2846, 32, 16, 363, 164, 11, 715, 189, 1916}},
+    {{17842, 17842, 5632, 164, 5468, 1388, 716, 2846, 32, 16, 363, 164, 11, 715, 189, 1916}},
+    {{6656, 6656, 1024, 65, 959, 577, 3146, 8325, 2, 16, 81, 65, 2, 294, 84, 752}},
+    {{6656, 6656, 1024, 65, 959, 577, 3146, 8325, 2, 16, 81, 65, 2, 294, 84, 752}},
+    {{21090, 21090, 5632, 164, 5468, 1388, 2940, 10617, 13, 16, 363, 164, 11, 715, 189, 1916}},
+    {{17842, 17842, 5632, 164, 5468, 1388, 716, 2846, 32, 16, 363, 164, 11, 715, 189, 1916}},
+    {{47389, 47389, 15360, 539, 14821, 4811, 1011, 4044, 147, 16, 1307, 539, 30, 2489, 761, 5616}},
+    {{46531, 46531, 15360, 539, 14821, 4811, 275, 908, 222, 16, 1307, 539, 30, 2489, 761, 5616}},
+}};
+constexpr std::array<SimulatorCounts, 11> kNyuStressed = {{
+    {{37788, 37788, 4160, 539, 3621, 4811, 0, 1848, 369, 2, 1412, 539, 65, 2563, 682, 5044}},
+    {{37788, 37788, 4160, 539, 3621, 4811, 0, 1848, 369, 2, 1412, 539, 65, 2563, 682, 5044}},
+    {{37788, 37788, 4160, 539, 3621, 4811, 0, 1848, 369, 2, 1412, 539, 65, 2563, 682, 5044}},
+    {{18496, 18496, 1920, 164, 1756, 1388, 980, 6424, 74, 2, 621, 164, 30, 751, 144, 1740}},
+    {{18496, 18496, 1920, 164, 1756, 1388, 980, 6424, 74, 2, 621, 164, 30, 751, 144, 1740}},
+    {{8629, 8629, 704, 65, 639, 577, 1821, 8846, 14, 2, 218, 65, 11, 311, 64, 807}},
+    {{8629, 8629, 704, 65, 639, 577, 1821, 8846, 14, 2, 218, 65, 11, 311, 64, 807}},
+    {{21814, 21814, 1920, 164, 1756, 1388, 3823, 17239, 52, 2, 621, 164, 30, 751, 144, 1740}},
+    {{18496, 18496, 1920, 164, 1756, 1388, 980, 6424, 74, 2, 621, 164, 30, 751, 144, 1740}},
+    {{39092, 39092, 4160, 539, 3621, 4811, 1114, 12357, 238, 2, 1412, 539, 65, 2563, 682, 5044}},
+    {{37788, 37788, 4160, 539, 3621, 4811, 0, 1848, 369, 2, 1412, 539, 65, 2563, 682, 5044}},
+}};
+
+// Two frames of one Plan of the smoke SS U-Net through the ESCA backend, on
+// the smoke ShapeNet sample and on a sparser NYU-like frame (3.5% of its
+// SRFs active), under the paper's architecture and a stressed one (2-deep
+// FIFOs, 9-cycle mask reads, 4^3 tiles). The cycle simulator is
+// deterministic: a moved count is a change in the simulated hardware.
+TEST(StableCountsTest, Simulator) {
+  core::ArchConfig stressed;
+  stressed.fifo_depth = 2;
+  stressed.mask_read_cycles = 9;
+  stressed.tile_size = {4, 4, 4};
+  const sparse::SparseTensor shapenet = bench::shapenet_tensor(0, 48);
+  const sparse::SparseTensor nyu = bench::nyu_tensor(0, 128);
+  struct Case {
+    const char* name;
+    const sparse::SparseTensor& input;
+    core::ArchConfig arch;
+    const std::array<SimulatorCounts, 11>& layers;
+  };
+  const Case cases[] = {
+      {"shapenet, paper architecture", shapenet, core::ArchConfig{}, kShapenetPaper},
+      {"shapenet, stressed", shapenet, stressed, kShapenetStressed},
+      {"nyu, paper architecture", nyu, core::ArchConfig{}, kNyuPaper},
+      {"nyu, stressed", nyu, stressed, kNyuStressed},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const bench::NetworkWorkload workload = bench::benchmark_network(c.input);
+    runtime::EscaBackend backend(c.arch);
+    const runtime::RunReport report =
+        backend.run(runtime::make_plan(workload.compiled), runtime::FrameBatch::replay(2));
+    ASSERT_EQ(report.frames.size(), 2U);
+    for (const runtime::FrameReport& frame : report.frames) {
+      ASSERT_EQ(frame.stats.layers.size(), c.layers.size());
+      for (std::size_t i = 0; i < c.layers.size(); ++i) {
+        EXPECT_EQ(simulator_counts(frame.stats.layers[i]), c.layers[i])
+            << frame.frame_id << " layer " << i;
+      }
+    }
+  }
 }
 
 // bench_serve_throughput workers=2 requests=16 clients=4 resolution=48
