@@ -72,11 +72,11 @@ void BM_SdmuCycleSimulation(benchmark::State& state) {
   const voxel::TileGrid grid = zr.apply(x);
   const core::TileEncoder encoder(cfg);
   const auto tiles = encoder.encode(x, grid, nullptr);
-  const core::Sdmu sdmu(cfg);
+  core::Sdmu sdmu(cfg);
   std::int64_t sim_cycles = 0;
   for (auto _ : state) {
     for (const auto& tile : tiles) {
-      sim_cycles += sdmu.simulate_tile(tile, x, 1).stats.cycles;
+      sim_cycles += sdmu.simulate_tile(tile, 1).cycles;
     }
   }
   state.SetItemsProcessed(sim_cycles);

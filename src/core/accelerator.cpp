@@ -1,44 +1,52 @@
 #include "core/accelerator.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace esca::core {
 
 namespace {
 
-// sim::mem stall totals as process-wide registry counters: scrapers see the
-// accelerator model's memory pressure without walking per-run reports.
-obs::Counter& bank_conflict_stalls_counter() {
-  static obs::Counter& counter = obs::Registry::global().counter(
-      "esca_sim_buffer_bank_conflict_stalls_total",
-      "banked-buffer cycles the front-end blocked on a full bank FIFO");
-  return counter;
+/// Process-wide registry counters: the sim::mem and SDMU stall totals, so
+/// scrapers see the accelerator model's memory pressure without walking
+/// per-run reports, and the simulator's per-geometry reuse.
+struct SimCounters {
+  obs::Counter& bank_conflict_stalls;
+  obs::Counter& port_stalls;
+  obs::Counter& sdmu_scan_stalls;
+  obs::Counter& sdmu_fetch_stalls;
+  obs::Counter& tiled_geometries;
+  obs::Counter& sdmu_timings;
+  obs::Counter& sdmu_timing_reuses;
+};
+
+const SimCounters& counters() {
+  obs::Registry& registry = obs::Registry::global();
+  static const SimCounters counters{
+      registry.counter("esca_sim_buffer_bank_conflict_stalls_total",
+                       "banked-buffer cycles the front-end blocked on a full bank FIFO"),
+      registry.counter("esca_sim_buffer_port_stalls_total",
+                       "bank-ready buffer requests denied a port"),
+      registry.counter("esca_sim_sdmu_scan_stall_cycles_total",
+                       "SDMU scan cycles blocked on a full fragment queue"),
+      registry.counter("esca_sim_sdmu_fetch_stall_cycles_total",
+                       "SDMU fetch cycles blocked on a full match FIFO"),
+      registry.counter("esca_sim_tiled_geometries_total",
+                       "Sub-Conv geometries tiled, encoded and match-checked by the simulator"),
+      registry.counter("esca_sim_sdmu_timings_total",
+                       "SDMU timings simulated, one per tiled geometry and cycles-per-match value"),
+      registry.counter("esca_sim_sdmu_timing_reuses_total",
+                       "layer runs that took an SDMU timing simulated for an earlier layer")};
+  return counters;
 }
 
-obs::Counter& port_stalls_counter() {
-  static obs::Counter& counter = obs::Registry::global().counter(
-      "esca_sim_buffer_port_stalls_total", "bank-ready buffer requests denied a port");
-  return counter;
-}
-
-obs::Counter& sdmu_scan_stalls_counter() {
-  static obs::Counter& counter = obs::Registry::global().counter(
-      "esca_sim_sdmu_scan_stall_cycles_total", "SDMU scan cycles blocked on a full fragment queue");
-  return counter;
-}
-
-obs::Counter& sdmu_fetch_stalls_counter() {
-  static obs::Counter& counter = obs::Registry::global().counter(
-      "esca_sim_sdmu_fetch_stall_cycles_total", "SDMU fetch cycles blocked on a full match FIFO");
-  return counter;
-}
-
-/// The SDMU's functional contract, checked on every layer: its match stream
-/// is exactly the geometry's rulebook — every match is a rule, no rule is
+/// The SDMU's functional contract, checked on every tiled geometry: its match
+/// stream is exactly the geometry's rulebook — every match is a rule, no rule is
 /// matched twice and none is left over. A submanifold rule is unique per
 /// (out_row, weight_index), so a dense table of in_rows over the reused
 /// scratch makes the check O(rules).
@@ -135,38 +143,90 @@ void MemorySummary::merge(const MemorySummary& other) {
 }
 
 Accelerator::Accelerator(ArchConfig config)
-    : config_(config), traffic_(config.traffic_model_config()), buffer_(config.buffer_geometry()) {
-  config_.validate();
+    : config_(config),
+      sdmu_(config),
+      traffic_(config.traffic_model_config()),
+      buffer_(config.buffer_geometry()) {}
+
+TiledGeometry Accelerator::tile_geometry(const sparse::LayerGeometry& geometry,
+                                         int cycles_per_match) {
+  ESCA_REQUIRE(geometry.kind == sparse::GeometryKind::kSubmanifold,
+               "the accelerator runs Sub-Conv layers, got "
+                   << sparse::to_string(geometry.kind) << " geometry");
+  ESCA_REQUIRE(geometry.kernel_size == config_.kernel_size,
+               "geometry kernel " << geometry.kernel_size << " and architecture kernel "
+                                  << config_.kernel_size << " must agree");
+  obs::Span span("core.tile_geometry");
+  const sparse::SparseTensor& sites = geometry.sites;
+  span.arg("sites", sites.size());
+
+  TiledGeometry tiled;
+  tiled.sites = static_cast<std::int64_t>(sites.size());
+
+  // --- §III.A zero removing ---------------------------------------------------
+  const voxel::TileGrid tiles =
+      ZeroRemoving(config_.tile_size).apply(sites, &tiled.zero_removing);
+
+  // --- §III.B encoding ----------------------------------------------------------
+  tiled.tiles = TileEncoder(config_).encode(sites, tiles, &tiled.encoding);
+
+  // --- §III.C the match stream ------------------------------------------------
+  // No timing parameter changes which matches the SDMU emits or their order,
+  // so one run checks the stream for every layer on this geometry.
+  RuleCheck rules(geometry, rule_scratch_);
+  TiledGeometry::SdmuTiming timing{cycles_per_match, {}, 0};
+  std::int64_t covered_sites = 0;
+  for (const EncodedTile& tile : tiled.tiles) {
+    timing.stats.merge(sdmu_.simulate_tile(tile, cycles_per_match));
+    const std::span<const Match> stream = sdmu_.matches();
+    // Replay this tile's real activation access stream (one read per match,
+    // one writeback per output row) through the banked buffer.
+    access_scratch_.clear();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const Match& m = stream[i];
+      rules.consume(m);
+      access_scratch_.push_back({static_cast<std::int64_t>(m.in_row), false});
+      if (i + 1 == stream.size() || stream[i + 1].out_row != m.out_row) {
+        access_scratch_.push_back({static_cast<std::int64_t>(m.out_row), true});
+        ++covered_sites;
+      }
+    }
+    if (config_.mem.simulate_buffer) tiled.buffer_sim.merge(buffer_.simulate(access_scratch_));
+  }
+  rules.finish();
+  ESCA_CHECK(covered_sites == tiled.sites,
+             "not every site produced an output group: " << covered_sites << " vs "
+                                                         << tiled.sites);
+  tiled.timings.push_back(timing);
+  counters().tiled_geometries.inc();
+  counters().sdmu_timings.inc();
+  return tiled;
 }
 
 LayerRunStats Accelerator::run_layer(const quant::QuantizedConv& layer,
                                      const sparse::LayerGeometry& geometry,
                                      const RunOptions& options) {
-  ESCA_REQUIRE(layer.kind() == sparse::GeometryKind::kSubmanifold &&
-                   geometry.kind == sparse::GeometryKind::kSubmanifold,
-               "the accelerator runs Sub-Conv layers, got a "
-                   << sparse::to_string(layer.kind()) << " layer on "
-                   << sparse::to_string(geometry.kind) << " geometry");
-  ESCA_REQUIRE(geometry.kernel_size == layer.kernel_size() &&
-                   layer.kernel_size() == config_.kernel_size,
-               "geometry kernel " << geometry.kernel_size << ", layer kernel "
-                                  << layer.kernel_size() << " and architecture kernel "
-                                  << config_.kernel_size << " must agree");
-  const sparse::SparseTensor& sites = geometry.sites;
+  TiledGeometry tiled = tile_geometry(
+      geometry, config_.cycles_per_match(layer.in_channels(), layer.out_channels()));
+  return run_layer(layer, tiled, options);
+}
 
+LayerRunStats Accelerator::run_layer(const quant::QuantizedConv& layer, TiledGeometry& tiled,
+                                     const RunOptions& options) {
+  ESCA_REQUIRE(layer.kind() == sparse::GeometryKind::kSubmanifold,
+               "the accelerator runs Sub-Conv layers, got a " << sparse::to_string(layer.kind())
+                                                              << " layer");
+  ESCA_REQUIRE(layer.kernel_size() == config_.kernel_size,
+               "layer kernel " << layer.kernel_size() << " and architecture kernel "
+                               << config_.kernel_size << " must agree");
   LayerRunStats st;
   st.layer_name = layer.name();
   st.in_channels = layer.in_channels();
   st.out_channels = layer.out_channels();
-  st.sites = static_cast<std::int64_t>(sites.size());
-
-  // --- §III.A zero removing ---------------------------------------------------
-  const ZeroRemoving zr(config_.tile_size);
-  const voxel::TileGrid tiles = zr.apply(sites, &st.zero_removing);
-
-  // --- §III.B encoding ----------------------------------------------------------
-  const TileEncoder encoder(config_);
-  const std::vector<EncodedTile> encoded = encoder.encode(sites, tiles, &st.encoding);
+  st.sites = tiled.sites;
+  st.zero_removing = tiled.zero_removing;
+  st.encoding = tiled.encoding;
+  st.buffer_sim = tiled.buffer_sim;
 
   // --- buffer capacity ----------------------------------------------------------
   // Tiles whose working set overflows a buffer are double-streamed; the
@@ -176,7 +236,7 @@ LayerRunStats Accelerator::run_layer(const quant::QuantizedConv& layer,
   const auto act_bytes_per_site = static_cast<std::int64_t>(layer.in_channels()) * 2;
   std::int64_t overflow_act_sites = 0;
   std::int64_t overflow_mask_bytes = 0;
-  for (const EncodedTile& t : encoded) {
+  for (const EncodedTile& t : tiled.tiles) {
     if (t.stored_sites() * act_bytes_per_site > config_.activation_buffer_bytes) {
       ++st.buffer_spills;
       overflow_act_sites += t.stored_sites();
@@ -195,49 +255,27 @@ LayerRunStats Accelerator::run_layer(const quant::QuantizedConv& layer,
   // --- per-tile SDMU + CC -------------------------------------------------------
   // The MAC array consumes each match in cycles_per_match array passes of
   // up to icP x ocP MACs, Cin x Cout of them effective (§III.D).
-  const Sdmu sdmu(config_);
   const int cin = layer.in_channels();
   const int cout = layer.out_channels();
   const int ccpm = config_.cycles_per_match(cin, cout);
-  const std::int64_t macs_per_match = static_cast<std::int64_t>(cin) * cout;
-  RuleCheck rules(geometry, rule_scratch_);
-  std::int64_t covered_sites = 0;
-
-  for (const EncodedTile& tile : encoded) {
-    SdmuResult tile_result = sdmu.simulate_tile(tile, sites, ccpm);
-    st.sdmu.merge(tile_result.stats);
-
-    if (config_.mem.simulate_buffer) {
-      // Replay this tile's real activation access stream (one read per
-      // match, one writeback per output row) through the banked buffer.
-      access_scratch_.clear();
-      for (const MatchGroup& group : tile_result.groups) {
-        for (const Match& m : group.matches) {
-          access_scratch_.push_back({static_cast<std::int64_t>(m.in_row), false});
-        }
-        access_scratch_.push_back({static_cast<std::int64_t>(group.out_row), true});
-      }
-      st.buffer_sim.merge(buffer_.simulate(access_scratch_));
-    }
-
-    for (const MatchGroup& group : tile_result.groups) {
-      for (const Match& m : group.matches) rules.consume(m);
-      const auto matches = static_cast<std::int64_t>(group.matches.size());
-      st.cc_cycles += matches * ccpm;
-      st.mac_ops += matches * macs_per_match;
-      ++covered_sites;
-
-      // Energy accounting for this group.
-      energy_.add_mac(matches * macs_per_match);
-      energy_.add_bram_read(matches * ((cin + 3) / 4));  // 72b act words
-      energy_.add_bram_read(matches * ((macs_per_match + 8) / 9));  // 72b weight words
-      energy_.add_bram_write((cout + 3) / 4);
-    }
+  const auto timing = std::find_if(
+      tiled.timings.begin(), tiled.timings.end(),
+      [ccpm](const TiledGeometry::SdmuTiming& t) { return t.cycles_per_match == ccpm; });
+  if (timing != tiled.timings.end()) {
+    if (timing->layers++ > 0) counters().sdmu_timing_reuses.inc();
+    st.sdmu = timing->stats;
+  } else {
+    for (const EncodedTile& tile : tiled.tiles) st.sdmu.merge(sdmu_.simulate_tile(tile, ccpm));
+    tiled.timings.push_back({ccpm, st.sdmu, 1});
+    counters().sdmu_timings.inc();
   }
-  rules.finish();
-  ESCA_CHECK(covered_sites == st.sites,
-             "not every site produced an output group: " << covered_sites << " vs "
-                                                         << st.sites);
+  const std::int64_t macs_per_match = static_cast<std::int64_t>(cin) * cout;
+  st.cc_cycles = st.sdmu.matches * ccpm;
+  st.mac_ops = st.sdmu.matches * macs_per_match;
+  energy_.add_mac(st.mac_ops);
+  energy_.add_bram_read(st.sdmu.matches * ((cin + 3) / 4));              // 72b act words
+  energy_.add_bram_read(st.sdmu.matches * ((macs_per_match + 8) / 9));  // 72b weight words
+  energy_.add_bram_write(st.sites * ((cout + 3) / 4));                   // one output row per site
 
   // --- DRAM traffic (sim/mem closed form) ---------------------------------------
   st.traffic_input.active_tiles = st.encoding.tiles;
@@ -273,10 +311,10 @@ LayerRunStats Accelerator::run_layer(const quant::QuantizedConv& layer,
           : 0.0;
   st.memory_bound = st.dram_seconds >= st.compute_seconds;
 
-  bank_conflict_stalls_counter().inc(st.buffer_sim.bank_conflict_stalls);
-  port_stalls_counter().inc(st.buffer_sim.port_stalls);
-  sdmu_scan_stalls_counter().inc(st.sdmu.scan_stall_cycles);
-  sdmu_fetch_stalls_counter().inc(st.sdmu.fetch_stall_cycles);
+  counters().bank_conflict_stalls.inc(st.buffer_sim.bank_conflict_stalls);
+  counters().port_stalls.inc(st.buffer_sim.port_stalls);
+  counters().sdmu_scan_stalls.inc(st.sdmu.scan_stall_cycles);
+  counters().sdmu_fetch_stalls.inc(st.sdmu.fetch_stall_cycles);
 
   return st;
 }

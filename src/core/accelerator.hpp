@@ -1,17 +1,17 @@
 // ESCA top level (paper §III.E, Fig. 9): main controller + SDMU + computing
 // core + on-chip buffers + off-chip DRAM, as a timing model.
 //
-// run_layer() walks one Sub-Conv layer's geometry the way the hardware
-// does — zero removing, tile encoding, per-tile SDMU matching, the MAC
-// array draining the match stream at cycles_per_match per match — and
-// returns the full cycle/traffic/energy statistics the performance benches
-// report. Simulated time depends only on the coordinate set and the
-// layer's shape, never on activation values, so no activations are read:
-// layer outputs come from sparse::ComputeEngine (runtime::Backend).
+// A layer runs the way the hardware does: zero removing, tile encoding,
+// per-tile SDMU matching, the MAC array draining the match stream at
+// cycles_per_match per match. Simulated time depends only on the coordinate
+// set and the layer's shape, never on activation values, so no activations
+// are read: layer outputs come from sparse::ComputeEngine (runtime::Backend).
 //
-// Every call checks that the SDMU's match stream is exactly the geometry's
-// rulebook (each match a rule, none repeated, none missing) and throws
-// esca::InternalError otherwise — the simulator's functional contract.
+// tile_geometry() does what depends on the geometry alone, and checks that
+// the SDMU's match stream is exactly the geometry's rulebook (each match a
+// rule, none repeated, none missing), throwing esca::InternalError otherwise
+// — the simulator's functional contract. run_layer() adds what depends on
+// the layer. Layers that share a geometry share one TiledGeometry.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +92,25 @@ struct MemorySummary {
   void merge(const MemorySummary& other);
 };
 
+/// What one Sub-Conv geometry becomes under an ArchConfig, shared by every
+/// layer that runs on it: see Accelerator::tile_geometry.
+struct TiledGeometry {
+  std::int64_t sites{0};
+  ZeroRemovingStats zero_removing;
+  EncodingStats encoding;
+  std::vector<EncodedTile> tiles;
+  /// The match stream's replay through the banked buffer (all tiles).
+  sim::mem::BufferSimStats buffer_sim;
+
+  /// The SDMU timing of every tile at one cycles-per-match value.
+  struct SdmuTiming {
+    int cycles_per_match{1};
+    SdmuStats stats;
+    int layers{0};  ///< layer runs that took it
+  };
+  std::vector<SdmuTiming> timings;
+};
+
 /// Execution options for one layer invocation.
 struct RunOptions {
   /// Weights already reside in the on-chip weight buffer (steady-state /
@@ -105,11 +124,22 @@ class Accelerator {
 
   const ArchConfig& config() const { return config_; }
 
-  /// Simulate one Sub-Conv layer over its compiled submanifold geometry
-  /// (the site tensor and rulebook; e.g. the Plan-cached LayerGeometry).
-  /// `layer` supplies only the shape: channels, kernel and weight bytes.
-  /// Throws esca::InvalidArgument unless the layer and the geometry are both
-  /// kSubmanifold and their kernels equal the architecture's.
+  /// Zero removing, tile encoding, and one SDMU run at `cycles_per_match`:
+  /// its match stream, which no timing parameter changes, is checked against
+  /// the rulebook and replayed through the banked buffer, and its timing is
+  /// kept. Throws esca::InvalidArgument unless the geometry is kSubmanifold
+  /// with the architecture's kernel.
+  TiledGeometry tile_geometry(const sparse::LayerGeometry& geometry, int cycles_per_match);
+
+  /// Simulate one Sub-Conv layer over its tiled geometry: the SDMU timing at
+  /// the layer's cycles per match (simulated once per `tiled` and value),
+  /// then closed-form spills, traffic and energy. `layer` supplies only the
+  /// shape: channels, kernel and weight bytes. Throws esca::InvalidArgument
+  /// unless the layer is kSubmanifold with the architecture's kernel.
+  LayerRunStats run_layer(const quant::QuantizedConv& layer, TiledGeometry& tiled,
+                          const RunOptions& options = {});
+
+  /// Tile-then-run, for single-layer callers.
   LayerRunStats run_layer(const quant::QuantizedConv& layer,
                           const sparse::LayerGeometry& geometry, const RunOptions& options = {});
 
@@ -119,11 +149,12 @@ class Accelerator {
 
  private:
   ArchConfig config_;
+  Sdmu sdmu_;
   sim::mem::MemoryTrafficModel traffic_;
   sim::mem::GlobalBuffer buffer_;
   sim::EnergyMeter energy_;
   std::vector<sim::mem::BufferAccess> access_scratch_;  ///< reused per tile
-  std::vector<std::int32_t> rule_scratch_;  ///< match-check table, reused per layer
+  std::vector<std::int32_t> rule_scratch_;  ///< match-check table, reused per geometry
 };
 
 /// Sum a set of per-layer stats into network totals.

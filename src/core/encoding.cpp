@@ -1,5 +1,10 @@
 #include "core/encoding.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace esca::core {
@@ -17,8 +22,6 @@ EncodedTile::EncodedTile(Coord3 tile_coord, Coord3 core_origin, Coord3 core_size
   const auto words =
       (static_cast<std::size_t>(mask_bits()) + 63) / 64;
   mask_.assign(words, 0);
-  prefix_.assign(static_cast<std::size_t>(columns()) * static_cast<std::size_t>(depth() + 1),
-                 0);
 }
 
 bool EncodedTile::mask_at(int col, int z) const {
@@ -35,11 +38,28 @@ void EncodedTile::set_mask(int col, int z) {
   mask_[bit / 64] |= (1ULL << (bit % 64));
 }
 
+std::uint64_t EncodedTile::column_bits(int col, int z, int count) const {
+  ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && count >= 0 && count <= 64 &&
+                  z + count <= depth(),
+              "mask window out of range");
+  if (count == 0) return 0;
+  const auto bit = static_cast<std::size_t>(col) * static_cast<std::size_t>(depth()) +
+                   static_cast<std::size_t>(z);
+  const std::size_t word = bit / 64;
+  const std::size_t shift = bit % 64;
+  std::uint64_t bits = mask_[word] >> shift;
+  if (shift + static_cast<std::size_t>(count) > 64) bits |= mask_[word + 1] << (64 - shift);
+  return count == 64 ? bits : bits & ((1ULL << count) - 1);
+}
+
 std::int32_t EncodedTile::column_prefix(int col, int z) const {
   ESCA_ASSERT(col >= 0 && col < columns() && z >= 0 && z <= depth(),
               "prefix index out of range");
-  return prefix_[static_cast<std::size_t>(col) * static_cast<std::size_t>(depth() + 1) +
-                 static_cast<std::size_t>(z)];
+  std::int32_t count = 0;
+  for (int from = 0; from < z; from += 64) {
+    count += std::popcount(column_bits(col, from, std::min(64, z - from)));
+  }
+  return count;
 }
 
 void EncodedTile::finalize(std::vector<std::int32_t> column_start,
@@ -50,15 +70,6 @@ void EncodedTile::finalize(std::vector<std::int32_t> column_start,
   column_start_ = std::move(column_start);
   site_rows_ = std::move(site_rows);
   core_active_count_ = core_active_count;
-  // Build the per-column running counts (index A source).
-  for (int col = 0; col < columns(); ++col) {
-    std::int32_t acc = 0;
-    for (int z = 0; z <= depth(); ++z) {
-      prefix_[static_cast<std::size_t>(col) * static_cast<std::size_t>(depth() + 1) +
-              static_cast<std::size_t>(z)] = acc;
-      if (z < depth() && mask_at(col, z)) ++acc;
-    }
-  }
   // The stored activation layout must agree with the mask.
   ESCA_CHECK(column_start_.back() == static_cast<std::int32_t>(site_rows_.size()),
              "column_start does not cover site_rows");
@@ -70,57 +81,70 @@ std::vector<EncodedTile> TileEncoder::encode(const sparse::SparseTensor& geometr
                                              const voxel::TileGrid& tiles,
                                              EncodingStats* stats) const {
   const int radius = config_.kernel_radius();
+  const Coord3 size = tiles.shape().size;
+  const Coord3 last_tile = tiles.tiles_extent() - Coord3{1, 1, 1};
   std::vector<EncodedTile> encoded;
   encoded.reserve(tiles.tiles().size());
-
   for (const voxel::Tile& tile : tiles.tiles()) {
-    EncodedTile et(tile.tile_coord, tile.origin, tiles.shape().size, radius);
-    const Coord3 porigin = et.padded_origin();
-    const Coord3 psize = et.padded_size();
+    encoded.emplace_back(tile.tile_coord, tile.origin, size, radius);
+  }
 
-    std::vector<std::int32_t> column_start(static_cast<std::size_t>(et.columns()) + 1, 0);
-    std::vector<std::int32_t> site_rows;
-    std::int32_t core_active = 0;
-
-    // Column-major sweep; inside a column ascending z — the exact order the
-    // valid-data buffer is filled in (paper Fig. 4).
-    for (int x = 0; x < psize.x; ++x) {
-      for (int y = 0; y < psize.y; ++y) {
-        const int col = et.column_of(x, y);
-        column_start[static_cast<std::size_t>(col)] =
-            static_cast<std::int32_t>(site_rows.size());
-        for (int z = 0; z < psize.z; ++z) {
-          const Coord3 global = porigin + Coord3{x, y, z};
-          if (!in_bounds(global, geometry.spatial_extent())) continue;
-          const std::int32_t row = geometry.find(global);
-          if (row < 0) continue;
-          et.set_mask(col, z);
-          site_rows.push_back(row);
-          const bool in_core = x >= radius && x < radius + et.core_size().x && y >= radius &&
-                               y < radius + et.core_size().y && z >= radius &&
-                               z < radius + et.core_size().z;
-          if (in_core) ++core_active;
+  // Each site joins every active tile whose padded box holds it (along an
+  // axis, the tiles t with t * size - radius <= c < (t + 1) * size + radius)
+  // at its mask bit there. Mask bits run column-major, z ascending inside a
+  // column: the order the valid-data buffer is filled in (paper Fig. 4).
+  struct Member {
+    std::uint32_t tile;
+    std::int32_t bit;
+    std::int32_t row;
+    auto operator<=>(const Member&) const = default;
+  };
+  std::vector<Member> members;
+  const std::vector<Coord3>& coords = geometry.coords();
+  for (std::size_t row = 0; row < coords.size(); ++row) {
+    const Coord3& c = coords[row];
+    const auto first = [&](int v, int s) { return std::max(0, v - radius) / s; };
+    const auto last = [&](int v, int s, int l) { return std::min(l, (v + radius) / s); };
+    for (int tx = first(c.x, size.x); tx <= last(c.x, size.x, last_tile.x); ++tx) {
+      for (int ty = first(c.y, size.y); ty <= last(c.y, size.y, last_tile.y); ++ty) {
+        for (int tz = first(c.z, size.z); tz <= last(c.z, size.z, last_tile.z); ++tz) {
+          const voxel::Tile* tile = tiles.find_tile({tx, ty, tz});
+          if (tile == nullptr) continue;
+          const auto t = static_cast<std::uint32_t>(tile - tiles.tiles().data());
+          const EncodedTile& et = encoded[t];
+          const Coord3 p = c - et.padded_origin();
+          members.push_back({t, et.column_of(p.x, p.y) * et.depth() + p.z,
+                             static_cast<std::int32_t>(row)});
         }
       }
     }
-    column_start.back() = static_cast<std::int32_t>(site_rows.size());
-    // column_start must be a prefix: fix columns that had no sites after
-    // them (we set starts eagerly above, so fill any gaps monotonically).
-    for (std::size_t c = static_cast<std::size_t>(et.columns()); c > 0; --c) {
-      if (column_start[c - 1] > column_start[c]) column_start[c - 1] = column_start[c];
+  }
+  std::sort(members.begin(), members.end());
+
+  auto member = members.begin();
+  for (std::uint32_t t = 0; t < encoded.size(); ++t) {
+    EncodedTile& et = encoded[t];
+    std::vector<std::int32_t> column_start(static_cast<std::size_t>(et.columns()) + 1, 0);
+    std::vector<std::int32_t> site_rows;
+    std::int32_t core_active = 0;
+    for (; member != members.end() && member->tile == t; ++member) {
+      const int col = member->bit / et.depth();
+      const Coord3 p{col / et.padded_size().y, col % et.padded_size().y, member->bit % et.depth()};
+      et.set_mask(col, p.z);
+      site_rows.push_back(member->row);
+      ++column_start[static_cast<std::size_t>(col) + 1];
+      if (in_bounds(p - Coord3{radius, radius, radius}, size)) ++core_active;
     }
+    std::partial_sum(column_start.begin(), column_start.end(), column_start.begin());
 
-    const std::int64_t stored = static_cast<std::int64_t>(site_rows.size());
     et.finalize(std::move(column_start), std::move(site_rows), core_active);
-
     if (stats != nullptr) {
       stats->tiles += 1;
       stats->mask_bytes += (et.mask_bits() + 7) / 8;
-      stats->stored_sites += stored;
+      stats->stored_sites += et.stored_sites();
       stats->core_sites += core_active;
-      stats->halo_duplicates += stored - core_active;
+      stats->halo_duplicates += et.stored_sites() - core_active;
     }
-    encoded.push_back(std::move(et));
   }
   return encoded;
 }

@@ -43,9 +43,11 @@ class EncodedTile {
 
   bool mask_at(int col, int z) const;
   void set_mask(int col, int z);
+  /// `count` (at most 64) mask bits of a column from z on: bit i is (col, z+i).
+  std::uint64_t column_bits(int col, int z, int count) const;
 
-  /// Running nonzero count of a column *strictly below* z — the value the
-  /// state-index generator accumulates as index A while scanning.
+  /// Running nonzero count (mask popcount) of a column *strictly below* z —
+  /// the value the state-index generator accumulates as index A.
   std::int32_t column_prefix(int col, int z) const;
 
   /// Activation storage: rows (into the layer input tensor) stored
@@ -73,7 +75,6 @@ class EncodedTile {
   Coord3 padded_size_;
   int radius_;
   std::vector<std::uint64_t> mask_;
-  std::vector<std::int32_t> prefix_;  ///< (depth+1) entries per column
   std::vector<std::int32_t> column_start_;
   std::vector<std::int32_t> site_rows_;
   std::int32_t core_active_count_{0};
@@ -87,8 +88,9 @@ struct EncodingStats {
   std::int64_t halo_duplicates{0};  ///< stored_sites - core_sites
 };
 
-/// Encode every active tile of `tiles` against the full geometry (halo
-/// lookups cross tile boundaries through `geometry`).
+/// Encode every active tile of `tiles` from the geometry's site list: each
+/// site joins every active tile whose halo-padded box holds it, so halos
+/// cross tile boundaries without probing the padded volume.
 class TileEncoder {
  public:
   explicit TileEncoder(const ArchConfig& config);

@@ -17,6 +17,11 @@ class MaskJudger {
  public:
   /// Judge the SRF centered at padded coords (cx, cy, cz) of the tile.
   static SrfState judge(const EncodedTile& tile, int cx, int cy, int cz);
+
+  /// The first SRF at or after `scan_index`, in the SDMU's scan order over
+  /// the tile core (z fastest, then y, then x), that judge() finds active;
+  /// the core volume when none is.
+  static std::int64_t next_active(const EncodedTile& tile, std::int64_t scan_index);
 };
 
 }  // namespace esca::core

@@ -1,11 +1,11 @@
-// Match and match-group types (paper §III.C, Fig. 5).
+// Match type (paper §III.C, Fig. 5).
 //
 // A match pairs one nonzero activation with the kernel weight it meets for a
-// given center; a match group is all matches of one SRF (one output site).
+// given center; a match group is all matches of one SRF (one output site),
+// consecutive in the SDMU's match stream and sharing its out_row.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace esca::core {
 
@@ -16,11 +16,6 @@ struct Match {
   std::int32_t out_row;       ///< output site row (the SRF center)
 
   friend bool operator==(const Match&, const Match&) = default;
-};
-
-struct MatchGroup {
-  std::int32_t out_row;
-  std::vector<Match> matches;
 };
 
 }  // namespace esca::core

@@ -1,10 +1,10 @@
 // Sparse Data Matching Unit (paper §III.C, Figs. 6-7).
 //
 // Functional contract: for every active tile, emit exactly the match groups
-// the rulebook prescribes. core::Accelerator::run_layer enforces it on every
-// layer (it throws esca::InternalError when the match stream and the
-// rulebook differ by a single rule). Timing contract: a four-stage
-// pipeline —
+// the rulebook prescribes. core::Accelerator::tile_geometry enforces it on
+// every geometry it tiles (it throws esca::InternalError when the match
+// stream and the rulebook differ by a single rule). Timing contract: a
+// four-stage pipeline —
 //   read masks   : one SRF's K^2 column masks per mask_read_cycles cycles
 //   judge state  : center bit decides active / skip (skip costs no fetch)
 //   generate     : per-column state index (A, B) -> address fragment (A-B, A)
@@ -17,13 +17,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/arch_config.hpp"
 #include "core/encoding.hpp"
 #include "core/match.hpp"
 #include "core/state_index.hpp"
-#include "sparse/sparse_tensor.hpp"
+#include "sim/fifo.hpp"
 
 namespace esca::core {
 
@@ -41,29 +42,37 @@ struct SdmuStats {
   void merge(const SdmuStats& other);
 };
 
-struct SdmuResult {
-  /// Match groups in consumption order (scan order of active SRFs).
-  std::vector<MatchGroup> groups;
-  SdmuStats stats;
-};
-
 class Sdmu {
  public:
   explicit Sdmu(const ArchConfig& config);
 
-  /// Cycle-accurate simulation of one tile: its match groups in scan order
-  /// plus the pipeline's timing. `geometry` resolves output rows for SRF
-  /// centers.
+  /// Cycle-accurate simulation of one tile: the pipeline's timing. Cycles in
+  /// which no stage can change state are skipped in closed form, stall
+  /// counts included; the FIFOs and queues are reused from tile to tile.
   /// @param cc_cycles_per_match  consumption rate of the computing core
   ///                             (ceil(Cin/icP) * ceil(Cout/ocP)).
-  SdmuResult simulate_tile(const EncodedTile& tile, const sparse::SparseTensor& geometry,
-                           int cc_cycles_per_match) const;
+  SdmuStats simulate_tile(const EncodedTile& tile, int cc_cycles_per_match);
 
-  const ArchConfig& config() const { return config_; }
+  /// The last simulated tile's match groups in the order the computing core
+  /// consumed them: one per active SRF, consecutive, named by out_row.
+  std::span<const Match> matches() const { return {matches_.data(), generated_}; }
 
  private:
+  struct Fragment {  ///< a column's matches_[next, end) awaiting its fetch engine
+    std::size_t next{0};
+    std::size_t end{0};
+  };
+  struct GroupTicket {  ///< a match group awaiting the MUX, ending at matches_[end]
+    std::size_t end{0};
+  };
+
   ArchConfig config_;
   StateIndexGenerator state_gen_;
+  std::vector<sim::Fifo<Match>> fifos_;         ///< the K^2-FIFO group
+  std::vector<sim::Fifo<Fragment>> fragments_;  ///< per column, generate -> fetch
+  sim::Fifo<GroupTicket> tickets_;              ///< generate -> MUX
+  std::vector<Match> matches_;  ///< the tile's matches, generation order
+  std::size_t generated_{0};    ///< matches_ entries this tile
 };
 
 }  // namespace esca::core

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "core/encoding.hpp"
 #include "core/match.hpp"
@@ -48,10 +48,11 @@ class StateIndexGenerator {
   static AddressFragment to_fragment(const StateIndex& s) { return {s.a - s.b, s.a}; }
 
   /// All matches contributed by one column of an active SRF, in ascending-z
-  /// (== ascending-address) order. (dx, dy) locate the column relative to
-  /// the center; weight indices follow the kernel layout convention.
-  std::vector<Match> column_matches(const EncodedTile& tile, int cx, int cy, int cz, int dx,
-                                    int dy, std::int32_t out_row) const;
+  /// (== ascending-address) order, written to `out` (room for kernel_size()
+  /// matches); returns how many. (dx, dy) locate the column relative to the
+  /// center; weight indices follow the kernel layout convention.
+  int column_matches(const EncodedTile& tile, int cx, int cy, int cz, int dx, int dy,
+                     std::int32_t out_row, std::span<Match> out) const;
 
  private:
   int kernel_size_;

@@ -133,7 +133,7 @@ FrameReport Backend::run_frame(const Plan& plan, const std::string& frame_id,
     layer_span.arg("layer", i);
     std::optional<quant::QSparseTensor> output;
     const core::LayerRunStats& stats =
-        report.stats.layers.emplace_back(time_layer(cl, resident, output));
+        report.stats.layers.emplace_back(time_layer(plan, cl, resident, output));
     // Roofline verdict + DRAM traffic on the span: a Perfetto timeline shows
     // which layers the memory model calls memory-bound without cross-
     // referencing the report tables.

@@ -165,12 +165,13 @@ class Backend {
  protected:
   Backend() = default;
 
-  /// This backend's statistics for one layer of a frame: simulated,
+  /// This backend's statistics for one layer of a frame of `plan`: simulated,
   /// modelled or measured. `weights_resident` is the residency decision
   /// run_frame() already made; backends without a weight buffer ignore it.
   /// A backend whose timed run computes the layer's output anyway hands it
   /// back through `output`, so run_frame() does not compute it again.
-  virtual core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+  virtual core::LayerRunStats time_layer(const Plan& plan, const core::CompiledLayer& layer,
+                                         bool weights_resident,
                                          std::optional<quant::QSparseTensor>& output) = 0;
 
   /// Whether this backend models an on-chip weight buffer at all.

@@ -4,7 +4,8 @@
 
 namespace esca::runtime {
 
-core::LayerRunStats CpuBackend::time_layer(const core::CompiledLayer& layer,
+core::LayerRunStats CpuBackend::time_layer(const Plan& /*plan*/,
+                                           const core::CompiledLayer& layer,
                                            bool /*weights_resident*/,
                                            std::optional<quant::QSparseTensor>& output) {
   // Steady-state frames replay the Plan-cached rulebook through this

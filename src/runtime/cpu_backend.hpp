@@ -14,7 +14,8 @@ class CpuBackend final : public Backend {
   std::string name() const override { return "cpu"; }
 
  protected:
-  core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+  core::LayerRunStats time_layer(const Plan& plan, const core::CompiledLayer& layer,
+                                 bool weights_resident,
                                  std::optional<quant::QSparseTensor>& output) override;
   // Host DRAM has no managed weight buffer: every frame reads weights from
   // memory, so residency stays off.

@@ -8,7 +8,8 @@ namespace esca::runtime {
 
 DenseAccelBackend::DenseAccelBackend(DenseBackendConfig config) : config_(config) {}
 
-core::LayerRunStats DenseAccelBackend::time_layer(const core::CompiledLayer& layer,
+core::LayerRunStats DenseAccelBackend::time_layer(const Plan& /*plan*/,
+                                                  const core::CompiledLayer& layer,
                                                   bool /*weights_resident*/,
                                                   std::optional<quant::QSparseTensor>& /*output*/) {
   const int kernel = layer.layer.kernel_size();

@@ -31,7 +31,8 @@ class DenseAccelBackend final : public Backend {
   const DenseBackendConfig& config() const { return config_; }
 
  protected:
-  core::LayerRunStats time_layer(const core::CompiledLayer& layer, bool weights_resident,
+  core::LayerRunStats time_layer(const Plan& plan, const core::CompiledLayer& layer,
+                                 bool weights_resident,
                                  std::optional<quant::QSparseTensor>& output) override;
   // The analytic model has no weight-buffer state: residency stays off.
 

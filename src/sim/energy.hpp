@@ -1,12 +1,12 @@
 // Event-based energy accounting.
 //
 // Each hardware event type (DSP MAC, BRAM access, DRAM byte, FF toggle) has a
-// per-event energy in joules; the meter accumulates totals. The power model
-// combines these with static power for Table III.
+// per-event energy in joules; the meter counts events and converts them to
+// joules at readout. The power model combines these with static power for
+// Table III.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace esca::sim {
@@ -25,28 +25,26 @@ class EnergyMeter {
  public:
   explicit EnergyMeter(EnergyTable table = {}) : table_(table) {}
 
-  void add_mac(std::int64_t n) { joules_["dsp_mac"] += table_.dsp_mac_j * static_cast<double>(n); }
-  void add_bram_read(std::int64_t n) {
-    joules_["bram_read"] += table_.bram_read_j * static_cast<double>(n);
-  }
-  void add_bram_write(std::int64_t n) {
-    joules_["bram_write"] += table_.bram_write_j * static_cast<double>(n);
-  }
-  void add_dram_bytes(std::int64_t n) {
-    joules_["dram"] += table_.dram_byte_j * static_cast<double>(n);
-  }
-  void add_logic_cycles(std::int64_t n) {
-    joules_["logic"] += table_.logic_cycle_j * static_cast<double>(n);
-  }
+  void add_mac(std::int64_t n) { macs_ += n; }
+  void add_bram_read(std::int64_t n) { bram_reads_ += n; }
+  void add_bram_write(std::int64_t n) { bram_writes_ += n; }
+  void add_dram_bytes(std::int64_t n) { dram_bytes_ += n; }
+  void add_logic_cycles(std::int64_t n) { logic_cycles_ += n; }
 
   double total_joules() const;
+  /// Joules of one component: "dsp_mac", "bram_read", "bram_write", "dram"
+  /// or "logic"; 0 for any other name.
   double component_joules(const std::string& name) const;
   const EnergyTable& table() const { return table_; }
-  void clear() { joules_.clear(); }
+  void clear() { *this = EnergyMeter(table_); }
 
  private:
   EnergyTable table_;
-  std::map<std::string, double> joules_;
+  std::int64_t macs_{0};
+  std::int64_t bram_reads_{0};
+  std::int64_t bram_writes_{0};
+  std::int64_t dram_bytes_{0};
+  std::int64_t logic_cycles_{0};
 };
 
 }  // namespace esca::sim

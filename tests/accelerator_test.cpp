@@ -6,7 +6,9 @@
 #include "core/perf_model.hpp"
 #include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
+#include "obs/metrics.hpp"
 #include "quant/qconv.hpp"
+#include "runtime/esca_backend.hpp"
 #include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
@@ -228,6 +230,51 @@ TEST(AcceleratorMatchCheckTest, ChangedInRowThrows) {
   });
   ASSERT_EQ(tampered.total_rules(), fx.geometry->total_rules());
   EXPECT_THROW((void)acc.run_layer(fx.layer, tampered), InternalError);
+}
+
+/// A one-layer Plan of the fixture's layer over `geometry`, with no gold
+/// output: run it with verify off.
+runtime::Plan one_layer_plan(const Fixture& fx, sparse::LayerGeometryPtr geometry) {
+  CompiledNetwork network;
+  network.layers.push_back(CompiledLayer{fx.layer, fx.input, fx.input, 0, std::move(geometry)});
+  return runtime::make_plan(std::move(network));
+}
+
+// The backend keeps a geometry's tiling only once its match stream passed
+// the check, so a tampered geometry throws on every frame, not just the first.
+TEST(AcceleratorMatchCheckTest, BackendThrowsOnEveryFrameOfATamperedGeometry) {
+  Rng rng(155);
+  const Fixture fx = make_fixture(4, 4, rng);
+  const runtime::Plan plan = one_layer_plan(
+      fx, std::make_shared<const sparse::LayerGeometry>(
+                    with_rules(*fx.geometry, [](int o, auto& list) {
+                      if (o == kCenterOffset) list.pop_back();
+                    })));
+  runtime::EscaBackend backend{ArchConfig{}};
+  EXPECT_THROW((void)backend.run_frame(plan, "f0", {.verify = false}), InternalError);
+  EXPECT_THROW((void)backend.run_frame(plan, "f1", {.verify = false}), InternalError);
+}
+
+// A Plan's tiled geometries serve all its frames and are dropped when another
+// Plan runs.
+TEST(EscaBackendTest, TiledGeometriesLastWhileTheirPlanRuns) {
+  Rng rng(156);
+  const Fixture fx = make_fixture(4, 4, rng);
+  const runtime::Plan a = one_layer_plan(fx, fx.geometry);
+  const runtime::Plan b = one_layer_plan(fx, fx.geometry);
+  runtime::EscaBackend backend{ArchConfig{}};
+  const auto tiled = [] {
+    return obs::Registry::global().find_counter("esca_sim_tiled_geometries_total")->value();
+  };
+  const runtime::FrameReport first = backend.run_frame(a, "a0", {.verify = false});
+  const std::int64_t before = tiled();
+  const runtime::FrameReport second = backend.run_frame(a, "a1", {.verify = false});
+  EXPECT_EQ(tiled(), before);
+  EXPECT_EQ(second.stats.total_cycles(), first.stats.total_cycles());
+  (void)backend.run_frame(b, "b0", {.verify = false});
+  EXPECT_EQ(tiled(), before + 1);
+  (void)backend.run_frame(a, "a2", {.verify = false});
+  EXPECT_EQ(tiled(), before + 2);
 }
 
 TEST(LayerCompilerTest, CompilesAllSubConvLayers) {

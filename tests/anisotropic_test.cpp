@@ -23,14 +23,9 @@ using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
 std::set<M> sdmu_matches(const sparse::SparseTensor& geometry, const ArchConfig& cfg) {
   const voxel::TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = TileEncoder(cfg).encode(geometry, grid, nullptr);
-  const Sdmu sdmu(cfg);
   std::set<M> out;
-  for (const auto& tile : tiles) {
-    for (const auto& g : sdmu.simulate_tile(tile, geometry, 1).groups) {
-      for (const auto& m : g.matches) {
-        EXPECT_TRUE(out.insert({m.in_row, m.weight_index, m.out_row}).second);
-      }
-    }
+  for (const Match& m : test::sdmu_stream(cfg, tiles)) {
+    EXPECT_TRUE(out.insert({m.in_row, m.weight_index, m.out_row}).second);
   }
   return out;
 }

@@ -33,16 +33,11 @@ TEST_P(KernelSizeProperty, SdmuMatchesEqualRulebook) {
   for (const Coord3& c : t.coords()) geometry.add_site(c);
   const voxel::TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = TileEncoder(cfg).encode(geometry, grid, nullptr);
-  const Sdmu sdmu(cfg);
 
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
   std::set<M> produced;
-  for (const auto& tile : tiles) {
-    for (const auto& g : sdmu.simulate_tile(tile, geometry, 1).groups) {
-      for (const auto& m : g.matches) {
-        EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second);
-      }
-    }
+  for (const Match& m : test::sdmu_stream(cfg, tiles)) {
+    EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second);
   }
 
   std::set<M> expected;

@@ -41,17 +41,12 @@ TEST_P(SdmuRulebookProperty, MatchesEqualRulebook) {
   const voxel::TileGrid grid = zr.apply(geometry);
   const core::TileEncoder encoder(cfg);
   const auto tiles = encoder.encode(geometry, grid, nullptr);
-  const core::Sdmu sdmu(cfg);
 
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
   std::set<M> produced;
-  for (const auto& tl : tiles) {
-    for (const auto& g : sdmu.simulate_tile(tl, geometry, 1).groups) {
-      for (const auto& m : g.matches) {
-        EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second)
-            << "duplicate match emitted";
-      }
-    }
+  for (const core::Match& m : test::sdmu_stream(cfg, tiles)) {
+    EXPECT_TRUE(produced.insert({m.in_row, m.weight_index, m.out_row}).second)
+        << "duplicate match emitted";
   }
 
   std::set<M> expected;
@@ -177,11 +172,11 @@ TEST_P(SdmuTimingProperty, CyclesAtLeastScanAndDrainBounds) {
   for (const Coord3& c : t.coords()) geometry.add_site(c);
   const voxel::TileGrid grid = core::ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = core::TileEncoder(cfg).encode(geometry, grid, nullptr);
-  const core::Sdmu sdmu(cfg);
+  core::Sdmu sdmu(cfg);
   for (const auto& tile : tiles) {
-    const auto r = sdmu.simulate_tile(tile, geometry, ccpm);
-    EXPECT_GE(r.stats.cycles, tile.core_size().volume() * cfg.mask_read_cycles);
-    EXPECT_GE(r.stats.cycles, r.stats.matches * ccpm);
+    const core::SdmuStats r = sdmu.simulate_tile(tile, ccpm);
+    EXPECT_GE(r.cycles, tile.core_size().volume() * cfg.mask_read_cycles);
+    EXPECT_GE(r.cycles, r.matches * ccpm);
   }
 }
 

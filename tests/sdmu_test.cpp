@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -31,13 +32,11 @@ Prepared prepare(const sparse::SparseTensor& t, const ArchConfig& cfg) {
 
 using MatchTuple = std::tuple<std::int32_t, std::int16_t, std::int32_t>;  // in, w, out
 
-std::set<MatchTuple> all_matches(const std::vector<MatchGroup>& groups) {
+std::set<MatchTuple> all_matches(std::span<const Match> stream) {
   std::set<MatchTuple> s;
-  for (const auto& g : groups) {
-    for (const auto& m : g.matches) {
-      const auto [it, inserted] = s.insert({m.in_row, m.weight_index, m.out_row});
-      EXPECT_TRUE(inserted) << "duplicate match";
-    }
+  for (const Match& m : stream) {
+    const auto [it, inserted] = s.insert({m.in_row, m.weight_index, m.out_row});
+    EXPECT_TRUE(inserted) << "duplicate match";
   }
   return s;
 }
@@ -59,17 +58,12 @@ TEST(SdmuMatchTest, GroupsEqualRulebookProperty) {
   for (int trial = 0; trial < 6; ++trial) {
     const auto t = test::random_sparse_tensor({24, 24, 24}, 1, 0.01 + 0.01 * trial, rng, 800);
     const Prepared p = prepare(t, cfg);
-    const Sdmu sdmu(cfg);
-
-    std::vector<MatchGroup> groups;
-    for (const EncodedTile& tile : p.tiles) {
-      auto g = sdmu.simulate_tile(tile, p.geometry, 1).groups;
-      groups.insert(groups.end(), g.begin(), g.end());
-    }
-    EXPECT_EQ(all_matches(groups), rulebook_matches(p.geometry, cfg.kernel_size))
+    const std::vector<Match> stream = test::sdmu_stream(cfg, p.tiles);
+    EXPECT_EQ(all_matches(stream), rulebook_matches(p.geometry, cfg.kernel_size))
         << "trial " << trial;
     // One group per site.
-    EXPECT_EQ(groups.size(), t.size()) << "trial " << trial;
+    EXPECT_EQ(test::group_count(stream), static_cast<std::int64_t>(t.size()))
+        << "trial " << trial;
   }
 }
 
@@ -81,13 +75,7 @@ TEST(SdmuMatchTest, GroupsEqualRulebookAcrossTileBoundaries) {
   t.sort_canonical();
   ArchConfig cfg;
   const Prepared p = prepare(t, cfg);
-  const Sdmu sdmu(cfg);
-  std::vector<MatchGroup> groups;
-  for (const EncodedTile& tile : p.tiles) {
-    auto g = sdmu.simulate_tile(tile, p.geometry, 1).groups;
-    groups.insert(groups.end(), g.begin(), g.end());
-  }
-  EXPECT_EQ(all_matches(groups), rulebook_matches(p.geometry, 3));
+  EXPECT_EQ(all_matches(test::sdmu_stream(cfg, p.tiles)), rulebook_matches(p.geometry, 3));
 }
 
 TEST(SdmuSimulateTest, StatsAreCoherent) {
@@ -95,21 +83,20 @@ TEST(SdmuSimulateTest, StatsAreCoherent) {
   ArchConfig cfg;
   const auto t = test::clustered_tensor({16, 16, 16}, 1, rng, 5, 150);
   const Prepared p = prepare(t, cfg);
-  const Sdmu sdmu(cfg);
+  Sdmu sdmu(cfg);
 
   for (const EncodedTile& tile : p.tiles) {
-    const SdmuResult r = sdmu.simulate_tile(tile, p.geometry, 1);
-    EXPECT_EQ(r.stats.srf_total, tile.core_size().volume());
-    EXPECT_EQ(r.stats.srf_active + r.stats.srf_skipped, r.stats.srf_total);
-    EXPECT_EQ(r.stats.srf_active, tile.core_active_count());
-    std::int64_t matches = 0;
-    for (const auto& g : r.groups) matches += static_cast<std::int64_t>(g.matches.size());
-    EXPECT_EQ(r.stats.matches, matches);
+    const SdmuStats r = sdmu.simulate_tile(tile, 1);
+    EXPECT_EQ(r.srf_total, tile.core_size().volume());
+    EXPECT_EQ(r.srf_active + r.srf_skipped, r.srf_total);
+    EXPECT_EQ(r.srf_active, tile.core_active_count());
+    const auto matches = static_cast<std::int64_t>(sdmu.matches().size());
+    EXPECT_EQ(r.matches, matches);
     // Scan alone needs srf_total * mask_read_cycles cycles.
-    EXPECT_GE(r.stats.cycles, r.stats.srf_total * cfg.mask_read_cycles);
+    EXPECT_GE(r.cycles, r.srf_total * cfg.mask_read_cycles);
     // Drain alone needs at least one cycle per match.
-    EXPECT_GE(r.stats.cycles, matches);
-    EXPECT_LE(r.stats.fifo_high_water, static_cast<std::size_t>(cfg.fifo_depth));
+    EXPECT_GE(r.cycles, matches);
+    EXPECT_LE(r.fifo_high_water, static_cast<std::size_t>(cfg.fifo_depth));
   }
 }
 
@@ -118,14 +105,14 @@ TEST(SdmuSimulateTest, SlowerCcIncreasesCycles) {
   ArchConfig cfg;
   const auto t = test::clustered_tensor({16, 16, 16}, 1, rng, 4, 120);
   const Prepared p = prepare(t, cfg);
-  const Sdmu sdmu(cfg);
+  Sdmu sdmu(cfg);
   ASSERT_FALSE(p.tiles.empty());
   const EncodedTile& tile = p.tiles.front();
-  const auto fast = sdmu.simulate_tile(tile, p.geometry, 1);
-  const auto slow = sdmu.simulate_tile(tile, p.geometry, 4);
-  EXPECT_GE(slow.stats.cycles, fast.stats.cycles);
+  const SdmuStats fast = sdmu.simulate_tile(tile, 1);
+  const SdmuStats slow = sdmu.simulate_tile(tile, 4);
+  EXPECT_GE(slow.cycles, fast.cycles);
   // With ccpm=4 the drain takes at least 4 cycles per match.
-  EXPECT_GE(slow.stats.cycles, slow.stats.matches * 4);
+  EXPECT_GE(slow.cycles, slow.matches * 4);
 }
 
 TEST(SdmuSimulateTest, ShallowFifoStillCorrectJustSlower) {
@@ -136,13 +123,13 @@ TEST(SdmuSimulateTest, ShallowFifoStillCorrectJustSlower) {
   const auto t = test::clustered_tensor({16, 16, 16}, 1, rng, 4, 180);
 
   const Prepared pd = prepare(t, deep);
-  const Sdmu sdmu_deep(deep);
-  const Sdmu sdmu_shallow(shallow);
+  Sdmu sdmu_deep(deep);
+  Sdmu sdmu_shallow(shallow);
   for (const EncodedTile& tile : pd.tiles) {
-    const auto a = sdmu_deep.simulate_tile(tile, pd.geometry, 2);
-    const auto b = sdmu_shallow.simulate_tile(tile, pd.geometry, 2);
-    EXPECT_EQ(all_matches(a.groups), all_matches(b.groups));
-    EXPECT_GE(b.stats.cycles, a.stats.cycles);
+    const SdmuStats a = sdmu_deep.simulate_tile(tile, 2);
+    const SdmuStats b = sdmu_shallow.simulate_tile(tile, 2);
+    EXPECT_EQ(all_matches(sdmu_deep.matches()), all_matches(sdmu_shallow.matches()));
+    EXPECT_GE(b.cycles, a.cycles);
   }
 }
 
@@ -153,13 +140,13 @@ TEST(SdmuSimulateTest, EmptyTileCostsOnlyScan) {
   ArchConfig cfg;
   const Prepared p = prepare(t, cfg);
   ASSERT_EQ(p.tiles.size(), 1U);
-  const Sdmu sdmu(cfg);
-  const auto r = sdmu.simulate_tile(p.tiles.front(), p.geometry, 1);
-  EXPECT_EQ(r.stats.srf_active, 1);
-  EXPECT_EQ(r.stats.srf_skipped, 511);
-  EXPECT_EQ(r.stats.matches, 1);
+  Sdmu sdmu(cfg);
+  const SdmuStats r = sdmu.simulate_tile(p.tiles.front(), 1);
+  EXPECT_EQ(r.srf_active, 1);
+  EXPECT_EQ(r.srf_skipped, 511);
+  EXPECT_EQ(r.matches, 1);
   // Scan-bound: cycles ~ 512 * 3 + fill.
-  EXPECT_NEAR(static_cast<double>(r.stats.cycles),
+  EXPECT_NEAR(static_cast<double>(r.cycles),
               static_cast<double>(512 * cfg.mask_read_cycles), 32.0);
 }
 
@@ -183,9 +170,9 @@ TEST(SdmuSimulateTest, RejectsBadCcRate) {
   ArchConfig cfg;
   const auto t = test::clustered_tensor({8, 8, 8}, 1, rng, 3, 40);
   const Prepared p = prepare(t, cfg);
-  const Sdmu sdmu(cfg);
+  Sdmu sdmu(cfg);
   ASSERT_FALSE(p.tiles.empty());
-  EXPECT_THROW((void)sdmu.simulate_tile(p.tiles.front(), p.geometry, 0), InvalidArgument);
+  EXPECT_THROW((void)sdmu.simulate_tile(p.tiles.front(), 0), InvalidArgument);
 }
 
 }  // namespace

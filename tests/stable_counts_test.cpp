@@ -327,6 +327,9 @@ TEST(StableCountsTest, Simulator) {
     SCOPED_TRACE(c.name);
     const bench::NetworkWorkload workload = bench::benchmark_network(c.input);
     runtime::EscaBackend backend(c.arch);
+    const std::int64_t tiled_before = global_counter("esca_sim_tiled_geometries_total");
+    const std::int64_t timings_before = global_counter("esca_sim_sdmu_timings_total");
+    const std::int64_t reuses_before = global_counter("esca_sim_sdmu_timing_reuses_total");
     const runtime::RunReport report =
         backend.run(runtime::make_plan(workload.compiled), runtime::FrameBatch::replay(2));
     ASSERT_EQ(report.frames.size(), 2U);
@@ -337,6 +340,12 @@ TEST(StableCountsTest, Simulator) {
             << frame.frame_id << " layer " << i;
       }
     }
+    // The Plan's 11 layers run on 3 geometries (one per scale) at 5
+    // distinct cycles-per-match values; the backend tiles each geometry
+    // once for both frames, and the other 17 layer runs reuse a timing.
+    EXPECT_EQ(global_counter("esca_sim_tiled_geometries_total") - tiled_before, 3);
+    EXPECT_EQ(global_counter("esca_sim_sdmu_timings_total") - timings_before, 5);
+    EXPECT_EQ(global_counter("esca_sim_sdmu_timing_reuses_total") - reuses_before, 17);
   }
 }
 

@@ -25,6 +25,15 @@ Encoded encode_tensor(const sparse::SparseTensor& t, const ArchConfig& cfg) {
   return {std::move(geometry), std::move(tiles)};
 }
 
+/// The matches of one column of the SRF centred at padded `c`.
+std::vector<Match> column_matches(const StateIndexGenerator& gen, const EncodedTile& tile,
+                                  const Coord3& c, int dx, int dy, std::int32_t out_row) {
+  std::vector<Match> out(static_cast<std::size_t>(gen.kernel_size()));
+  const int n = gen.column_matches(tile, c.x, c.y, c.z, dx, dy, out_row, out);
+  out.resize(static_cast<std::size_t>(n));
+  return out;
+}
+
 TEST(StateIndexTest, MatchesBruteForceWindowCounts) {
   Rng rng(111);
   ArchConfig cfg;
@@ -96,7 +105,7 @@ TEST(ColumnMatchesTest, WeightIndicesFollowKernelConvention) {
     const std::int32_t out_row = e.geometry.find({8, 8, 8});
 
     // Column (dx=-1, dy=0): expect one match with weight offset (-1,0,0).
-    const auto m1 = gen.column_matches(tile, rel.x, rel.y, rel.z, -1, 0, out_row);
+    const auto m1 = column_matches(gen, tile, rel, -1, 0, out_row);
     ASSERT_EQ(m1.size(), 1U);
     EXPECT_EQ(m1[0].weight_index, sparse::kernel_offset_index({-1, 0, 0}, 3));
     EXPECT_EQ(m1[0].in_row, e.geometry.find({7, 8, 8}));
@@ -104,18 +113,18 @@ TEST(ColumnMatchesTest, WeightIndicesFollowKernelConvention) {
     EXPECT_EQ(m1[0].column, (0 + 1) * 3 + (-1 + 1));  // (dy+1)*3 + (dx+1) = 3
 
     // Column (dx=0, dy=+1): neighbour at dz=+1.
-    const auto m2 = gen.column_matches(tile, rel.x, rel.y, rel.z, 0, 1, out_row);
+    const auto m2 = column_matches(gen, tile, rel, 0, 1, out_row);
     ASSERT_EQ(m2.size(), 1U);
     EXPECT_EQ(m2[0].weight_index, sparse::kernel_offset_index({0, 1, 1}, 3));
 
     // Center column: the site itself.
-    const auto mc = gen.column_matches(tile, rel.x, rel.y, rel.z, 0, 0, out_row);
+    const auto mc = column_matches(gen, tile, rel, 0, 0, out_row);
     ASSERT_EQ(mc.size(), 1U);
     EXPECT_EQ(mc[0].weight_index, sparse::kernel_offset_index({0, 0, 0}, 3));
     EXPECT_EQ(mc[0].in_row, out_row);
 
     // An empty column yields nothing.
-    const auto m3 = gen.column_matches(tile, rel.x, rel.y, rel.z, 1, -1, out_row);
+    const auto m3 = column_matches(gen, tile, rel, 1, -1, out_row);
     EXPECT_TRUE(m3.empty());
     return;
   }
@@ -134,7 +143,7 @@ TEST(ColumnMatchesTest, MatchesAreZAscending) {
   const StateIndexGenerator gen(3);
   const Coord3 rel = Coord3{4, 4, 4} - tile.padded_origin();
   const std::int32_t out_row = e.geometry.find({4, 4, 4});
-  const auto matches = gen.column_matches(tile, rel.x, rel.y, rel.z, 0, 0, out_row);
+  const auto matches = column_matches(gen, tile, rel, 0, 0, out_row);
   ASSERT_EQ(matches.size(), 3U);
   EXPECT_EQ(matches[0].weight_index, sparse::kernel_offset_index({0, 0, -1}, 3));
   EXPECT_EQ(matches[1].weight_index, sparse::kernel_offset_index({0, 0, 0}, 3));

@@ -75,4 +75,27 @@ inline void expect_closed_forms(const core::LayerRunStats& stats,
             rules * config.cycles_per_match(stats.in_channels, stats.out_channels));
 }
 
+/// Every match the SDMU emits over `tiles`, in the order the computing core
+/// consumes them (each group's matches consecutive, sharing its out_row).
+inline std::vector<core::Match> sdmu_stream(const core::ArchConfig& config,
+                                            const std::vector<core::EncodedTile>& tiles,
+                                            int cc_cycles_per_match = 1) {
+  core::Sdmu sdmu(config);
+  std::vector<core::Match> stream;
+  for (const core::EncodedTile& tile : tiles) {
+    (void)sdmu.simulate_tile(tile, cc_cycles_per_match);
+    stream.insert(stream.end(), sdmu.matches().begin(), sdmu.matches().end());
+  }
+  return stream;
+}
+
+/// Match groups in a stream: runs of consecutive matches with one out_row.
+inline std::int64_t group_count(const std::vector<core::Match>& stream) {
+  std::int64_t groups = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (i == 0 || stream[i].out_row != stream[i - 1].out_row) ++groups;
+  }
+  return groups;
+}
+
 }  // namespace esca::test
