@@ -80,7 +80,8 @@ TEST(SdmuReferenceTest, FastPathsMatchTheReferenceLoops) {
       test::random_sparse_tensor({17, 18, 19}, 1, 0.03, rng, 400),
       test::clustered_tensor({20, 20, 20}, 1, rng, 5, 350),
   };
-  const Coord3 tile_sizes[] = {{8, 8, 8}, {4, 4, 4}, {2, 3, 5}, {16, 8, 4}, {1, 1, 1}};
+  // 4x4x70 tiles have mask columns longer than a 64-bit word.
+  const Coord3 tile_sizes[] = {{8, 8, 8}, {4, 4, 4}, {2, 3, 5}, {16, 8, 4}, {1, 1, 1}, {4, 4, 70}};
   const int kernels[] = {1, 3, 5};
   struct Timing {
     int fifo_depth;
@@ -93,9 +94,9 @@ TEST(SdmuReferenceTest, FastPathsMatchTheReferenceLoops) {
       for (const int ccpm : {1, 2, 4, 9, 16}) timings.push_back({depth, reads, ccpm});
     }
   }
-  // Every geometry runs a rotating fifth of the 45 timing points, so each
-  // point runs on six geometries and the test stays fast.
-  constexpr std::size_t kStride = 5;
+  // Every geometry runs a rotating seventh of the 45 timing points, so each
+  // point runs on several geometries and the test stays fast.
+  constexpr std::size_t kStride = 7;
 
   std::size_t geometry_index = 0;
   for (const sparse::SparseTensor& sites : inputs) {
