@@ -55,7 +55,7 @@ void BM_TileEncoding(benchmark::State& state) {
   const sparse::SparseTensor x = workload_tensor(1);
   const core::ArchConfig cfg;
   const core::ZeroRemoving zr(cfg.tile_size);
-  const voxel::TileGrid grid = zr.apply(x);
+  const core::TileGrid grid = zr.apply(x);
   const core::TileEncoder encoder(cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.encode(x, grid, nullptr));
@@ -69,7 +69,7 @@ void BM_SdmuCycleSimulation(benchmark::State& state) {
   const sparse::SparseTensor x = workload_tensor(1);
   const core::ArchConfig cfg;
   const core::ZeroRemoving zr(cfg.tile_size);
-  const voxel::TileGrid grid = zr.apply(x);
+  const core::TileGrid grid = zr.apply(x);
   const core::TileEncoder encoder(cfg);
   const auto tiles = encoder.encode(x, grid, nullptr);
   core::Sdmu sdmu(cfg);

@@ -33,14 +33,14 @@ inline constexpr std::uint64_t kSeed = 20221014;  // arXiv submission date
 inline sparse::SparseTensor shapenet_tensor(std::size_t index,
                                             int resolution = kPaperResolution) {
   const datasets::ShapeNetLikeDataset ds({}, kSeed);
-  const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(index), {resolution, false});
+  const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(index), {.resolution = resolution});
   return sparse::SparseTensor::from_voxel_grid(grid, 1);
 }
 
 /// One NYU-like sample voxelized at the paper's resolution.
 inline sparse::SparseTensor nyu_tensor(std::size_t index, int resolution = kPaperResolution) {
   const datasets::NyuLikeDataset ds({}, kSeed + 1);
-  const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(index), {resolution, false});
+  const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(index), {.resolution = resolution});
   return sparse::SparseTensor::from_voxel_grid(grid, 1);
 }
 
@@ -123,7 +123,7 @@ inline std::vector<sparse::SparseTensor> voxelized_sequence(int overlap_pct, int
   std::vector<sparse::SparseTensor> tensors;
   tensors.reserve(static_cast<std::size_t>(frames));
   for (int t = 0; t < frames; ++t) {
-    const voxel::VoxelGrid grid = voxel::voxelize(ds.frame(t), {resolution, false});
+    const voxel::VoxelGrid grid = voxel::voxelize(ds.frame(t), {.resolution = resolution});
     tensors.push_back(sparse::SparseTensor::from_voxel_grid(grid, 1));
   }
   return tensors;

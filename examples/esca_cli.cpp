@@ -43,7 +43,7 @@ sparse::SparseTensor load_tensor(const Config& args, int channels) {
   pc::PointCloud cloud = pc::read_cloud_auto(in);
   cloud.normalize_unit_cube();
   const auto resolution = static_cast<std::int32_t>(args.get_int("resolution", 192));
-  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {resolution, false});
+  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = resolution});
   sparse::SparseTensor geometry = sparse::SparseTensor::from_voxel_grid(grid, 1);
   if (channels == 1) return geometry;
   sparse::SparseTensor x = geometry.zeros_like(channels);

@@ -87,7 +87,8 @@ int main(int argc, char** argv) {
   const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = 192});
   const auto input = sparse::SparseTensor::from_voxel_grid(grid, 1);
   std::printf("voxelized: %zu sites (%.4f%% density)\n", input.size(),
-              100.0 * grid.density());
+              100.0 * static_cast<double>(input.size()) /
+                  static_cast<double>(grid.extent.volume()));
 
   // One 1 -> 8 feature-extraction Sub-Conv, compiled and run through the
   // runtime Engine on the simulated accelerator.

@@ -33,7 +33,8 @@ int main() {
   const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = 192});
   const auto input = sparse::SparseTensor::from_voxel_grid(grid, /*channels=*/1);
   std::printf("voxelized: %zu active sites, %.4f%% density\n", input.size(),
-              100.0 * grid.density());
+              100.0 * static_cast<double>(input.size()) /
+                  static_cast<double>(grid.extent.volume()));
 
   // 3. An Engine over the default ESCA backend (the paper's ZCU102 point:
   //    8^3 tiles, 16x16 MAC array, 270 MHz) compiles a 1 -> 16 channel

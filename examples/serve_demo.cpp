@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = 96});
   const auto input = sparse::SparseTensor::from_voxel_grid(grid, 1);
   std::printf("scene: %zu points -> %zu sites (%.4f%% density)\n", cloud.size(), input.size(),
-              100.0 * grid.density());
+              100.0 * static_cast<double>(input.size()) /
+                  static_cast<double>(grid.extent.volume()));
 
   nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 1, 8, 3);
   conv.init_kaiming(rng);

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   tensors.reserve(static_cast<std::size_t>(frames));
   for (int t = 0; t < frames; ++t) {
     tensors.push_back(sparse::SparseTensor::from_voxel_grid(
-        voxel::voxelize(sensor.frame(t), {resolution, false}), 1));
+        voxel::voxelize(sensor.frame(t), {.resolution = resolution}), 1));
   }
   std::printf("sensor stream: %d frames at %d^3, first frame %zu sites\n\n", frames, resolution,
               tensors.front().size());

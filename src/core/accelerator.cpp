@@ -164,8 +164,7 @@ TiledGeometry Accelerator::tile_geometry(const sparse::LayerGeometry& geometry,
   tiled.sites = static_cast<std::int64_t>(sites.size());
 
   // --- §III.A zero removing ---------------------------------------------------
-  const voxel::TileGrid tiles =
-      ZeroRemoving(config_.tile_size).apply(sites, &tiled.zero_removing);
+  const TileGrid tiles = ZeroRemoving(config_.tile_size).apply(sites, &tiled.zero_removing);
 
   // --- §III.B encoding ----------------------------------------------------------
   tiled.tiles = TileEncoder(config_).encode(sites, tiles, &tiled.encoding);

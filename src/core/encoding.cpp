@@ -78,15 +78,15 @@ void EncodedTile::finalize(std::vector<std::int32_t> column_start,
 TileEncoder::TileEncoder(const ArchConfig& config) : config_(config) { config_.validate(); }
 
 std::vector<EncodedTile> TileEncoder::encode(const sparse::SparseTensor& geometry,
-                                             const voxel::TileGrid& tiles,
+                                             const TileGrid& tiles,
                                              EncodingStats* stats) const {
   const int radius = config_.kernel_radius();
-  const Coord3 size = tiles.shape().size;
+  const Coord3 size = tiles.tile_size();
   const Coord3 last_tile = tiles.tiles_extent() - Coord3{1, 1, 1};
   std::vector<EncodedTile> encoded;
   encoded.reserve(tiles.tiles().size());
-  for (const voxel::Tile& tile : tiles.tiles()) {
-    encoded.emplace_back(tile.tile_coord, tile.origin, size, radius);
+  for (const Coord3& tile : tiles.tiles()) {
+    encoded.emplace_back(tile, tiles.origin(tile), size, radius);
   }
 
   // Each site joins every active tile whose padded box holds it (along an
@@ -108,9 +108,9 @@ std::vector<EncodedTile> TileEncoder::encode(const sparse::SparseTensor& geometr
     for (int tx = first(c.x, size.x); tx <= last(c.x, size.x, last_tile.x); ++tx) {
       for (int ty = first(c.y, size.y); ty <= last(c.y, size.y, last_tile.y); ++ty) {
         for (int tz = first(c.z, size.z); tz <= last(c.z, size.z, last_tile.z); ++tz) {
-          const voxel::Tile* tile = tiles.find_tile({tx, ty, tz});
-          if (tile == nullptr) continue;
-          const auto t = static_cast<std::uint32_t>(tile - tiles.tiles().data());
+          const std::int64_t found = tiles.find_tile({tx, ty, tz});
+          if (found < 0) continue;
+          const auto t = static_cast<std::uint32_t>(found);
           const EncodedTile& et = encoded[t];
           const Coord3 p = c - et.padded_origin();
           members.push_back({t, et.column_of(p.x, p.y) * et.depth() + p.z,

@@ -19,8 +19,8 @@
 
 #include "common/types.hpp"
 #include "core/arch_config.hpp"
+#include "core/zero_removing.hpp"
 #include "sparse/sparse_tensor.hpp"
-#include "voxel/tile.hpp"
 
 namespace esca::core {
 
@@ -96,7 +96,7 @@ class TileEncoder {
   explicit TileEncoder(const ArchConfig& config);
 
   std::vector<EncodedTile> encode(const sparse::SparseTensor& geometry,
-                                  const voxel::TileGrid& tiles,
+                                  const TileGrid& tiles,
                                   EncodingStats* stats = nullptr) const;
 
  private:

@@ -118,8 +118,8 @@ sparse::SparseTensor SSUNet::forward(const sparse::SparseTensor& input,
   for (int l = config_.levels - 2; l >= 0; --l) {
     const Level& level = levels_[static_cast<std::size_t>(l)];
     const sparse::SparseTensor& skip = skips[static_cast<std::size_t>(l)];
-    const sparse::LayerGeometryPtr up_geo = sparse::make_transposed_inverse_geometry(
-        *down_geos[static_cast<std::size_t>(l)], x, skip);
+    const sparse::LayerGeometryPtr up_geo =
+        sparse::make_transposed_inverse_geometry(*down_geos[static_cast<std::size_t>(l)]);
     x = concat_channels(run_conv(*level.up, nullptr, x, up_geo, str::format("up%d", l), trace),
                         skip);
     scale_geo = skip_geos[static_cast<std::size_t>(l)];

@@ -323,32 +323,13 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
   return g;
 }
 
-LayerGeometry transpose_downsample_geometry(const LayerGeometry& down,
-                                            const SparseTensor& coarse,
-                                            const SparseTensor& target) {
+LayerGeometry transpose_downsample_geometry(const LayerGeometry& down) {
   ESCA_REQUIRE(down.kind == GeometryKind::kDownsample,
                "can only transpose a downsample geometry, got " << to_string(down.kind));
-  ESCA_REQUIRE(coarse.size() == down.out_coords.size(),
-               "coarse tensor has " << coarse.size() << " sites, downsample produced "
-                                    << down.out_coords.size());
-  ESCA_REQUIRE(target.size() == down.sites.size(),
-               "target tensor has " << target.size() << " sites, downsample consumed "
-                                    << down.sites.size());
-  for (std::size_t r = 0; r < coarse.size(); ++r) {
-    ESCA_REQUIRE(coarse.coord(r) == down.out_coords[r],
-                 "coarse row " << r << " is " << coarse.coord(r)
-                               << ", downsample output row is " << down.out_coords[r]);
-  }
-  for (std::size_t r = 0; r < target.size(); ++r) {
-    ESCA_REQUIRE(target.coord(r) == down.sites.coord(r),
-                 "target row " << r << " is " << target.coord(r)
-                               << ", downsample input row is " << down.sites.coord(r));
-  }
   geometry_transposes_counter().inc();
 
-  LayerGeometry g(GeometryKind::kInverse, down.kernel_size, down.stride,
-                  coarse.zeros_like(1));
-  restore_sites(g, target);
+  LayerGeometry g(GeometryKind::kInverse, down.kernel_size, down.stride, down.zero_output(1));
+  restore_sites(g, down.sites);
   // Both builders walk fine rows in ascending order with the kernel-cell
   // loop innermost, so swapping in/out per rule reproduces the sequence
   // build_inverse_geometry would emit — not just the same rule set.
@@ -374,11 +355,8 @@ LayerGeometryPtr make_downsample_geometry(const SparseTensor& input, int kernel_
       build_downsample_geometry(input, kernel_size, stride, options));
 }
 
-LayerGeometryPtr make_transposed_inverse_geometry(const LayerGeometry& down,
-                                                  const SparseTensor& coarse,
-                                                  const SparseTensor& target) {
-  return std::make_shared<const LayerGeometry>(
-      transpose_downsample_geometry(down, coarse, target));
+LayerGeometryPtr make_transposed_inverse_geometry(const LayerGeometry& down) {
+  return std::make_shared<const LayerGeometry>(transpose_downsample_geometry(down));
 }
 
 }  // namespace esca::sparse

@@ -129,14 +129,11 @@ LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTens
 /// transposing its rulebook (swap in/out rows, keep the kernel cell): the
 /// forward strided conv and its inverse enumerate exactly the same
 /// (fine site, kernel cell, coarse cell) triples, so no coordinate search
-/// is needed and no geometry build is counted. Bit-identical to
-/// build_inverse_geometry(coarse, target, k, stride) — rule order included.
-///
-/// `coarse` must be the downsample's output tensor (rows == down.out_coords)
-/// and `target` the tensor the inverse restores (rows == down.sites rows).
-LayerGeometry transpose_downsample_geometry(const LayerGeometry& down,
-                                            const SparseTensor& coarse,
-                                            const SparseTensor& target);
+/// is needed and no geometry build is counted. The inverse reads the
+/// downsample's output sites and restores its input sites; bit-identical to
+/// build_inverse_geometry(down.zero_output(1), down.sites, k, stride) —
+/// rule order included.
+LayerGeometry transpose_downsample_geometry(const LayerGeometry& down);
 
 /// Convenience: build and wrap in a shared handle.
 LayerGeometryPtr make_submanifold_geometry(const SparseTensor& input, int kernel_size,
@@ -145,9 +142,7 @@ LayerGeometryPtr make_downsample_geometry(const SparseTensor& input, int kernel_
                                           int stride, const GeometryOptions& options = {});
 
 /// Shared-handle variant of transpose_downsample_geometry.
-LayerGeometryPtr make_transposed_inverse_geometry(const LayerGeometry& down,
-                                                  const SparseTensor& coarse,
-                                                  const SparseTensor& target);
+LayerGeometryPtr make_transposed_inverse_geometry(const LayerGeometry& down);
 
 /// The check every layer's forward makes before it reads its input through
 /// `geometry`'s rules: throws InvalidArgument unless the geometry is of

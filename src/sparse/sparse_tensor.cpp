@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "voxel/morton.hpp"
+#include "voxel/voxelizer.hpp"
 
 namespace esca::sparse {
 
@@ -19,18 +20,21 @@ SparseTensor::SparseTensor(Coord3 spatial_extent, int channels)
 }
 
 SparseTensor SparseTensor::from_voxel_grid(const voxel::VoxelGrid& grid, int channels) {
-  SparseTensor t(grid.extent(), channels);
-  // Bulk build: one sort over all sites plus one index rebuild, instead of
-  // per-site sorted inserts followed by a second canonical sort.
-  // VoxelGrid::insert already bounds-checks every site against this extent.
-  t.coords_ = grid.coords();
-  std::sort(t.coords_.begin(), t.coords_.end());
-  ESCA_CHECK(t.index_.rebuild(t.coords_), "duplicate coordinate in voxel grid");
-  t.features_.assign(t.coords_.size() * static_cast<std::size_t>(channels), 0.0F);
+  ESCA_REQUIRE(grid.features.size() == grid.coords.size(),
+               "voxel grid has " << grid.coords.size() << " voxels, " << grid.features.size()
+                                 << " features");
+  ESCA_REQUIRE(std::all_of(grid.coords.begin(), grid.coords.end(),
+                           [&](const Coord3& c) { return in_bounds(c, grid.extent); }),
+               "voxel outside extent " << grid.extent);
+  SparseTensor t(grid.extent, channels);
+  t.coords_ = grid.coords;
+  ESCA_REQUIRE(t.index_.rebuild(t.coords_), "duplicate coordinate in voxel grid");
+  const auto c = static_cast<std::size_t>(channels);
+  t.features_.assign(t.coords_.size() * c, 0.0F);
   for (std::size_t row = 0; row < t.coords_.size(); ++row) {
-    t.features_[row * static_cast<std::size_t>(channels)] = grid.feature_at(t.coords_[row]);
+    t.features_[row * c] = grid.features[row];
   }
-  t.canonically_sorted_ = true;
+  t.canonically_sorted_ = std::is_sorted(t.coords_.begin(), t.coords_.end());
   return t;
 }
 

@@ -13,7 +13,10 @@
 
 #include "common/types.hpp"
 #include "sparse/coord_index.hpp"
-#include "voxel/voxel_grid.hpp"
+
+namespace esca::voxel {
+struct VoxelGrid;
+}  // namespace esca::voxel
 
 namespace esca::sparse {
 
@@ -23,8 +26,8 @@ class SparseTensor {
   /// the Morton coordinate range).
   SparseTensor(Coord3 spatial_extent, int channels);
 
-  /// Build a 1..C channel tensor from a voxel grid occupancy (channel 0 is
-  /// the voxel feature; remaining channels start at zero).
+  /// Build a 1..C channel tensor from a voxel grid (channel 0 is the voxel
+  /// feature; remaining channels start at zero). Rows keep the grid's order.
   static SparseTensor from_voxel_grid(const voxel::VoxelGrid& grid, int channels = 1);
 
   /// Zero tensor over an externally owned coordinate set and its prebuilt

@@ -4,20 +4,31 @@
 // a cubic grid, 192^3 by default.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
+#include "common/types.hpp"
 #include "pointcloud/point_cloud.hpp"
-#include "voxel/voxel_grid.hpp"
 
 namespace esca::voxel {
 
 struct VoxelizerConfig {
-  std::int32_t resolution{192};  ///< cubic grid edge length
-  /// If true, positions are first normalized into the unit cube; otherwise
-  /// they are assumed to already lie in [0, 1)^3.
-  bool normalize{false};
+  std::int32_t resolution{192};  ///< cubic grid edge length, 1..2^21
 };
 
-/// Deposit every point into its voxel; feature = point intensity (mean on
-/// collision). Out-of-range points (when normalize=false) are clamped.
+/// A voxelized cloud: the occupied voxels in canonical (z, y, x) order,
+/// each with the mean intensity of the points that fell in it.
+struct VoxelGrid {
+  Coord3 extent;
+  std::vector<Coord3> coords;   ///< unique, canonically sorted
+  std::vector<float> features;  ///< row-aligned with coords
+};
+
+/// Deposit every point into its voxel; feature = mean point intensity,
+/// summed in point order. Positions are expected in [0, 1)^3 (callers
+/// normalize first); points outside are clamped into the edge voxels.
+/// Throws InvalidArgument on a non-finite coordinate or a resolution
+/// outside 1..2^21.
 VoxelGrid voxelize(const pc::PointCloud& cloud, const VoxelizerConfig& config);
 
 }  // namespace esca::voxel

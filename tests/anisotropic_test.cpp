@@ -21,7 +21,7 @@ namespace {
 using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;
 
 std::set<M> sdmu_matches(const sparse::SparseTensor& geometry, const ArchConfig& cfg) {
-  const voxel::TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
+  const TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = TileEncoder(cfg).encode(geometry, grid, nullptr);
   std::set<M> out;
   for (const Match& m : test::sdmu_stream(cfg, tiles)) {

@@ -224,10 +224,10 @@ TEST(SequenceDatasetTest, ResampleFractionControlsVoxelOverlap) {
     const SequenceDataset ds(base, cfg, 12);
     double overlap = 0.0;
     sparse::SparseTensor prev = sparse::SparseTensor::from_voxel_grid(
-        voxel::voxelize(ds.frame(0), {96, false}), 1);
+        voxel::voxelize(ds.frame(0), {.resolution = 96}), 1);
     for (int t = 1; t < cfg.frames; ++t) {
       sparse::SparseTensor next = sparse::SparseTensor::from_voxel_grid(
-          voxel::voxelize(ds.frame(t), {96, false}), 1);
+          voxel::voxelize(ds.frame(t), {.resolution = 96}), 1);
       overlap += stream::diff_frames(prev, next).overlap_fraction();
       prev = std::move(next);
     }

@@ -18,7 +18,7 @@ Encoded encode_tensor(const sparse::SparseTensor& t, const ArchConfig& cfg) {
   sparse::SparseTensor geometry(t.spatial_extent(), 1);
   for (const Coord3& c : t.coords()) geometry.add_site(c);
   const ZeroRemoving zr(cfg.tile_size);
-  const voxel::TileGrid grid = zr.apply(geometry);
+  const TileGrid grid = zr.apply(geometry);
   EncodingStats stats;
   const TileEncoder encoder(cfg);
   auto tiles = encoder.encode(geometry, grid, &stats);

@@ -19,7 +19,7 @@ sparse::SparseTensor dataset_tensor(std::size_t index, int resolution) {
   cfg.samples_per_object = 1200;
   const datasets::ShapeNetLikeDataset ds(cfg, 2026);
   const pc::PointCloud cloud = ds.sample(index);
-  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {resolution, false});
+  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = resolution});
   return sparse::SparseTensor::from_voxel_grid(grid, 1);
 }
 
@@ -90,7 +90,7 @@ TEST(IntegrationTest, NyuPipelineRunsEndToEnd) {
   dcfg.max_points = 800;
   const datasets::NyuLikeDataset ds(dcfg, 5);
   const pc::PointCloud cloud = ds.sample(0);
-  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {48, false});
+  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = 48});
   const auto input = sparse::SparseTensor::from_voxel_grid(grid, 1);
   ASSERT_GT(input.size(), 50U);
 

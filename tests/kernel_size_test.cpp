@@ -31,7 +31,7 @@ TEST_P(KernelSizeProperty, SdmuMatchesEqualRulebook) {
   cfg.mask_read_cycles = k;
   sparse::SparseTensor geometry(t.spatial_extent(), 1);
   for (const Coord3& c : t.coords()) geometry.add_site(c);
-  const voxel::TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
+  const TileGrid grid = ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = TileEncoder(cfg).encode(geometry, grid, nullptr);
 
   using M = std::tuple<std::int32_t, std::int16_t, std::int32_t>;

@@ -324,7 +324,7 @@ sparse::SparseTensor integration_tensor() {
   datasets::ShapeNetLikeConfig dcfg;
   dcfg.samples_per_object = 1200;
   const datasets::ShapeNetLikeDataset ds(dcfg, 2026);
-  const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(1), {48, false});
+  const voxel::VoxelGrid grid = voxel::voxelize(ds.sample(1), {.resolution = 48});
   return sparse::SparseTensor::from_voxel_grid(grid, 1);
 }
 

@@ -38,7 +38,7 @@ TEST_P(SdmuRulebookProperty, MatchesEqualRulebook) {
   sparse::SparseTensor geometry(t.spatial_extent(), 1);
   for (const Coord3& c : t.coords()) geometry.add_site(c);
   const core::ZeroRemoving zr(cfg.tile_size);
-  const voxel::TileGrid grid = zr.apply(geometry);
+  const core::TileGrid grid = zr.apply(geometry);
   const core::TileEncoder encoder(cfg);
   const auto tiles = encoder.encode(geometry, grid, nullptr);
 
@@ -82,12 +82,15 @@ TEST_P(ZeroRemovingProperty, SiteSetPreserved) {
   Rng rng(2000 + static_cast<std::uint64_t>(tile));
   const auto t = test::random_sparse_tensor({30, 30, 30}, 1, 0.01, rng);
   const core::ZeroRemoving zr({tile, tile, tile});
-  const voxel::TileGrid grid = zr.apply(t);
-  std::set<Coord3> covered;
-  for (const auto& tl : grid.tiles()) {
-    for (const auto& c : tl.occupied) covered.insert(c);
+  const core::TileGrid grid = zr.apply(t);
+  // Every site's tile survives, and every surviving tile holds a site.
+  std::set<Coord3> site_tiles;
+  for (const Coord3& c : t.coords()) {
+    const Coord3 tl{c.x / tile, c.y / tile, c.z / tile};
+    EXPECT_GE(grid.find_tile(tl), 0) << "site " << c;
+    site_tiles.insert(tl);
   }
-  EXPECT_EQ(covered.size(), t.size());
+  EXPECT_EQ(static_cast<std::int64_t>(site_tiles.size()), grid.active_tiles());
 }
 
 INSTANTIATE_TEST_SUITE_P(TileSizes, ZeroRemovingProperty, ::testing::Values(2, 3, 4, 6, 8, 15));
@@ -146,7 +149,7 @@ TEST_P(EncodingProperty, CoreSitesPartitionTheTensor) {
   cfg.tile_size = {tile, tile, tile};
   sparse::SparseTensor geometry(t.spatial_extent(), 1);
   for (const Coord3& c : t.coords()) geometry.add_site(c);
-  const voxel::TileGrid grid = core::ZeroRemoving(cfg.tile_size).apply(geometry);
+  const core::TileGrid grid = core::ZeroRemoving(cfg.tile_size).apply(geometry);
   core::EncodingStats stats;
   const auto tiles = core::TileEncoder(cfg).encode(geometry, grid, &stats);
   EXPECT_EQ(stats.core_sites, static_cast<std::int64_t>(t.size()));
@@ -170,7 +173,7 @@ TEST_P(SdmuTimingProperty, CyclesAtLeastScanAndDrainBounds) {
   core::ArchConfig cfg;
   sparse::SparseTensor geometry(t.spatial_extent(), 1);
   for (const Coord3& c : t.coords()) geometry.add_site(c);
-  const voxel::TileGrid grid = core::ZeroRemoving(cfg.tile_size).apply(geometry);
+  const core::TileGrid grid = core::ZeroRemoving(cfg.tile_size).apply(geometry);
   const auto tiles = core::TileEncoder(cfg).encode(geometry, grid, nullptr);
   core::Sdmu sdmu(cfg);
   for (const auto& tile : tiles) {

@@ -18,10 +18,10 @@
 #include "core/match.hpp"
 #include "core/sdmu.hpp"
 #include "core/state_index.hpp"
+#include "core/zero_removing.hpp"
 #include "sim/fifo.hpp"
 #include "sparse/rulebook.hpp"
 #include "sparse/sparse_tensor.hpp"
-#include "voxel/tile.hpp"
 
 namespace esca::core::reference {
 
@@ -285,13 +285,13 @@ inline SdmuResult simulate_tile(const ArchConfig& config_, const EncodedTile& ti
 
 inline std::vector<EncodedTile> encode(const ArchConfig& config_,
                                        const sparse::SparseTensor& geometry,
-                                       const voxel::TileGrid& tiles, EncodingStats* stats) {
+                                       const TileGrid& tiles, EncodingStats* stats) {
   const int radius = config_.kernel_radius();
   std::vector<EncodedTile> encoded;
   encoded.reserve(tiles.tiles().size());
 
-  for (const voxel::Tile& tile : tiles.tiles()) {
-    EncodedTile et(tile.tile_coord, tile.origin, tiles.shape().size, radius);
+  for (const Coord3& tile : tiles.tiles()) {
+    EncodedTile et(tile, tiles.origin(tile), tiles.tile_size(), radius);
     const Coord3 porigin = et.padded_origin();
     const Coord3 psize = et.padded_size();
 

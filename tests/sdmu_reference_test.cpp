@@ -108,7 +108,7 @@ TEST(SdmuReferenceTest, FastPathsMatchTheReferenceLoops) {
         ArchConfig cfg;
         cfg.tile_size = tile_size;
         cfg.kernel_size = kernel;
-        const voxel::TileGrid grid = ZeroRemoving(tile_size).apply(sites);
+        const TileGrid grid = ZeroRemoving(tile_size).apply(sites);
         EncodingStats fast_stats;
         EncodingStats ref_stats;
         const std::vector<EncodedTile> fast = TileEncoder(cfg).encode(sites, grid, &fast_stats);

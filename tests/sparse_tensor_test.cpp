@@ -4,7 +4,7 @@
 #include "common/rng.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "test_util.hpp"
-#include "voxel/voxel_grid.hpp"
+#include "voxel/voxelizer.hpp"
 
 namespace esca::sparse {
 namespace {
@@ -49,9 +49,7 @@ TEST(SparseTensorTest, AddSiteFeatureSizeMismatchThrows) {
 }
 
 TEST(SparseTensorTest, FromVoxelGridCopiesOccupancy) {
-  voxel::VoxelGrid g({8, 8, 8});
-  g.insert({1, 1, 1}, 0.5F);
-  g.insert({2, 2, 2}, 1.5F);
+  const voxel::VoxelGrid g{{8, 8, 8}, {{1, 1, 1}, {2, 2, 2}}, {0.5F, 1.5F}};
   const SparseTensor t = SparseTensor::from_voxel_grid(g, 2);
   EXPECT_EQ(t.size(), 2U);
   EXPECT_EQ(t.channels(), 2);
@@ -62,28 +60,27 @@ TEST(SparseTensorTest, FromVoxelGridCopiesOccupancy) {
 }
 
 TEST(SparseTensorTest, FromVoxelGridBulkBuildMatchesIncrementalReference) {
-  // from_voxel_grid builds the CoordIndex with one sort + one rebuild; it
-  // must be indistinguishable from the incremental add_site path followed
-  // by a canonical sort.
+  // from_voxel_grid copies the grid and builds the CoordIndex with one
+  // rebuild; it must be indistinguishable from the incremental add_site
+  // path over the same rows.
   Rng rng(31);
-  voxel::VoxelGrid grid({24, 24, 24});
+  pc::PointCloud cloud;
   for (int i = 0; i < 600; ++i) {
-    grid.insert({static_cast<std::int32_t>(rng.uniform_int(0, 23)),
-                 static_cast<std::int32_t>(rng.uniform_int(0, 23)),
-                 static_cast<std::int32_t>(rng.uniform_int(0, 23))},
-                static_cast<float>(rng.uniform(0.1, 2.0)));
+    cloud.add({rng.uniform_f(0.0F, 1.0F), rng.uniform_f(0.0F, 1.0F), rng.uniform_f(0.0F, 1.0F)},
+              static_cast<float>(rng.uniform(0.1, 2.0)));
   }
+  const voxel::VoxelGrid grid = voxel::voxelize(cloud, {.resolution = 24});
 
   const SparseTensor bulk = SparseTensor::from_voxel_grid(grid, 3);
-  SparseTensor reference(grid.extent(), 3);
-  for (const Coord3& c : grid.coords()) {
-    const auto row = reference.add_site(c);
-    reference.set_feature(static_cast<std::size_t>(row), 0, grid.feature_at(c));
+  SparseTensor reference(grid.extent, 3);
+  for (std::size_t i = 0; i < grid.coords.size(); ++i) {
+    const auto row = reference.add_site(grid.coords[i]);
+    reference.set_feature(static_cast<std::size_t>(row), 0, grid.features[i]);
   }
-  reference.sort_canonical();
 
   ASSERT_EQ(bulk.size(), reference.size());
   EXPECT_TRUE(bulk.canonically_sorted());
+  EXPECT_TRUE(reference.canonically_sorted());
   for (std::size_t i = 0; i < bulk.size(); ++i) {
     EXPECT_EQ(bulk.coord(i), reference.coord(i));
     for (int c = 0; c < 3; ++c) EXPECT_FLOAT_EQ(bulk.feature(i, c), reference.feature(i, c));
@@ -95,8 +92,17 @@ TEST(SparseTensorTest, FromVoxelGridBulkBuildMatchesIncrementalReference) {
 TEST(SparseTensorTest, FromVoxelGridRejectsExtentBeyondMortonRange) {
   // The tensor constructor guards the conversion: a grid extent outside the
   // 2^21 Morton coordinate range cannot be indexed.
-  voxel::VoxelGrid grid({1 << 22, 8, 8});
+  const voxel::VoxelGrid grid{{1 << 22, 8, 8}, {}, {}};
   EXPECT_THROW((void)SparseTensor::from_voxel_grid(grid, 1), InvalidArgument);
+}
+
+TEST(SparseTensorTest, FromVoxelGridRejectsMalformedGrids) {
+  const voxel::VoxelGrid short_features{{8, 8, 8}, {{1, 1, 1}, {2, 2, 2}}, {0.5F}};
+  EXPECT_THROW((void)SparseTensor::from_voxel_grid(short_features, 1), InvalidArgument);
+  const voxel::VoxelGrid outside{{8, 8, 8}, {{1, 1, 1}, {1, 8, 1}}, {0.5F, 1.5F}};
+  EXPECT_THROW((void)SparseTensor::from_voxel_grid(outside, 1), InvalidArgument);
+  const voxel::VoxelGrid duplicate{{8, 8, 8}, {{1, 1, 1}, {1, 1, 1}}, {0.5F, 1.5F}};
+  EXPECT_THROW((void)SparseTensor::from_voxel_grid(duplicate, 1), InvalidArgument);
 }
 
 TEST(SparseTensorTest, ZerosLikeSharesCoords) {

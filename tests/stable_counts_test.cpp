@@ -8,7 +8,7 @@
 // behaviour change in rule matching, the memory model, stream patching or
 // serving, never noise. Wall-clock time is measured by benchmark/ instead.
 // StableCountsTest.Simulator pins the cycle simulator's per-layer counts the
-// same way.
+// same way, and StableCountsTest.ZeroRemoving the Table I bench's tiles.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,6 +22,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "core/zero_removing.hpp"
 #include "nn/sparse_conv.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/engine.hpp"
@@ -163,6 +164,42 @@ TEST(StableCountsTest, StreamGeometry) {
   }
   EXPECT_EQ(patches.delta(), 24);   // esca_stream_geometry_patches_total
   EXPECT_EQ(rebuilds.delta(), 12);  // esca_stream_geometry_rebuilds_total
+}
+
+// bench_table1_zero_removing samples=8 resolution=192: the active tiles
+// summed over each dataset's 8 samples per tile size (the bench prints
+// their mean), and the sites those samples voxelize to.
+TEST(StableCountsTest, ZeroRemoving) {
+  struct Dataset {
+    const char* name;
+    sparse::SparseTensor (*tensor)(std::size_t, int);
+    std::int64_t sites;
+    std::array<std::int64_t, 4> active;  ///< tile sizes 4, 8, 12, 16
+  };
+  const Dataset datasets[] = {
+      {"ShapeNet-like", bench::shapenet_tensor, 15724, {1177, 360, 181, 135}},
+      {"NYU-like", bench::nyu_tensor, 7594, {796, 273, 166, 94}},
+  };
+  constexpr std::array<std::int32_t, 4> kTileSizes = {4, 8, 12, 16};
+  constexpr std::array<std::int64_t, 4> kAllTiles = {110592, 13824, 4096, 1728};
+  for (const Dataset& d : datasets) {
+    SCOPED_TRACE(d.name);
+    std::int64_t sites = 0;
+    std::array<std::int64_t, 4> active{};
+    for (std::size_t i = 0; i < 8; ++i) {
+      const sparse::SparseTensor t = d.tensor(i, bench::kPaperResolution);
+      sites += static_cast<std::int64_t>(t.size());
+      for (std::size_t s = 0; s < kTileSizes.size(); ++s) {
+        const std::int32_t size = kTileSizes[s];
+        core::ZeroRemovingStats stats;
+        (void)core::ZeroRemoving({size, size, size}).apply(t, &stats);
+        active[s] += stats.active_tiles;
+        EXPECT_EQ(stats.total_tiles, kAllTiles[s]) << "tile size " << size;
+      }
+    }
+    EXPECT_EQ(sites, d.sites);
+    EXPECT_EQ(active, d.active);
+  }
 }
 
 // bench_mem_hierarchy smoke=1 resolution=48 frames=2

@@ -1,14 +1,63 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <vector>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "datasets/nyu_like.hpp"
+#include "datasets/sequence.hpp"
+#include "datasets/shapenet_like.hpp"
 #include "pointcloud/point_cloud.hpp"
+#include "sparse/sparse_tensor.hpp"
 #include "voxel/morton.hpp"
-#include "voxel/voxel_grid.hpp"
 #include "voxel/voxelizer.hpp"
 
 namespace esca::voxel {
 namespace {
+
+/// voxelize + from_voxel_grid against a map-based reference: each voxel's
+/// intensities summed in point order, then divided by the count, the voxels
+/// in canonical (z, y, x) order (std::map's order under Coord3's <=>).
+/// Coordinates, row order and feature bits must all agree.
+void expect_matches_map_reference(const pc::PointCloud& cloud, std::int32_t res) {
+  SCOPED_TRACE(::testing::Message() << cloud.size() << " points at " << res << "^3");
+  struct Cell {
+    float sum{0.0F};
+    std::int32_t count{0};
+  };
+  std::map<Coord3, Cell> cells;
+  const auto axis = [res](float v) {
+    return std::clamp(static_cast<std::int32_t>(std::floor(v * static_cast<float>(res))), 0,
+                      res - 1);
+  };
+  for (std::size_t i = 0; i < cloud.size(); ++i) {
+    const geom::Vec3& p = cloud.position(i);
+    Cell& cell = cells[{axis(p.x), axis(p.y), axis(p.z)}];
+    cell.sum += cloud.intensity(i);
+    cell.count += 1;
+  }
+
+  const sparse::SparseTensor t =
+      sparse::SparseTensor::from_voxel_grid(voxelize(cloud, {.resolution = res}), 1);
+  EXPECT_EQ(t.spatial_extent(), (Coord3{res, res, res}));
+  ASSERT_EQ(t.size(), cells.size());
+  EXPECT_TRUE(t.canonically_sorted());
+  std::size_t row = 0;
+  for (const auto& [c, cell] : cells) {
+    ASSERT_EQ(t.coord(row), c) << "row " << row;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(t.feature(row, 0)),
+              std::bit_cast<std::uint32_t>(cell.sum / static_cast<float>(cell.count)))
+        << "voxel " << c;
+    EXPECT_EQ(t.find(c), static_cast<std::int32_t>(row));
+    ++row;
+  }
+}
 
 TEST(MortonTest, RoundTripProperty) {
   Rng rng(17);
@@ -28,85 +77,53 @@ TEST(MortonTest, OrderingInterleavesAxes) {
   EXPECT_EQ(morton_encode({1, 1, 1}), 7ULL);
 }
 
-TEST(VoxelGridTest, InsertAndQuery) {
-  VoxelGrid g({16, 16, 16});
-  g.insert({1, 2, 3}, 2.0F);
-  EXPECT_TRUE(g.occupied({1, 2, 3}));
-  EXPECT_FALSE(g.occupied({3, 2, 1}));
-  EXPECT_EQ(g.occupied_count(), 1U);
-  EXPECT_FLOAT_EQ(g.feature_at({1, 2, 3}), 2.0F);
-  EXPECT_FLOAT_EQ(g.feature_at({0, 0, 0}), 0.0F);
-}
-
-TEST(VoxelGridTest, DuplicateInsertAveragesFeature) {
-  VoxelGrid g({8, 8, 8});
-  g.insert({1, 1, 1}, 1.0F);
-  g.insert({1, 1, 1}, 3.0F);
-  EXPECT_EQ(g.occupied_count(), 1U);
-  EXPECT_FLOAT_EQ(g.feature_at({1, 1, 1}), 2.0F);
-}
-
-TEST(VoxelGridTest, OutOfBoundsInsertThrows) {
-  VoxelGrid g({4, 4, 4});
-  EXPECT_THROW(g.insert({4, 0, 0}), InvalidArgument);
-  EXPECT_THROW(g.insert({0, -1, 0}), InvalidArgument);
-  EXPECT_THROW(VoxelGrid({0, 4, 4}), InvalidArgument);
-}
-
-TEST(VoxelGridTest, DensityAndSparsity) {
-  VoxelGrid g({10, 10, 10});
-  for (int i = 0; i < 10; ++i) g.insert({i, 0, 0});
-  EXPECT_DOUBLE_EQ(g.density(), 10.0 / 1000.0);
-  EXPECT_DOUBLE_EQ(g.sparsity(), 0.99);
-}
-
-TEST(VoxelGridTest, MortonSortOrdersCoords) {
-  VoxelGrid g({8, 8, 8});
-  g.insert({7, 7, 7});
-  g.insert({0, 0, 0});
-  g.insert({1, 0, 0});
-  g.sort_morton();
-  EXPECT_EQ(g.coords()[0], (Coord3{0, 0, 0}));
-  EXPECT_EQ(g.coords()[1], (Coord3{1, 0, 0}));
-  EXPECT_EQ(g.coords()[2], (Coord3{7, 7, 7}));
-}
-
 TEST(VoxelizerTest, MapsUnitCubeToResolution) {
   pc::PointCloud cloud;
   cloud.add({0.0F, 0.0F, 0.0F});
   cloud.add({0.999F, 0.999F, 0.999F});
   cloud.add({0.5F, 0.25F, 0.75F});
-  const VoxelGrid g = voxelize(cloud, {192, false});
-  EXPECT_EQ(g.extent(), (Coord3{192, 192, 192}));
-  EXPECT_TRUE(g.occupied({0, 0, 0}));
-  EXPECT_TRUE(g.occupied({191, 191, 191}));
-  EXPECT_TRUE(g.occupied({96, 48, 144}));
+  const VoxelGrid g = voxelize(cloud, {.resolution = 192});
+  EXPECT_EQ(g.extent, (Coord3{192, 192, 192}));
+  EXPECT_EQ(g.coords, (std::vector<Coord3>{{0, 0, 0}, {96, 48, 144}, {191, 191, 191}}));
 }
 
 TEST(VoxelizerTest, ClampsOutOfRangePoints) {
   pc::PointCloud cloud;
   cloud.add({-0.5F, 1.7F, 0.5F});
-  const VoxelGrid g = voxelize(cloud, {16, false});
-  EXPECT_EQ(g.occupied_count(), 1U);
-  EXPECT_TRUE(g.occupied({0, 15, 8}));
+  const VoxelGrid g = voxelize(cloud, {.resolution = 16});
+  EXPECT_EQ(g.coords, (std::vector<Coord3>{{0, 15, 8}}));
 }
 
-TEST(VoxelizerTest, NormalizeOptionRescales) {
+TEST(VoxelizerTest, FarPointsLandInTheEdgeVoxels) {
+  // Beyond 2^31 / resolution voxels the index no longer fits an int; the
+  // voxelizer clamps in float before it converts, so a far point is only
+  // clamped harder (and a sanitized build reports no overflow).
   pc::PointCloud cloud;
-  cloud.add({100.0F, 100.0F, 100.0F});
-  cloud.add({104.0F, 102.0F, 101.0F});
-  const VoxelGrid g = voxelize(cloud, {32, true});
-  EXPECT_EQ(g.occupied_count(), 2U);
-  EXPECT_TRUE(g.occupied({0, 0, 0}));
+  cloud.add({1e10F, 0.5F, -1e10F});
+  cloud.add({0.5F, std::numeric_limits<float>::max(), -std::numeric_limits<float>::max()});
+  const VoxelGrid g = voxelize(cloud, {.resolution = 512});
+  EXPECT_EQ(g.coords, (std::vector<Coord3>{{511, 256, 0}, {256, 511, 0}}));
+}
+
+TEST(VoxelizerTest, RejectsNonFiniteCoordinates) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const geom::Vec3& bad : {geom::Vec3{kNaN, 0.5F, 0.5F}, geom::Vec3{0.5F, kInf, 0.5F},
+                                geom::Vec3{0.5F, 0.5F, -kInf}}) {
+    pc::PointCloud cloud;
+    cloud.add({0.5F, 0.5F, 0.5F});
+    cloud.add(bad);
+    EXPECT_THROW((void)voxelize(cloud, {.resolution = 512}), InvalidArgument);
+  }
 }
 
 TEST(VoxelizerTest, CollidingPointsMergeIntoOneVoxel) {
   pc::PointCloud cloud;
   cloud.add({0.501F, 0.501F, 0.501F}, 1.0F);
   cloud.add({0.502F, 0.502F, 0.502F}, 3.0F);
-  const VoxelGrid g = voxelize(cloud, {4, false});
-  EXPECT_EQ(g.occupied_count(), 1U);
-  EXPECT_FLOAT_EQ(g.feature_at({2, 2, 2}), 2.0F);
+  const VoxelGrid g = voxelize(cloud, {.resolution = 4});
+  EXPECT_EQ(g.coords, (std::vector<Coord3>{{2, 2, 2}}));
+  EXPECT_EQ(g.features, std::vector<float>{2.0F});
 }
 
 TEST(VoxelizerTest, SparsityMatchesPaperBallpark) {
@@ -118,14 +135,62 @@ TEST(VoxelizerTest, SparsityMatchesPaperBallpark) {
     cloud.add({rng.uniform_f(0.2F, 0.4F), rng.uniform_f(0.2F, 0.4F),
                rng.uniform_f(0.2F, 0.4F)});
   }
-  const VoxelGrid g = voxelize(cloud, {192, false});
-  EXPECT_GT(g.sparsity(), 0.999);
+  const VoxelGrid g = voxelize(cloud, {.resolution = 192});
+  const double density =
+      static_cast<double>(g.coords.size()) / static_cast<double>(g.extent.volume());
+  EXPECT_GT(1.0 - density, 0.999);
 }
 
 TEST(VoxelizerTest, RejectsBadResolution) {
   pc::PointCloud cloud;
   cloud.add({0, 0, 0});
-  EXPECT_THROW((void)voxelize(cloud, {0, false}), InvalidArgument);
+  EXPECT_THROW((void)voxelize(cloud, {.resolution = 0}), InvalidArgument);
+  // The sort key packs 21 bits per axis, the Morton coordinate range.
+  EXPECT_THROW((void)voxelize(cloud, {.resolution = 1 << 22}), InvalidArgument);
+  EXPECT_THROW((void)voxelize(cloud, {.resolution = kMortonMaxCoord + 1}), InvalidArgument);
+}
+
+TEST(VoxelizerTest, LargestResolutionKeepsAxesApart) {
+  // At 2^21 every axis uses all 21 bits of its key field.
+  pc::PointCloud cloud;
+  cloud.add({1.0F, 0.0F, 1.0F});
+  cloud.add({0.0F, 1.0F, 0.0F});
+  const VoxelGrid g = voxelize(cloud, {.resolution = kMortonMaxCoord});
+  constexpr std::int32_t kTop = kMortonMaxCoord - 1;
+  EXPECT_EQ(g.coords, (std::vector<Coord3>{{0, kTop, 0}, {kTop, 0, kTop}}));
+}
+
+TEST(VoxelizerTest, MatchesMapReferenceOnDatasetSamples) {
+  const datasets::ShapeNetLikeDataset shapenet({}, 20221014);
+  const datasets::NyuLikeDataset nyu({}, 20221015);
+  for (const std::int32_t res : {48, 96, 192}) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_matches_map_reference(shapenet.sample(i), res);
+      expect_matches_map_reference(nyu.sample(i), res);
+    }
+  }
+}
+
+TEST(VoxelizerTest, MatchesMapReferenceOnSequenceFrames) {
+  datasets::SequenceConfig motion;
+  motion.frames = 3;
+  motion.yaw_per_frame = 0.05F;
+  motion.translation_per_frame = {0.01F, 0.0F, 0.0F};
+  const datasets::NyuLikeDataset nyu({}, 7);
+  const datasets::SequenceDataset ds(nyu.sample(0), motion, 8);
+  for (int t = 0; t < motion.frames; ++t) expect_matches_map_reference(ds.frame(t), 96);
+}
+
+TEST(VoxelizerTest, MatchesMapReferenceOnCollidingPoints) {
+  // Thousands of points in a few voxels, with intensities whose float sum
+  // depends on the order it is taken in.
+  Rng rng(41);
+  pc::PointCloud cloud;
+  for (int i = 0; i < 5000; ++i) {
+    cloud.add({rng.uniform_f(0.0F, 1.0F), rng.uniform_f(0.0F, 1.0F), rng.uniform_f(0.0F, 1.0F)},
+              rng.uniform_f(1e-3F, 1e3F));
+  }
+  for (const std::int32_t res : {1, 2, 4}) expect_matches_map_reference(cloud, res);
 }
 
 }  // namespace
