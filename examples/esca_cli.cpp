@@ -3,7 +3,7 @@
 //   esca_cli stats    in=<cloud.{ply,xyz}> [resolution=192]
 //       voxelize a cloud and print occupancy/tile statistics
 //   esca_cli run      in=<cloud.{ply,xyz}> [cin=1] [cout=16] [resolution=192]
-//                     [backend=esca|dense|cpu] [batch=1]
+//                     [backend=esca|cpu] [batch=1]
 //       run one quantized Sub-Conv layer on the selected runtime backend;
 //       batch > 1 submits a multi-frame session (weights resident after
 //       the first frame)
@@ -146,7 +146,7 @@ void usage() {
       "usage: esca_cli <stats|run|resources|generate> [key=value ...]\n"
       "  stats     in=<cloud.{ply,xyz}> [resolution=192]\n"
       "  run       in=<cloud.{ply,xyz}> [cin=1] [cout=16] [resolution=192]\n"
-      "            [backend=esca|dense|cpu] [batch=1]\n"
+      "            [backend=esca|cpu] [batch=1]\n"
       "  resources [ic=16] [oc=16]\n"
       "  generate  out=<cloud.ply> [kind=shapenet|nyu] [index=0]\n");
 }

@@ -34,11 +34,11 @@ Plan make_plan(core::CompiledNetwork network) {
 
 PlanPtr share_plan(Plan plan) { return std::make_shared<const Plan>(std::move(plan)); }
 
-FrameBatch FrameBatch::replay(int n, const std::string& prefix) {
+FrameBatch FrameBatch::replay(int n) {
   ESCA_REQUIRE(n >= 1, "batch must contain at least one frame, got " << n);
   FrameBatch batch;
   batch.frame_ids.clear();
-  for (int i = 0; i < n; ++i) batch.frame_ids.push_back(prefix + std::to_string(i));
+  for (int i = 0; i < n; ++i) batch.frame_ids.push_back("frame" + std::to_string(i));
   return batch;
 }
 
@@ -91,10 +91,6 @@ double RunReport::effective_gops() const {
   const double seconds = total_seconds();
   if (seconds <= 0.0) return 0.0;
   return 2.0 * static_cast<double>(total_mac_ops()) / seconds / 1e9;
-}
-
-Plan Backend::compile(const std::vector<nn::TraceEntry>& trace) const {
-  return make_plan(core::LayerCompiler::compile(trace));
 }
 
 RunReport Backend::run(const Plan& plan, const FrameBatch& batch,

@@ -1,11 +1,10 @@
-// Pluggable execution backends behind one compile-then-execute interface.
+// Pluggable execution backends behind one frame-execution interface.
 //
-// A Backend lowers a traced float network into a Plan (quantized layers +
-// calibration inputs + integer gold outputs) and executes Plans frame by
-// frame. Three implementations ship: the cycle-level ESCA simulator
-// (esca_backend), the dense-CNN-accelerator analytic model (dense_backend)
-// and the wall-clock-timed CPU path (cpu_backend). They differ only in how
-// a layer is timed: run_frame() owns the one per-layer loop, takes every
+// A Backend executes Plans (quantized layers + calibration inputs + integer
+// gold outputs, lowered by Engine::compile) frame by frame. Two
+// implementations ship: the cycle-level ESCA simulator (esca_backend) and
+// the wall-clock-timed CPU path (cpu_backend). They differ only in how a
+// layer is timed: run_frame() owns the one per-layer loop, takes every
 // layer's output from the backend's sparse::ComputeEngine, verifies it and
 // keeps it. All of them report through the same core::NetworkRunStats
 // pathway, so tables/CSV from core/report work unchanged for any backend.
@@ -25,7 +24,6 @@
 
 #include "core/accelerator.hpp"
 #include "core/layer_compiler.hpp"
-#include "nn/unet.hpp"
 #include "quant/qtensor.hpp"
 #include "sim/energy.hpp"
 #include "sparse/compute.hpp"
@@ -34,7 +32,7 @@ namespace esca::runtime {
 
 /// A compiled, backend-agnostic executable: the quantized Sub-Conv layers of
 /// one traced forward pass, each with its calibration input and integer gold
-/// output. Produced by Backend::compile / Engine::compile; immutable after.
+/// output. Produced by Engine::compile / make_plan; immutable after.
 struct Plan {
   std::uint64_t uid{0};  ///< process-unique id (weight-residency key)
   core::CompiledNetwork network;
@@ -45,8 +43,8 @@ struct Plan {
   std::int64_t weight_bytes() const;
 };
 
-/// Assign a fresh uid to a compiled network. Backends use this in compile();
-/// call it directly only when hand-building a Plan. Throws
+/// Assign a fresh uid to a compiled network (Engine::compile does; call it
+/// directly when compiling without an Engine). Throws
 /// esca::InvalidArgument when a layer carries no compiled geometry.
 Plan make_plan(core::CompiledNetwork network);
 
@@ -66,8 +64,8 @@ PlanPtr share_plan(Plan plan);
 struct FrameBatch {
   std::vector<std::string> frame_ids{"frame0"};
 
-  /// n identical frames named `<prefix>0 .. <prefix>n-1` (n >= 1).
-  static FrameBatch replay(int n, const std::string& prefix = "frame");
+  /// n identical frames named `frame0 .. frame<n-1>` (n >= 1).
+  static FrameBatch replay(int n);
   static FrameBatch single(std::string id = "frame0");
 
   std::size_t size() const { return frame_ids.size(); }
@@ -117,7 +115,7 @@ struct RunReport {
   core::MemorySummary memory_summary() const;
 };
 
-/// Abstract execution backend: compile a trace into a Plan, run Plans.
+/// Abstract execution backend: runs Plans.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -126,10 +124,6 @@ class Backend {
   Backend& operator=(const Backend&) = delete;
 
   virtual std::string name() const = 0;
-
-  /// Lower a traced forward pass (quantize + gold). The default lowering is
-  /// shared by all backends so their Plans are interchangeable.
-  virtual Plan compile(const std::vector<nn::TraceEntry>& trace) const;
 
   /// One-shot batched execution: residency is reset first, so the first
   /// frame always pays the weight DRAM transfer and the rest reuse it.

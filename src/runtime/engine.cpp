@@ -10,15 +10,13 @@ namespace esca::runtime {
 
 BackendKind parse_backend_kind(const std::string& name) {
   if (name == "esca") return BackendKind::kEsca;
-  if (name == "dense") return BackendKind::kDense;
-  ESCA_REQUIRE(name == "cpu", "unknown backend '" << name << "' (want esca|dense|cpu)");
+  ESCA_REQUIRE(name == "cpu", "unknown backend '" << name << "' (want esca|cpu)");
   return BackendKind::kCpu;
 }
 
 const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kEsca: return "esca";
-    case BackendKind::kDense: return "dense";
     case BackendKind::kCpu: return "cpu";
   }
   return "?";
@@ -27,7 +25,6 @@ const char* to_string(BackendKind kind) {
 std::unique_ptr<Backend> make_backend(const RuntimeConfig& config) {
   switch (config.backend) {
     case BackendKind::kEsca: return std::make_unique<EscaBackend>(config.arch);
-    case BackendKind::kDense: return std::make_unique<DenseAccelBackend>(config.dense);
     case BackendKind::kCpu: break;
   }
   ESCA_CHECK(config.backend == BackendKind::kCpu,
@@ -39,7 +36,7 @@ Engine::Engine(RuntimeConfig config)
     : config_(std::move(config)), backend_(make_backend(config_)) {}
 
 Plan Engine::compile(const std::vector<nn::TraceEntry>& trace) const {
-  return backend_->compile(trace);
+  return make_plan(core::LayerCompiler::compile(trace));
 }
 
 Plan Engine::compile_layer(const nn::SparseConv3d& conv,

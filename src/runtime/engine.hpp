@@ -17,27 +17,24 @@
 #include "core/arch_config.hpp"
 #include "core/layer_compiler.hpp"
 #include "runtime/backend.hpp"
-#include "runtime/dense_backend.hpp"
 #include "runtime/session.hpp"
 
 namespace esca::runtime {
 
 /// Which execution backend an Engine drives.
 enum class BackendKind : std::uint8_t {
-  kEsca,   ///< cycle-level ESCA simulator (the paper's accelerator)
-  kDense,  ///< dense-CNN-accelerator analytic model (motivation baseline)
-  kCpu,    ///< host ComputeEngine execution, wall-clock timed
+  kEsca,  ///< cycle-level ESCA simulator (the paper's accelerator)
+  kCpu,   ///< host ComputeEngine execution, wall-clock timed
 };
 
-/// Parse "esca" / "dense" / "cpu" (throws esca::InvalidArgument otherwise).
+/// Parse "esca" / "cpu" (throws esca::InvalidArgument otherwise).
 BackendKind parse_backend_kind(const std::string& name);
 const char* to_string(BackendKind kind);
 
 /// Everything needed to construct and configure a backend.
 struct RuntimeConfig {
   BackendKind backend{BackendKind::kEsca};
-  core::ArchConfig arch{};     ///< ESCA backend parameters
-  DenseBackendConfig dense{};  ///< dense-accelerator backend parameters
+  core::ArchConfig arch{};  ///< ESCA backend parameters
 };
 
 /// Standalone factory (Engine uses it; exposed for custom harnesses).

@@ -1,4 +1,4 @@
-// Bounded MPMC request queue with pluggable ordering — the admission-control
+// Bounded MPMC request queue in priority-FIFO order — the admission-control
 // stage of the serving layer.
 //
 // Producers (client threads) call try_push(), which never blocks: a full
@@ -9,26 +9,18 @@
 // arrives or the queue is closed; after close() the remaining items drain
 // in order before pop() returns nullopt.
 //
-// Ordering is a per-queue policy:
-//   kPriorityFifo          — highest priority first, FIFO within (a
-//                            monotonic sequence number breaks ties), so
-//                            equal-priority traffic keeps arrival order.
-//   kEarliestDeadlineFirst — items with the nearest deadline first;
-//                            deadline-less items follow all deadlined ones,
-//                            priority then sequence break ties. The right
-//                            policy when most traffic carries deadlines:
-//                            it minimizes deadline misses under load.
+// Ordering: highest priority first, FIFO within a priority (a monotonic
+// sequence number breaks ties), so equal-priority traffic keeps arrival
+// order.
 //
 // Sticky consumers: an item pushed with a worker affinity is only handed to
 // that worker (or to an affinity-blind pop(), which the shutdown drain
 // uses) — the serving layer pins a stream's requests to the worker that
 // owns the stream's incremental state. Items sharing a non-zero order key
-// additionally drain strictly in push order across any policy: a stream's
-// requests must replay in submission order no matter their deadlines or
-// priorities.
+// additionally drain strictly in push order: a stream's requests must
+// replay in submission order no matter their priorities.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <condition_variable>
 #include <mutex>
@@ -40,38 +32,21 @@
 
 namespace esca::serve {
 
-/// Queue ordering discipline (selected per Server).
-enum class QueuePolicy : std::uint8_t {
-  kPriorityFifo,
-  kEarliestDeadlineFirst,
-};
-
-inline const char* to_string(QueuePolicy policy) {
-  switch (policy) {
-    case QueuePolicy::kPriorityFifo: return "priority-fifo";
-    case QueuePolicy::kEarliestDeadlineFirst: return "edf";
-  }
-  return "?";
-}
-
 /// Scheduling attributes of one pushed item.
 struct PushInfo {
   int priority{0};
-  /// Considered by the kEarliestDeadlineFirst policy only.
-  std::optional<std::chrono::steady_clock::time_point> deadline{};
   /// Consumer this item is pinned to; -1 = any consumer.
   int affinity{-1};
   /// Items sharing a non-zero order key are handed out strictly in push
-  /// order, regardless of policy, priority or deadline — the per-stream
-  /// FIFO guarantee sticky streams rely on. 0 = unordered.
+  /// order, regardless of priority — the per-stream FIFO guarantee sticky
+  /// streams rely on. 0 = unordered.
   std::uint64_t order_key{0};
 };
 
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity, QueuePolicy policy = QueuePolicy::kPriorityFifo)
-      : capacity_(capacity), policy_(policy) {
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
     ESCA_REQUIRE(capacity >= 1, "queue capacity must be >= 1, got " << capacity);
   }
 
@@ -138,7 +113,6 @@ class BoundedQueue {
   }
 
   std::size_t capacity() const { return capacity_; }
-  QueuePolicy policy() const { return policy_; }
 
  private:
   struct Slot {
@@ -149,16 +123,8 @@ class BoundedQueue {
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  /// True when a should be served before b under the queue's policy.
-  bool before(const Slot& a, const Slot& b) const {
-    if (policy_ == QueuePolicy::kEarliestDeadlineFirst) {
-      const bool da = a.info.deadline.has_value();
-      const bool db = b.info.deadline.has_value();
-      if (da != db) return da;  // deadlined traffic outranks deadline-less
-      if (da && *a.info.deadline != *b.info.deadline) {
-        return *a.info.deadline < *b.info.deadline;
-      }
-    }
+  /// True when a should be served before b.
+  static bool before(const Slot& a, const Slot& b) {
     if (a.info.priority != b.info.priority) return a.info.priority > b.info.priority;
     return a.seq < b.seq;
   }
@@ -188,7 +154,6 @@ class BoundedQueue {
   }
 
   const std::size_t capacity_;
-  const QueuePolicy policy_;
   mutable std::mutex mutex_;
   std::condition_variable ready_;
   std::vector<Slot> slots_;

@@ -64,7 +64,7 @@ RetryResult Client::submit_with_retry(const runtime::FrameBatch& batch,
 Server::Server(ServerConfig config, runtime::PlanPtr plan)
     : config_(std::move(config)),
       plan_(std::move(plan)),
-      queue_(config_.queue_capacity, config_.queue_policy) {
+      queue_(config_.queue_capacity) {
   ESCA_REQUIRE(config_.workers >= 1, "server needs at least one worker, got "
                                          << config_.workers);
   ESCA_REQUIRE(config_.max_streams_per_worker >= 1,
@@ -195,10 +195,9 @@ std::future<Response> Server::enqueue(PendingRequest request, int affinity) {
   std::future<Response> future = request.promise.get_future();
   const std::uint64_t id = request.id;
 
-  // Requests of one stream must pop in submission order regardless of the
-  // queue policy — the order key enforces it (0 for unordered batch work).
+  // Requests of one stream must pop in submission order regardless of
+  // priority — the order key enforces it (0 for unordered batch work).
   const PushInfo info{.priority = request.options.priority,
-                      .deadline = request.deadline,
                       .affinity = affinity,
                       .order_key = request.kind == RequestKind::kSequence
                                        ? request.stream_id + 1
@@ -464,17 +463,11 @@ RetryResult Server::retry_loop(const SubmitOptions& options, const RetryPolicy& 
 
 void Server::run_batch(runtime::Session& session, PendingRequest& request,
                        Response& response) {
-  if (!request.deadline) {
-    // No deadline to re-check: run the whole batch as one submission.
-    response.report = session.submit(request.batch, request.options.run);
-    response.status = RequestStatus::kOk;
-    return;
-  }
   response.report.backend_name = session.backend().name();
   for (std::size_t f = 0; f < request.batch.frame_ids.size(); ++f) {
     // Deadline re-check between frames: a long batch expires mid-way
     // instead of holding the worker to completion. Completed frames stay
-    // in the report.
+    // in the report, also when a later frame throws.
     if (f > 0 && request.deadline &&
         std::chrono::steady_clock::now() > *request.deadline) {
       response.status = RequestStatus::kExpired;

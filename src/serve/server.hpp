@@ -19,8 +19,8 @@
 // ever executing AND are re-checked between the frames of a multi-frame
 // request, so long batches expire mid-way instead of running to
 // completion; Telemetry aggregates latency percentiles, queue depth, shed
-// counts and throughput. The queue's ordering policy (priority-FIFO or
-// earliest-deadline-first) is selected per Server.
+// counts and throughput. The queue serves the highest priority first, FIFO
+// within a priority.
 //
 // Streaming sequences are a second, sticky request kind: submit_sequence()
 // pins every request of one stream id to one worker, whose
@@ -89,7 +89,9 @@ struct Response {
   RequestStatus status{RequestStatus::kShed};
   std::uint64_t request_id{0};
   int worker_id{-1};            ///< -1 when the request never executed
-  runtime::RunReport report;    ///< executed frames (core/report-compatible)
+  /// Executed frames (core/report-compatible). An expired or failed
+  /// request keeps the frames that completed before it stopped.
+  runtime::RunReport report;
   /// Per-frame geometry stats of a sequence request (empty otherwise);
   /// entry i matches report.frames[i].
   std::vector<stream::SequenceFrameStats> sequence;
@@ -122,8 +124,6 @@ struct BrownoutConfig {
 struct ServerConfig {
   int workers{2};
   std::size_t queue_capacity{64};
-  /// Queue ordering discipline (priority-FIFO or earliest-deadline-first).
-  QueuePolicy queue_policy{QueuePolicy::kPriorityFifo};
   /// Backend every worker replicates (one Backend instance per worker).
   runtime::RuntimeConfig runtime{};
   /// Per-stream SequenceSession configuration (sequence requests).
@@ -206,7 +206,7 @@ class Server {
   /// Submit the next frames of a stream. Every request of a stream id runs
   /// on the same worker (stateless assignment: id mod workers), continuing
   /// that worker's SequenceSession state, and requests of one stream
-  /// execute in submission order regardless of the queue policy. Stream id
+  /// execute in submission order regardless of their priorities. Stream id
   /// UINT64_MAX is reserved.
   std::future<Response> submit_sequence(std::uint64_t stream_id,
                                         std::vector<sparse::SparseTensor> frames,

@@ -27,7 +27,7 @@ void merge_shards(std::vector<std::vector<std::vector<Rule>>>& shard_rules, Rule
 /// Sites below which an extra default shard isn't worth a helper wakeup.
 constexpr std::size_t kMinSitesPerShard = 2048;
 
-/// One candidate rule of a strided/inverse build: input site `in_row`
+/// One candidate rule of a strided build: input site `in_row`
 /// contributes through kernel cell `offset` to the output cell at `code`.
 struct Candidate {
   std::uint64_t code;
@@ -39,14 +39,6 @@ struct Candidate {
 /// over the recorded output sites — once, at build time.
 void finalize_blocked(LayerGeometry& g) {
   g.blocked = BlockedRuleBook(g.rulebook, g.out_coords.size());
-}
-
-/// Record `target`'s sites as the output of an inverse geometry: flat
-/// copies of its coordinates and index.
-void restore_sites(LayerGeometry& g, const SparseTensor& target) {
-  g.out_extent = target.spatial_extent();
-  g.out_coords = target.coords();
-  g.out_index = target.index();
 }
 
 }  // namespace
@@ -115,7 +107,7 @@ bool geometry_equal(const LayerGeometry& a, const LayerGeometry& b) {
 
 obs::Counter& geometry_builds_counter() {
   static obs::Counter& counter = obs::Registry::global().counter(
-      "esca_geometry_builds_total", "cold geometry builds (submanifold/downsample/inverse)");
+      "esca_geometry_builds_total", "cold geometry builds (submanifold/downsample)");
   return counter;
 }
 
@@ -266,73 +258,18 @@ LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_si
   return g;
 }
 
-LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTensor& target,
-                                     int kernel_size, int stride,
-                                     const GeometryOptions& options) {
-  ESCA_REQUIRE(kernel_size >= 1 && stride >= 1, "bad inverse-conv geometry");
-  geometry_builds_counter().inc();
-  obs::Span span("sparse.build_geometry");
-  span.arg("kind", "inverse");
-  span.arg("sites", input.size());
-  const int k = kernel_size;
-  const int volume = k * k * k;
-  LayerGeometry g(GeometryKind::kInverse, k, stride, input.zeros_like(1));
-  restore_sites(g, target);
-
-  const CoordIndex& index = g.sites.index();
-  const Coord3 in_extent = input.spatial_extent();
-
-  const std::size_t n = target.size();
-  const int shards = pick_geometry_shards(options, n);
-  std::vector<std::vector<std::vector<Rule>>> shard_rules(
-      static_cast<std::size_t>(shards),
-      std::vector<std::vector<Rule>>(static_cast<std::size_t>(volume)));
-
-  // Forward downsample maps target site p to input site c via kernel cell
-  // (p - c*stride); the inverse flips the rule: in_row = row(c) in `input`,
-  // out_row = row(p) in `target`, same weight cell.
-  Executor::global().parallel_for(shards, [&](int s) {
-    const GeometryShardRange range = geometry_shard_range(n, shards, s);
-    auto& rules = shard_rules[static_cast<std::size_t>(s)];
-    std::size_t cursor = 0;
-    for (std::size_t j = range.begin; j < range.end; ++j) {
-      const Coord3 p = target.coord(j);
-      for (int kz = 0; kz < k; ++kz) {
-        for (int ky = 0; ky < k; ++ky) {
-          for (int kx = 0; kx < k; ++kx) {
-            const Coord3 shifted = p - Coord3{kx, ky, kz};
-            if (shifted.x % stride != 0 || shifted.y % stride != 0 ||
-                shifted.z % stride != 0) {
-              continue;
-            }
-            if (shifted.x < 0 || shifted.y < 0 || shifted.z < 0) continue;
-            const Coord3 c = {shifted.x / stride, shifted.y / stride, shifted.z / stride};
-            if (!in_bounds(c, in_extent)) continue;
-            const std::int32_t i = index.find_near(voxel::morton_encode(c), cursor);
-            if (i < 0) continue;
-            const int o = (kz * k + ky) * k + kx;
-            rules[static_cast<std::size_t>(o)].push_back(
-                Rule{i, static_cast<std::int32_t>(j)});
-          }
-        }
-      }
-    }
-  });
-  merge_shards(shard_rules, g.rulebook);
-  finalize_blocked(g);
-  return g;
-}
-
 LayerGeometry transpose_downsample_geometry(const LayerGeometry& down) {
   ESCA_REQUIRE(down.kind == GeometryKind::kDownsample,
                "can only transpose a downsample geometry, got " << to_string(down.kind));
   geometry_transposes_counter().inc();
 
   LayerGeometry g(GeometryKind::kInverse, down.kernel_size, down.stride, down.zero_output(1));
-  restore_sites(g, down.sites);
-  // Both builders walk fine rows in ascending order with the kernel-cell
-  // loop innermost, so swapping in/out per rule reproduces the sequence
-  // build_inverse_geometry would emit — not just the same rule set.
+  g.out_extent = down.sites.spatial_extent();
+  g.out_coords = down.sites.coords();
+  g.out_index = down.sites.index();
+  // The downsample builder walks fine rows in ascending order with the
+  // kernel-cell loop innermost, so swapping in/out per rule keeps the rules
+  // of each kernel cell in fine-row order.
   const int volume = down.rulebook.kernel_volume();
   for (int o = 0; o < volume; ++o) {
     for (const Rule& r : down.rulebook.rules_for(o)) {

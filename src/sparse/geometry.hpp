@@ -1,11 +1,12 @@
 // Unified sparse geometry engine.
 //
-// All sparse-convolution variants (submanifold, strided/downsample, inverse)
-// derive their work lists from one coordinate-mapping primitive: enumerate
-// kernel offsets over a Morton-ordered site list and resolve each shifted
-// query against a sorted CoordIndex (galloping binary search — no hash
-// probes). This mirrors the paper's SDMU, which derives every MAC from the
-// coordinate mapping stage, and PointAcc's sorted-stream mapping unit.
+// Submanifold and strided (downsample) geometries derive their work lists
+// from one coordinate-mapping primitive: enumerate kernel offsets over a
+// Morton-ordered site list and resolve each shifted query against a sorted
+// CoordIndex (galloping binary search — no hash probes); an inverse
+// geometry is its downsample's rulebook transposed. This mirrors the
+// paper's SDMU, which derives every MAC from the coordinate mapping stage,
+// and PointAcc's sorted-stream mapping unit.
 //
 // The result is a LayerGeometry: the rulebook plus the layer's coordinate
 // sets. A LayerGeometry depends only on geometry (coordinate set, kernel,
@@ -36,7 +37,7 @@ namespace esca::sparse {
 /// Which conv variant a LayerGeometry describes.
 enum class GeometryKind : std::uint8_t {
   kSubmanifold,  ///< outputs == inputs (Sub-Conv)
-  kDownsample,   ///< strided conv / pooling: outputs are the covered cells
+  kDownsample,   ///< strided conv: outputs are the covered cells
   kInverse,      ///< transposed conv restoring a recorded coordinate set
 };
 
@@ -55,7 +56,7 @@ struct GeometryOptions {
 /// LayerGeometryPtr (plan caching, per-scale reuse inside a network).
 struct LayerGeometry {
   /// A kSubmanifold geometry's outputs are its sites, recorded here; the
-  /// strided and inverse builders record theirs once they are known.
+  /// strided builder and the transpose record theirs once they are known.
   LayerGeometry(GeometryKind kind_, int kernel_size_, int stride_, SparseTensor sites_)
       : kind(kind_),
         kernel_size(kernel_size_),
@@ -117,22 +118,14 @@ LayerGeometry build_submanifold_geometry(const SparseTensor& input, int kernel_s
 LayerGeometry build_downsample_geometry(const SparseTensor& input, int kernel_size, int stride,
                                         const GeometryOptions& options = {});
 
-/// Inverse (transposed) geometry restoring `target`'s coordinate set from
-/// `input` (the matching downsampled scale): rule direction is flipped
-/// relative to the forward strided conv. Its output sites are `target`'s
-/// coordinates and index, in `target`'s row order.
-LayerGeometry build_inverse_geometry(const SparseTensor& input, const SparseTensor& target,
-                                     int kernel_size, int stride,
-                                     const GeometryOptions& options = {});
-
-/// Derive the inverse geometry from an already-built downsample geometry by
-/// transposing its rulebook (swap in/out rows, keep the kernel cell): the
+/// Inverse (transposed) geometry of an already-built downsample geometry:
+/// its rulebook transposed (swap in/out rows, keep the kernel cell). The
 /// forward strided conv and its inverse enumerate exactly the same
 /// (fine site, kernel cell, coarse cell) triples, so no coordinate search
 /// is needed and no geometry build is counted. The inverse reads the
-/// downsample's output sites and restores its input sites; bit-identical to
-/// build_inverse_geometry(down.zero_output(1), down.sites, k, stride) —
-/// rule order included.
+/// downsample's output sites and restores its input sites, in their row
+/// order; rules come fine row by fine row, kernel cell innermost (the
+/// sequence sparse::oracle::inverse emits).
 LayerGeometry transpose_downsample_geometry(const LayerGeometry& down);
 
 /// Convenience: build and wrap in a shared handle.

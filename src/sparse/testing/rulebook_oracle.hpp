@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "sparse/geometry.hpp"
 #include "sparse/rulebook.hpp"
 #include "sparse/sparse_tensor.hpp"
 
@@ -102,6 +103,21 @@ inline RuleBook inverse(const SparseTensor& input, const SparseTensor& target, i
     }
   }
   return rb;
+}
+
+/// An inverse LayerGeometry over inverse()'s rules: reads `input`'s sites
+/// and restores `target`'s, in `target`'s row order. For tests that need an
+/// inverse geometry on a (coarse, target) pair that is not a downsample's;
+/// a network derives it with transpose_downsample_geometry.
+inline LayerGeometry inverse_geometry(const SparseTensor& input, const SparseTensor& target,
+                                      int k, int stride) {
+  LayerGeometry g(GeometryKind::kInverse, k, stride, input.zeros_like(1));
+  g.out_extent = target.spatial_extent();
+  g.out_coords = target.coords();
+  g.out_index = target.index();
+  g.rulebook = inverse(input, target, k, stride);
+  g.blocked = BlockedRuleBook(g.rulebook, g.out_coords.size());
+  return g;
 }
 
 }  // namespace esca::sparse::oracle

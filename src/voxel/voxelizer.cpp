@@ -31,6 +31,7 @@ VoxelGrid voxelize(const pc::PointCloud& cloud, const VoxelizerConfig& config) {
     const geom::Vec3& p = cloud.position(i);
     ESCA_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z),
                  "point " << i << " has a non-finite coordinate");
+    ESCA_REQUIRE(std::isfinite(cloud.intensity(i)), "point " << i << " has a non-finite intensity");
     keyed[i] = {axis(p.z) << (2 * kBits) | axis(p.y) << kBits | axis(p.x), i};
   }
   std::sort(keyed.begin(), keyed.end());

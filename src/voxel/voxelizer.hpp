@@ -27,8 +27,8 @@ struct VoxelGrid {
 /// Deposit every point into its voxel; feature = mean point intensity,
 /// summed in point order. Positions are expected in [0, 1)^3 (callers
 /// normalize first); points outside are clamped into the edge voxels.
-/// Throws InvalidArgument on a non-finite coordinate or a resolution
-/// outside 1..2^21.
+/// Throws InvalidArgument on a non-finite coordinate or intensity, or a
+/// resolution outside 1..2^21.
 VoxelGrid voxelize(const pc::PointCloud& cloud, const VoxelizerConfig& config);
 
 }  // namespace esca::voxel

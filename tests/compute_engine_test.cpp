@@ -13,7 +13,7 @@
 #include "nn/sparse_conv.hpp"
 #include "quant/qconv.hpp"
 #include "quant/qtensor.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/engine.hpp"
 #include "sparse/compute.hpp"
 #include "sparse/geometry.hpp"
 #include "sparse/rulebook.hpp"
@@ -169,7 +169,7 @@ TEST(ComputeEngineTest, QuantizedStridedAndInverseConvsMatchScalarReference) {
   const int cout = 11;
   const SparseTensor fine = dense_rows_tensor(700, cin, rng);
   const LayerGeometry down = build_downsample_geometry(fine, 2, 2);
-  const LayerGeometry up = build_inverse_geometry(down.zero_output(1), fine, 2, 2);
+  const LayerGeometry up = transpose_downsample_geometry(down);
   nn::SparseConv3d down_conv(GeometryKind::kDownsample, cin, cout, 2, 2);
   nn::SparseConv3d up_conv(GeometryKind::kInverse, cout, cin, 2, 2);
   down_conv.init_kaiming(rng);
@@ -301,10 +301,7 @@ TEST(BlockedRuleBookTest, BucketsAreStablePartitionsOfTheOffsetLists) {
   const SparseTensor input = dense_rows_tensor(520, 1, rng);
   const LayerGeometry sub = build_submanifold_geometry(input, 3);
   const LayerGeometry down = build_downsample_geometry(input, 2, 2);
-  SparseTensor coarse(down.out_extent, 1);
-  coarse.reserve(down.out_coords.size());
-  for (const Coord3& c : down.out_coords) coarse.add_site(c);
-  const LayerGeometry inv = build_inverse_geometry(coarse, input, 2, 2);
+  const LayerGeometry inv = transpose_downsample_geometry(down);
 
   for (const LayerGeometry* g : {&sub, &down, &inv}) {
     const BlockedRuleBook& blocked = g->blocked;

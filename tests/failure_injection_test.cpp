@@ -9,7 +9,7 @@
 #include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
 #include "quant/qconv.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/engine.hpp"
 #include "test_util.hpp"
 
 namespace esca::core {

@@ -31,7 +31,7 @@
 #include "fault/fault.hpp"
 #include "nn/sparse_conv.hpp"
 #include "obs/obs.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/engine.hpp"
 #include "serve/serve.hpp"
 #include "test_util.hpp"
 
@@ -444,6 +444,13 @@ TEST(ServeFaultTest, NonStdThrowIsContainedAsFailed) {
   const Response failed = client.submit_sync(FrameBatch::single("ns"));
   EXPECT_EQ(failed.status, RequestStatus::kFailed);
   EXPECT_EQ(failed.error, "non-standard exception");
+  // A batch that throws on its second frame fails with its first frame kept.
+  fault::Injector::global().configure("runtime.run:nth=2,nonstd");
+  const Response partial = client.submit_sync(FrameBatch::replay(3));
+  EXPECT_EQ(partial.status, RequestStatus::kFailed);
+  EXPECT_EQ(partial.error, "non-standard exception");
+  ASSERT_EQ(partial.report.frames.size(), 1U);
+  EXPECT_EQ(partial.report.frames.front().frame_id, "frame0");
   // The worker survived (no respawn) and keeps serving.
   EXPECT_EQ(client.submit_sync(FrameBatch::single("ok")).status, RequestStatus::kOk);
   EXPECT_EQ(server.telemetry_snapshot().worker_respawns, 0);

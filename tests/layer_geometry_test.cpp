@@ -10,9 +10,9 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "nn/pooling.hpp"
 #include "nn/sparse_conv.hpp"
 #include "quant/qconv.hpp"
+#include "sparse/testing/rulebook_oracle.hpp"
 #include "test_util.hpp"
 
 namespace esca {
@@ -48,7 +48,6 @@ TEST(LayerGeometryTest, EveryLayerRejectsAGeometryItCannotRun) {
   down.init_kaiming(rng);
   nn::SparseConv3d up(GeometryKind::kInverse, 3, 2, 2, 2);
   up.init_kaiming(rng);
-  const nn::MaxPool3d pool(2, 2);
   const auto quantized = [](const nn::SparseConv3d& conv) {
     return quant::QuantizedConv::from_float(conv, nullptr, false, 0.01F, 0.01F, "q");
   };
@@ -64,8 +63,8 @@ TEST(LayerGeometryTest, EveryLayerRejectsAGeometryItCannotRun) {
       quant::QSparseTensor::from_float(coarse, quant::QuantParams{0.01F});
   // The other-input inverse geometry restores x's own sites, so only its
   // input domain (big's coarse cells) differs from the good one.
-  const LayerGeometry x_up = sparse::build_inverse_geometry(coarse, x, 2, 2);
-  const LayerGeometry big_up = sparse::build_inverse_geometry(big_down.zero_output(1), x, 2, 2);
+  const LayerGeometry x_up = sparse::transpose_downsample_geometry(x_down);
+  const LayerGeometry big_up = sparse::oracle::inverse_geometry(big_down.zero_output(1), x, 2, 2);
 
   std::vector<LayerCase> layers;
   layers.push_back({"Sub-Conv", sparse::build_submanifold_geometry(x, 3),
@@ -75,8 +74,6 @@ TEST(LayerGeometryTest, EveryLayerRejectsAGeometryItCannotRun) {
                     [&](const LayerGeometry& g) { (void)down.forward(x, g); }});
   layers.push_back({"inverse conv", x_up, big_up, GeometryKind::kDownsample,
                     [&](const LayerGeometry& g) { (void)up.forward(coarse, g); }});
-  layers.push_back({"max pool", x_down, big_down, GeometryKind::kSubmanifold,
-                    [&](const LayerGeometry& g) { (void)pool.forward(x, g); }});
   layers.push_back({"quantized Sub-Conv", sparse::build_submanifold_geometry(x, 3),
                     sparse::build_submanifold_geometry(big, 3), GeometryKind::kDownsample,
                     [&](const LayerGeometry& g) { (void)qsub.forward(qx, g); }});

@@ -328,7 +328,7 @@ sparse::SparseTensor integration_tensor() {
   return sparse::SparseTensor::from_voxel_grid(grid, 1);
 }
 
-runtime::Plan integration_plan(const runtime::Backend& backend) {
+runtime::Plan integration_plan() {
   const auto input = integration_tensor();
   nn::SSUNetConfig cfg;
   cfg.base_planes = 8;
@@ -338,12 +338,12 @@ runtime::Plan integration_plan(const runtime::Backend& backend) {
   const nn::SSUNet net(cfg, 77);
   std::vector<nn::TraceEntry> trace;
   (void)net.forward(input, &trace);
-  return backend.compile(trace);
+  return runtime::make_plan(core::LayerCompiler::compile(trace));
 }
 
 void check_backend_matches_closed_form(core::ArchConfig arch) {
   runtime::EscaBackend backend(arch);
-  const runtime::Plan plan = integration_plan(backend);
+  const runtime::Plan plan = integration_plan();
   const runtime::RunReport report =
       backend.run(plan, runtime::FrameBatch::replay(2), {.verify = false});
 
@@ -386,7 +386,7 @@ TEST(MemIntegrationTest, BufferSimulationTogglesWithConfig) {
   core::ArchConfig arch;
   arch.mem.simulate_buffer = false;
   runtime::EscaBackend backend(arch);
-  const runtime::Plan plan = integration_plan(backend);
+  const runtime::Plan plan = integration_plan();
   const runtime::RunReport off = backend.run(plan, {}, {.verify = false});
   EXPECT_EQ(off.memory_summary().bank_conflict_stalls, 0);
   EXPECT_EQ(off.memory_summary().port_stalls, 0);

@@ -59,12 +59,13 @@ TEST(InverseConvTest, RestoresTargetCoordinateSet) {
   const auto fine = test::random_sparse_tensor({12, 12, 12}, 2, 0.06, rng);
   SparseConv3d down(sparse::GeometryKind::kDownsample, 2, 4, 2, 2);
   down.init_kaiming(rng);
-  const auto coarse = down.forward(fine, sparse::build_downsample_geometry(fine, 2, 2));
+  const sparse::LayerGeometry ds = sparse::build_downsample_geometry(fine, 2, 2);
+  const auto coarse = down.forward(fine, ds);
 
   SparseConv3d up(sparse::GeometryKind::kInverse, 4, 2, 2, 2);
   up.init_kaiming(rng);
   // The output sites come from the geometry: fine's rows, in fine's order.
-  const auto restored = up.forward(coarse, sparse::build_inverse_geometry(coarse, fine, 2, 2));
+  const auto restored = up.forward(coarse, sparse::transpose_downsample_geometry(ds));
   EXPECT_EQ(restored.spatial_extent(), fine.spatial_extent());
   EXPECT_EQ(restored.channels(), 2);
   EXPECT_EQ(restored.coords(), fine.coords());
@@ -83,13 +84,14 @@ TEST(InverseConvTest, RoundTripWithIdentityWeights) {
 
   SparseConv3d down(sparse::GeometryKind::kDownsample, 1, 1, 2, 2);
   for (std::size_t i = 0; i < down.weights().size(); ++i) down.weights()[i] = 1.0F;
-  const auto coarse = down.forward(x, sparse::build_downsample_geometry(x, 2, 2));
+  const sparse::LayerGeometry ds = sparse::build_downsample_geometry(x, 2, 2);
+  const auto coarse = down.forward(x, ds);
   ASSERT_EQ(coarse.size(), 1U);
   EXPECT_FLOAT_EQ(coarse.feature(0, 0), 5.0F);
 
   SparseConv3d up(sparse::GeometryKind::kInverse, 1, 1, 2, 2);
   for (std::size_t i = 0; i < up.weights().size(); ++i) up.weights()[i] = 1.0F;
-  const auto restored = up.forward(coarse, sparse::build_inverse_geometry(coarse, x, 2, 2));
+  const auto restored = up.forward(coarse, sparse::transpose_downsample_geometry(ds));
   ASSERT_EQ(restored.size(), 1U);
   EXPECT_FLOAT_EQ(restored.feature(0, 0), 5.0F);
 }

@@ -1,14 +1,11 @@
-// PLY I/O and sparse max-pooling tests.
+// PLY I/O tests.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "nn/pooling.hpp"
 #include "pointcloud/ply.hpp"
-#include "test_util.hpp"
 
 namespace esca {
 namespace {
@@ -91,52 +88,6 @@ TEST(PlyTest, FileRoundTrip) {
   EXPECT_EQ(back.size(), 3U);
   std::remove(path.c_str());
   EXPECT_THROW((void)pc::read_ply_file("/nonexistent/file.ply"), InvalidArgument);
-}
-
-TEST(MaxPoolTest, OutputCoordsMatchStridedRule) {
-  Rng rng(701);
-  const auto x = test::random_sparse_tensor({16, 16, 16}, 3, 0.05, rng);
-  const nn::MaxPool3d pool(2, 2);
-  const auto y = pool.forward(x, sparse::build_downsample_geometry(x, 2, 2));
-  EXPECT_EQ(y.spatial_extent(), (Coord3{8, 8, 8}));
-  EXPECT_EQ(y.channels(), 3);
-  for (const auto& c : x.coords()) {
-    EXPECT_GE(y.find(c.floordiv(2)), 0);
-  }
-}
-
-TEST(MaxPoolTest, TakesChannelwiseMaxOverActiveInputs) {
-  sparse::SparseTensor x({4, 4, 4}, 2);
-  const float a[] = {1.0F, -5.0F};
-  const float b[] = {-2.0F, -1.0F};
-  x.add_site({0, 0, 0}, a);
-  x.add_site({1, 1, 1}, b);  // same 2^3 window
-  const nn::MaxPool3d pool(2, 2);
-  const auto y = pool.forward(x, sparse::build_downsample_geometry(x, 2, 2));
-  ASSERT_EQ(y.size(), 1U);
-  EXPECT_FLOAT_EQ(y.feature(0, 0), 1.0F);
-  // Implicit zeros do NOT participate: max(-5, -1) = -1, not 0.
-  EXPECT_FLOAT_EQ(y.feature(0, 1), -1.0F);
-}
-
-TEST(MaxPoolTest, SingletonWindowCopiesFeatures) {
-  Rng rng(702);
-  sparse::SparseTensor x({8, 8, 8}, 4);
-  const auto row = x.add_site({5, 3, 7});
-  for (int c = 0; c < 4; ++c) {
-    x.set_feature(static_cast<std::size_t>(row), c, rng.uniform_f(-1, 1));
-  }
-  const nn::MaxPool3d pool(2, 2);
-  const auto y = pool.forward(x, sparse::build_downsample_geometry(x, 2, 2));
-  ASSERT_EQ(y.size(), 1U);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_FLOAT_EQ(y.feature(0, c), x.feature(static_cast<std::size_t>(row), c));
-  }
-}
-
-TEST(MaxPoolTest, RejectsBadGeometry) {
-  EXPECT_THROW(nn::MaxPool3d(0, 2), InvalidArgument);
-  EXPECT_THROW(nn::MaxPool3d(2, 0), InvalidArgument);
 }
 
 }  // namespace

@@ -140,6 +140,8 @@ TEST(StridedRulebookTest, OddExtentCeilDivision) {
 }
 
 TEST(InverseRulebookTest, TransposesForwardPlan) {
+  // The premise of transpose_downsample_geometry: the inverse rules, found
+  // from coordinates alone (the hash oracle), are the forward rules flipped.
   Rng rng(34);
   const auto fine = test::random_sparse_tensor({12, 12, 12}, 1, 0.06, rng);
   const LayerGeometry plan = build_downsample_geometry(fine, 2, 2);
@@ -147,7 +149,7 @@ TEST(InverseRulebookTest, TransposesForwardPlan) {
   SparseTensor coarse(plan.out_extent, 1);
   for (const Coord3& c : plan.out_coords) coarse.add_site(c);
 
-  const RuleBook inv = build_inverse_geometry(coarse, fine, 2, 2).rulebook;
+  const RuleBook inv = oracle::inverse(coarse, fine, 2, 2);
   EXPECT_EQ(inv.total_rules(), plan.rulebook.total_rules());
 
   // Every forward rule (i -> j) appears flipped, with rows translated
@@ -223,25 +225,6 @@ TEST(GeometryEquivalenceTest, StridedMatchesHashOracleAcrossShards) {
   }
 }
 
-TEST(GeometryEquivalenceTest, InverseMatchesHashOracleAcrossShards) {
-  Rng rng(73);
-  for (const auto& [k, stride] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
-    const auto fine = test::random_sparse_tensor({14, 14, 14}, 1, 0.05, rng);
-    const LayerGeometry down = build_downsample_geometry(fine, k, stride);
-    SparseTensor coarse(down.out_extent, 1);
-    for (const Coord3& c : down.out_coords) coarse.add_site(c);
-
-    const std::set<RuleTuple> expected =
-        rulebook_set(oracle::inverse(coarse, fine, k, stride));
-    for (const int shards : {1, 2, 4}) {
-      const LayerGeometry g = build_inverse_geometry(coarse, fine, k, stride,
-                                                     {.shards = shards});
-      EXPECT_EQ(rulebook_set(g.rulebook), expected)
-          << "k=" << k << " s=" << stride << " shards " << shards;
-    }
-  }
-}
-
 TEST(StridedRulebookTest, StrideLargerThanKernelLeavesGaps) {
   // k=2, s=3: only sites with every coordinate = 0 or 1 (mod 3) fall inside
   // some output window; a site at 2 (mod 3) on any axis is dropped.
@@ -281,18 +264,16 @@ TEST(StridedRulebookTest, ExtentBoundarySitesClampToOutExtent) {
 
 TEST(InverseRulebookTest, StrideGapsAndBoundaryMatchOracle) {
   // Fine sites that no coarse window reaches (stride > kernel) must yield
-  // no rules, including at the extent boundary.
+  // no rules, including at the extent boundary, and still be restored.
   SparseTensor fine({9, 9, 9}, 1);
   fine.add_site({0, 0, 0});
   fine.add_site({2, 2, 2});  // unreachable for k=2, s=3
   fine.add_site({8, 8, 8});  // unreachable boundary site
-  SparseTensor coarse({3, 3, 3}, 1);
-  coarse.add_site({0, 0, 0});
-  coarse.add_site({2, 2, 2});
 
-  const RuleBook inv = build_inverse_geometry(coarse, fine, 2, 3).rulebook;
-  EXPECT_EQ(rulebook_set(inv), rulebook_set(oracle::inverse(coarse, fine, 2, 3)));
-  EXPECT_EQ(inv.total_rules(), 1);  // only (0,0,0) -> (0,0,0)
+  const LayerGeometry inv = transpose_downsample_geometry(build_downsample_geometry(fine, 2, 3));
+  EXPECT_EQ(inv.out_coords, fine.coords());
+  EXPECT_EQ(rulebook_set(inv.rulebook), rulebook_set(oracle::inverse(inv.sites, fine, 2, 3)));
+  EXPECT_EQ(inv.rulebook.total_rules(), 1);  // only (0,0,0) -> (0,0,0)
 }
 
 }  // namespace

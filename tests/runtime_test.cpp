@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "nn/sparse_conv.hpp"
 #include "nn/unet.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/engine.hpp"
 #include "sparse/geometry.hpp"
 #include "test_util.hpp"
 
@@ -17,7 +17,7 @@ namespace esca::runtime {
 namespace {
 
 /// A small compiled U-Net trace (2 levels, 4 base planes).
-Plan small_unet_plan(const Backend& backend, std::uint64_t seed = 21) {
+Plan small_unet_plan(const Engine& engine, std::uint64_t seed = 21) {
   Rng rng(211);
   const auto x = test::clustered_tensor({20, 20, 20}, 1, rng, 6, 150);
   nn::SSUNetConfig cfg;
@@ -27,7 +27,7 @@ Plan small_unet_plan(const Backend& backend, std::uint64_t seed = 21) {
   const nn::SSUNet net(cfg, seed);
   std::vector<nn::TraceEntry> trace;
   (void)net.forward(x, &trace);
-  return backend.compile(trace);
+  return engine.compile(trace);
 }
 
 TEST(RuntimeParityTest, EscaOutputsBitExactVsCpuBackend) {
@@ -37,7 +37,7 @@ TEST(RuntimeParityTest, EscaOutputsBitExactVsCpuBackend) {
   Engine cpu_engine{cpu_cfg};
 
   // One Plan runs on both backends: Plans are backend-agnostic.
-  const Plan plan = small_unet_plan(esca_engine.backend());
+  const Plan plan = small_unet_plan(esca_engine);
   ASSERT_GT(plan.layer_count(), 0U);
 
   const RunOptions keep{.verify = true, .keep_outputs = true};
@@ -56,40 +56,13 @@ TEST(RuntimeParityTest, EscaOutputsBitExactVsCpuBackend) {
   }
 }
 
-TEST(RuntimeParityTest, DenseBackendIsFunctionallyGoldAndFullGridIsSlower) {
-  RuntimeConfig dense_cfg;
-  dense_cfg.backend = BackendKind::kDense;
-  Engine dense_engine{dense_cfg};
-
-  // A genuinely sparse map (48^3, a few clusters): zero removing leaves most
-  // tiles empty, which is the regime the two dense modes differ in.
-  Rng rng(311);
-  const auto x = test::clustered_tensor({48, 48, 48}, 2, rng, 5, 300);
-  nn::SparseConv3d conv(sparse::GeometryKind::kSubmanifold, 2, 4, 3);
-  conv.init_kaiming(rng);
-  const Plan plan = dense_engine.compile_layer(conv, x, {.name = "dense-modes"});
-
-  const RunReport dense = dense_engine.run(plan, {}, {.keep_outputs = true});
-  for (std::size_t i = 0; i < plan.layer_count(); ++i) {
-    EXPECT_TRUE(dense.frames.front().outputs[i] == plan.network.layers[i].gold_output);
-  }
-  // Sparsity-blind mode (a) — convolving the whole grid — schedules far more
-  // MAC slots than the tiling DMA of mode (b), so it must be slower.
-  RuntimeConfig full_cfg = dense_cfg;
-  full_cfg.dense.full_grid = true;
-  Engine full_engine{full_cfg};
-  const RunReport full = full_engine.run(plan);
-  EXPECT_GT(full.total_seconds(), dense.total_seconds());
-  EXPECT_LT(full.effective_gops(), dense.effective_gops());
-}
-
 TEST(RuntimeGeometryCacheTest, FramesReplayPlanCachedGeometryOnEveryBackend) {
   // Geometry is compiled into the Plan exactly like weight residency:
   // compile() builds it once, and no frame on any backend triggers another
   // geometry build. Parity between the ESCA simulator and the CPU gold
   // path must hold while replaying the cached geometry.
   Engine esca_engine;
-  const Plan plan = small_unet_plan(esca_engine.backend());
+  const Plan plan = small_unet_plan(esca_engine);
   for (const core::CompiledLayer& cl : plan.network.layers) {
     ASSERT_NE(cl.geometry, nullptr);
     EXPECT_EQ(cl.geometry->sites.size(), cl.input.size());
@@ -100,7 +73,7 @@ TEST(RuntimeGeometryCacheTest, FramesReplayPlanCachedGeometryOnEveryBackend) {
   std::vector<quant::QSparseTensor> cpu_outputs;
 
   const obs::CounterGuard builds(sparse::geometry_builds_counter());
-  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu, BackendKind::kDense}) {
+  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu}) {
     RuntimeConfig cfg;
     cfg.backend = kind;
     Engine engine{cfg};
@@ -109,7 +82,7 @@ TEST(RuntimeGeometryCacheTest, FramesReplayPlanCachedGeometryOnEveryBackend) {
     if (kind == BackendKind::kEsca) esca_outputs = report.frames[1].outputs;
     if (kind == BackendKind::kCpu) cpu_outputs = report.frames[1].outputs;
   }
-  // Two frames on each of the three backends: zero geometry rebuilds.
+  // Two frames on each of the two backends: zero geometry rebuilds.
   EXPECT_EQ(builds.delta(), 0);
 
   ASSERT_EQ(esca_outputs.size(), plan.layer_count());
@@ -122,7 +95,7 @@ TEST(RuntimeGeometryCacheTest, FramesReplayPlanCachedGeometryOnEveryBackend) {
 
 TEST(RuntimeSessionTest, WeightDramChargedOnlyOnFirstFrame) {
   Engine engine;
-  Session session = engine.open_session(small_unet_plan(engine.backend()));
+  Session session = engine.open_session(small_unet_plan(engine));
   const Plan& plan = session.plan();
 
   EXPECT_FALSE(session.weights_resident());
@@ -152,8 +125,8 @@ TEST(RuntimeSessionTest, WeightDramChargedOnlyOnFirstFrame) {
 
 TEST(RuntimeSessionTest, RunningAnotherPlanDropsResidency) {
   Engine engine;
-  const Plan plan_a = small_unet_plan(engine.backend(), 21);
-  const Plan plan_b = small_unet_plan(engine.backend(), 22);
+  const Plan plan_a = small_unet_plan(engine, 21);
+  const Plan plan_b = small_unet_plan(engine, 22);
 
   Session session_a = engine.open_session(plan_a);
   (void)session_a.submit(FrameBatch::single());
@@ -168,7 +141,7 @@ TEST(RuntimeSessionTest, RunningAnotherPlanDropsResidency) {
 
 TEST(RuntimeSessionTest, EngineRunIsOneShotAndResetsResidency) {
   Engine engine;
-  const Plan plan = small_unet_plan(engine.backend());
+  const Plan plan = small_unet_plan(engine);
   const RunReport first = engine.run(plan, FrameBatch::replay(2));
   const RunReport second = engine.run(plan, FrameBatch::replay(2));
   // Both runs pay the weight DRAM on their first frame.
@@ -179,7 +152,7 @@ TEST(RuntimeSessionTest, EngineRunIsOneShotAndResetsResidency) {
 
 TEST(RuntimeReportTest, MergedStatsConcatenateAllFrames) {
   Engine engine;
-  const Plan plan = small_unet_plan(engine.backend());
+  const Plan plan = small_unet_plan(engine);
   const RunReport report = engine.run(plan, FrameBatch::replay(3), {.verify = false});
   EXPECT_EQ(report.merged_stats().layers.size(), plan.layer_count() * 3);
   EXPECT_GT(report.total_cycles(), 0);
@@ -190,7 +163,7 @@ TEST(RuntimeReportTest, MergedStatsConcatenateAllFrames) {
 
 TEST(RuntimeReportTest, MemorySummaryAggregatesAcrossFramesAndLayers) {
   Engine engine;
-  const Plan plan = small_unet_plan(engine.backend());
+  const Plan plan = small_unet_plan(engine);
   const RunReport report = engine.run(plan, FrameBatch::replay(2), {.verify = false});
   ASSERT_EQ(report.frames.size(), 2U);
 
@@ -237,18 +210,16 @@ TEST(RuntimeReportTest, MemorySummaryAggregatesAcrossFramesAndLayers) {
 
 TEST(RuntimeConfigTest, BackendKindParsesAndRoundTrips) {
   EXPECT_EQ(parse_backend_kind("esca"), BackendKind::kEsca);
-  EXPECT_EQ(parse_backend_kind("dense"), BackendKind::kDense);
   EXPECT_EQ(parse_backend_kind("cpu"), BackendKind::kCpu);
-  for (const auto kind : {BackendKind::kEsca, BackendKind::kDense, BackendKind::kCpu}) {
+  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu}) {
     EXPECT_EQ(parse_backend_kind(to_string(kind)), kind);
   }
+  EXPECT_THROW((void)parse_backend_kind("dense"), InvalidArgument);
   EXPECT_THROW((void)parse_backend_kind("tpu"), InvalidArgument);
 }
 
 TEST(RuntimeConfigTest, FactoryBuildsTheRequestedBackend) {
   RuntimeConfig cfg;
-  cfg.backend = BackendKind::kDense;
-  EXPECT_EQ(make_backend(cfg)->name(), "dense");
   cfg.backend = BackendKind::kCpu;
   EXPECT_EQ(make_backend(cfg)->name(), "cpu");
   cfg.backend = BackendKind::kEsca;
@@ -259,23 +230,23 @@ TEST(RuntimeValidationTest, EmptyBatchAndEmptyPlanRejected) {
   Engine engine;
   EXPECT_THROW((void)FrameBatch::replay(0), InvalidArgument);
   EXPECT_THROW((void)engine.open_session(Plan{}), InvalidArgument);
-  const Plan plan = small_unet_plan(engine.backend());
+  const Plan plan = small_unet_plan(engine);
   EXPECT_THROW((void)engine.run(plan, FrameBatch{.frame_ids = {}}), InvalidArgument);
 }
 
 TEST(RuntimeValidationTest, PlanLayerWithoutGeometryRejected) {
   Engine engine;
-  core::CompiledNetwork network = small_unet_plan(engine.backend()).network;
+  core::CompiledNetwork network = small_unet_plan(engine).network;
   network.layers.back().geometry = nullptr;
   EXPECT_THROW((void)make_plan(std::move(network)), InvalidArgument);
 }
 
 TEST(RuntimeValidationTest, TamperedGoldIsCaughtByEveryBackend) {
-  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu, BackendKind::kDense}) {
+  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu}) {
     RuntimeConfig cfg;
     cfg.backend = kind;
     Engine engine{cfg};
-    Plan plan = small_unet_plan(engine.backend());
+    Plan plan = small_unet_plan(engine);
     auto f = plan.network.layers.front().gold_output.features(0);
     f[0] = static_cast<std::int16_t>(f[0] + 1);
     EXPECT_THROW((void)engine.run(plan), InternalError) << to_string(kind);
@@ -294,7 +265,7 @@ TEST(RuntimeCompileTest, SingleLayerPlanRunsOnEveryBackend) {
   EXPECT_GT(plan.total_macs(), 0);
   EXPECT_EQ(plan.network.layers.front().layer.name(), "single");
 
-  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu, BackendKind::kDense}) {
+  for (const auto kind : {BackendKind::kEsca, BackendKind::kCpu}) {
     RuntimeConfig cfg;
     cfg.backend = kind;
     Engine engine{cfg};
@@ -310,8 +281,6 @@ TEST(RuntimeBackendTest, OnlyEscaExposesAnEnergyMeter) {
   cfg.backend = BackendKind::kEsca;
   EXPECT_NE(make_backend(cfg)->energy_meter(), nullptr);
   cfg.backend = BackendKind::kCpu;
-  EXPECT_EQ(make_backend(cfg)->energy_meter(), nullptr);
-  cfg.backend = BackendKind::kDense;
   EXPECT_EQ(make_backend(cfg)->energy_meter(), nullptr);
 }
 

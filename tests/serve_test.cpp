@@ -19,7 +19,7 @@
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "nn/sparse_conv.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/engine.hpp"
 #include "serve/serve.hpp"
 #include "sparse/geometry.hpp"
 #include "stream/sequence_session.hpp"
@@ -67,48 +67,9 @@ TEST(ServeQueueTest, FullQueueRejectsAndCloseDrains) {
   EXPECT_EQ(q.pop(), std::nullopt);
 }
 
-TEST(ServeQueueTest, EarliestDeadlineFirstOrdersByDeadline) {
-  BoundedQueue<int> q(8, QueuePolicy::kEarliestDeadlineFirst);
-  const auto now = std::chrono::steady_clock::now();
-  using std::chrono::seconds;
-  EXPECT_TRUE(q.try_push(1, PushInfo{.deadline = now + seconds(3)}));
-  EXPECT_TRUE(q.try_push(2, PushInfo{.priority = 100}));  // no deadline
-  EXPECT_TRUE(q.try_push(3, PushInfo{.deadline = now + seconds(1)}));
-  EXPECT_TRUE(q.try_push(4, PushInfo{.deadline = now + seconds(2)}));
-  EXPECT_TRUE(q.try_push(5, PushInfo{}));  // no deadline, lower priority than 2
-  EXPECT_EQ(q.pop(), 3);  // nearest deadline first
-  EXPECT_EQ(q.pop(), 4);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);  // deadline-less after all deadlined; priority ties
-  EXPECT_EQ(q.pop(), 5);
-  EXPECT_STREQ(to_string(QueuePolicy::kEarliestDeadlineFirst), "edf");
-  EXPECT_STREQ(to_string(QueuePolicy::kPriorityFifo), "priority-fifo");
-}
-
-TEST(ServeQueueTest, EqualDeadlinesFallBackToPriorityThenFifo) {
-  BoundedQueue<int> q(8, QueuePolicy::kEarliestDeadlineFirst);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
-  EXPECT_TRUE(q.try_push(1, PushInfo{.priority = 0, .deadline = deadline}));
-  EXPECT_TRUE(q.try_push(2, PushInfo{.priority = 5, .deadline = deadline}));
-  EXPECT_TRUE(q.try_push(3, PushInfo{.priority = 5, .deadline = deadline}));
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), 1);
-}
-
 TEST(ServeQueueTest, OrderKeyEnforcesPushOrderAcrossPolicies) {
   // Items of one order key drain strictly FIFO even when a later item has
-  // a nearer deadline or higher priority (the per-stream guarantee).
-  BoundedQueue<int> edf(8, QueuePolicy::kEarliestDeadlineFirst);
-  const auto now = std::chrono::steady_clock::now();
-  using std::chrono::seconds;
-  EXPECT_TRUE(edf.try_push(1, PushInfo{.deadline = now + seconds(9), .order_key = 5}));
-  EXPECT_TRUE(edf.try_push(2, PushInfo{.deadline = now + seconds(1), .order_key = 5}));
-  EXPECT_TRUE(edf.try_push(3, PushInfo{.deadline = now + seconds(4)}));
-  EXPECT_EQ(edf.pop(), 3);  // 2 is blocked behind 1, so 3's deadline wins
-  EXPECT_EQ(edf.pop(), 1);
-  EXPECT_EQ(edf.pop(), 2);
-
+  // a higher priority (the per-stream guarantee).
   BoundedQueue<int> fifo(8);
   EXPECT_TRUE(fifo.try_push(1, PushInfo{.priority = 0, .order_key = 7}));
   EXPECT_TRUE(fifo.try_push(2, PushInfo{.priority = 9, .order_key = 7}));

@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "nn/sparse_conv.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/engine.hpp"
 #include "sparse/geometry.hpp"
 #include "stream/stream.hpp"
 #include "test_util.hpp"

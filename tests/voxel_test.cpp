@@ -115,6 +115,13 @@ TEST(VoxelizerTest, RejectsNonFiniteCoordinates) {
     cloud.add(bad);
     EXPECT_THROW((void)voxelize(cloud, {.resolution = 512}), InvalidArgument);
   }
+  // A non-finite intensity would average into a non-finite voxel feature.
+  for (const float bad : {kNaN, kInf, -kInf}) {
+    pc::PointCloud cloud;
+    cloud.add({0.5F, 0.5F, 0.5F});
+    cloud.add({0.25F, 0.5F, 0.5F}, bad);
+    EXPECT_THROW((void)voxelize(cloud, {.resolution = 512}), InvalidArgument) << bad;
+  }
 }
 
 TEST(VoxelizerTest, CollidingPointsMergeIntoOneVoxel) {
