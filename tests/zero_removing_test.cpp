@@ -179,6 +179,21 @@ TEST(ZeroRemovingTest, RejectsBadTileSize) {
   EXPECT_THROW(ZeroRemoving({8, 8, 0}), InvalidArgument);
 }
 
+TEST(TileGridTest, TotalTileCountsMatchTableI) {
+  // The paper's Table I: a 192^3 map has 110 592 / 13 824 / 4 096 / 1 728
+  // tiles at sizes 4^3 / 8^3 / 12^3 / 16^3.
+  const auto t = tensor_of({192, 192, 192}, {{0, 0, 0}});
+  const struct {
+    std::int32_t size;
+    std::int64_t expected;
+  } cases[] = {{4, 110592}, {8, 13824}, {12, 4096}, {16, 1728}};
+  for (const auto& c : cases) {
+    const TileGrid tiles = ZeroRemoving({c.size, c.size, c.size}).apply(t);
+    EXPECT_EQ(tiles.total_tiles(), c.expected) << "tile size " << c.size;
+    EXPECT_EQ(tiles.tiles(), (std::vector<Coord3>{{0, 0, 0}})) << "tile size " << c.size;
+  }
+}
+
 TEST(TileGridTest, NonDivisibleExtentRoundsUp) {
   const TileGrid tiles = ZeroRemoving({4, 4, 4}).apply(tensor_of({10, 10, 10}, {{9, 9, 9}}));
   EXPECT_EQ(tiles.tiles_extent(), (Coord3{3, 3, 3}));
@@ -222,11 +237,24 @@ TEST(TileGridTest, OccupiedVoxelsPreserved) {
   EXPECT_LE(tiles.active_tiles(), static_cast<std::int64_t>(t.size()));
 }
 
+TEST(TileGridTest, EmptyGridHasNoActiveTiles) {
+  ZeroRemovingStats stats;
+  const TileGrid tiles = ZeroRemoving({4, 4, 4}).apply(tensor_of({16, 16, 16}, {}), &stats);
+  EXPECT_EQ(tiles.active_tiles(), 0);
+  EXPECT_EQ(stats.active_sites, 0);
+  EXPECT_EQ(tiles.find_tile({0, 0, 0}), -1);
+}
+
 TEST(TileGridTest, AnisotropicTileShape) {
   const TileGrid tiles = ZeroRemoving({4, 8, 16}).apply(tensor_of({16, 16, 16}, {{15, 0, 0}}));
   EXPECT_EQ(tiles.tiles_extent(), (Coord3{4, 2, 1}));
   EXPECT_EQ(tiles.find_tile({3, 0, 0}), 0);
   EXPECT_EQ(tiles.origin({3, 0, 0}), (Coord3{12, 0, 0}));
+}
+
+TEST(TileGridTest, RejectsBadTileSize) {
+  EXPECT_THROW(ZeroRemoving({8, -8, 8}), InvalidArgument);
+  EXPECT_THROW(ZeroRemoving({8, 8, 0}), InvalidArgument);
 }
 
 }  // namespace
